@@ -1,11 +1,12 @@
 """Do the two halves of a sign-split mode move against each other?
 
 One planted block, split ten-plus/ten-minus, hides inside a fifty-asset
-market. The scan forms the two signed-weight index series of every mode,
-correlates them, and compares each value against a baseline built from
-random asset combinations of the same sizes. Random combinations co-move
-through the market factor, so the baseline sits strongly positive; the
-planted mode's two halves stay mutually flat in spite of that pull.
+market. The scan correlates the two signed-weight combinations of every
+mode, reading their covariances straight off the correlation matrix, and
+compares each value against a baseline built from random asset
+combinations of the same sizes. Random combinations co-move through the
+market factor, so the baseline sits strongly positive; the planted mode's
+two halves stay mutually flat in spite of that pull.
 
 Run: python3 demos/03_anticorrelation.py
 """
@@ -19,7 +20,6 @@ from eigensectors import (
     generate,
     mode_scan,
     mp_bounds,
-    select_components,
 )
 
 SPEC = MarketSpec(
@@ -44,7 +44,7 @@ def main():
     cm = correlation_matrix(nr)
     spec = eigendecompose(cm)
     law = mp_bounds(SPEC.n_observations / SPEC.n_assets)
-    report = mode_scan(nr, spec, u_c=U_C, trials=500, seed=0)
+    report = mode_scan(cm, spec, u_c=U_C, trials=500, seed=0)
 
     print(f"scan at u_c = {U_C}: {len(report.rows)} modes, "
           f"{len(report.skipped)} skipped")
@@ -70,8 +70,8 @@ def main():
     print("structure. the eigenvalue column separates the two cases.")
     print()
 
-    part = select_components(spec, 1, U_C)
-    avg = block_averages(cm, part)
+    planted = next(row for row in report.rows if row.mode_index == 1)
+    avg = block_averages(cm, planted.partition)
     print("average correlations around the planted mode's partition:")
     print(f"  within the + side: {avg.within_positive:6.3f}")
     print(f"  within the - side: {avg.within_negative:6.3f}")

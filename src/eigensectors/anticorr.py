@@ -1,14 +1,23 @@
 """Cross-correlation between a mode's positive and negative subsectors.
 
-For a mode's sign-split partition we form the two combination series
+For a mode's sign-split partition the two combination series are
 
-    I_plus(t)  = sum_{i in positive} u_i r_i(t)
-    I_minus(t) = sum_{j in negative} u_j r_j(t)
+    I_plus(t)  = sum_{i in P} w_i r_i(t)
+    I_minus(t) = sum_{j in M} w_j r_j(t)
 
-(signed weights) and summarize their co-movement as the raw time average
-<I_plus I_minus> and its Pearson-normalized variant. The reference level is
-a random-combination baseline: the same weight magnitudes, all positive,
-assigned to random disjoint asset subsets of the same sizes.
+over the disjoint sets P and M with the signed components as weights. Their
+co-movement is summarized as the raw time average <I_plus I_minus> and its
+Pearson-normalized variant. Normalized rows have mean 0 and population
+variance 1, so every one of these numbers is a function of C alone:
+
+    <I_plus I_minus> = w_P^T C[P, M] w_M
+    var I_plus       = w_P^T C[P, P] w_P
+    var I_minus      = w_M^T C[M, M] w_M
+    pearson          = <I_plus I_minus> / sqrt(var I_plus * var I_minus)
+
+and they are computed from C, never from the return series. The reference
+level is a random-combination baseline: the same weight magnitudes, all
+positive, assigned to random disjoint asset subsets of the same sizes.
 """
 
 from __future__ import annotations
@@ -16,79 +25,34 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corrmatrix import CorrelationMatrix, EigenSpectrum
-from .exceptions import ConfigurationError, ValidationError
+from .exceptions import ConfigurationError
 from .sectors import SubsectorPartition, select_components
-from .timeseries import NormalizedReturns
 
 MIN_REPORT_TRIALS = 100
 
 
-@dataclass
-class ModeCorrelation:
-    """Rank-one contribution of one mode to the correlation matrix: lam-free outer product u u^T."""
+def _cross_correlation(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and Pearson co-movement for each row pair of weight arrays a, b.
 
-    mode_index: int
-    assets: tuple[str, ...]
-    values: np.ndarray
-
-
-class CrossCorrelation(NamedTuple):
-    raw: float
-    pearson: float
-
-
-def eigenmode_correlation(spec: EigenSpectrum, alpha: int) -> ModeCorrelation:
-    """Per-mode correlation structure C^(alpha)_ij = u_i u_j (unit trace, rank one)."""
-    u = spec.vector(alpha)
-    return ModeCorrelation(
-        mode_index=alpha,
-        assets=spec.assets,
-        values=np.outer(u, u),
-    )
-
-
-def subsector_series(
-    nr: NormalizedReturns,
-    partition: SubsectorPartition,
-    side: str,
-) -> np.ndarray:
-    """Combination series of one side, weighted by the signed components."""
-    if partition.assets != nr.assets:
-        raise ConfigurationError(
-            "partition and return panel refer to different asset sets"
-        )
-    indices = partition.side(side)
-    if not indices:
-        raise ValidationError(
-            f"mode {partition.mode_index} has an empty '{side}' subsector at "
-            f"u_c={partition.threshold:g}; lower u_c or skip this mode"
-        )
-    positive = side in ("+", "positive")
-    weights = partition.positive_weights if positive else partition.negative_weights
-    return weights @ nr.values[list(indices), :]
-
-
-def cross_corr_pm(i_plus: np.ndarray, i_minus: np.ndarray) -> CrossCorrelation:
-    """Raw time-averaged product of the two series, plus the Pearson variant.
-
-    The Pearson value is NaN when either series has zero variance; the raw
-    average is always defined.
+    Row k of ``a`` and ``b`` holds the full-length (N) weights of the two
+    combinations; their supports must be disjoint. The Pearson value is NaN
+    where var_plus * var_minus <= 0; the raw value is always defined.
     """
-    a = np.asarray(i_plus, dtype=float)
-    b = np.asarray(i_minus, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ConfigurationError("series must be 1-D and equally long")
-    raw = float(np.mean(a * b))
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = np.sqrt(np.mean(ac * ac) * np.mean(bc * bc))
-    pearson = float(np.mean(ac * bc) / denom) if denom > 0.0 else float("nan")
-    return CrossCorrelation(raw=raw, pearson=pearson)
+    ac = a @ c
+    bc = b @ c
+    raw = np.einsum("ij,ij->i", ac, b)
+    denom = np.einsum("ij,ij->i", ac, a) * np.einsum("ij,ij->i", bc, b)
+    pearson = np.full(raw.shape, np.nan)
+    ok = denom > 0.0
+    pearson[ok] = raw[ok] / np.sqrt(denom[ok])
+    return raw, pearson
 
 
 @dataclass
@@ -109,21 +73,9 @@ class BaselineStats:
     pearson_samples: np.ndarray = field(repr=False)
     raw_samples: np.ndarray = field(repr=False)
 
-    @property
-    def mean(self) -> float:
-        return self.pearson_mean
-
-    @property
-    def std(self) -> float:
-        return self.pearson_std
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.pearson_samples
-
 
 def random_baseline(
-    nr: NormalizedReturns,
+    c: CorrelationMatrix,
     sizes: tuple[int, int],
     weights: tuple[Sequence[float], Sequence[float]],
     trials: int = 1000,
@@ -134,10 +86,10 @@ def random_baseline(
     Each trial draws n_plus + n_minus distinct assets uniformly, splits them
     into two groups, assigns the given weight magnitudes (made positive) to
     the groups in random order, and records the raw and Pearson correlation
-    of the two series. ``seed`` may be an int or a numpy SeedSequence.
+    of the two combinations. ``seed`` may be an int or a numpy SeedSequence.
     """
     n_plus, n_minus = int(sizes[0]), int(sizes[1])
-    n = nr.n_assets
+    n = c.n_assets
     if n_plus < 1 or n_minus < 1:
         raise ConfigurationError(f"subset sizes must be >= 1, got {sizes!r}")
     if n_plus + n_minus > n:
@@ -154,14 +106,13 @@ def random_baseline(
             f"do not match subset sizes ({n_plus}, {n_minus})"
         )
     rng = np.random.default_rng(seed)
-    raw_samples = np.empty(trials)
-    pearson_samples = np.empty(trials)
-    values = nr.values
+    a = np.zeros((trials, n))
+    b = np.zeros((trials, n))
     for k in range(trials):
         picked = rng.choice(n, size=n_plus + n_minus, replace=False)
-        series_plus = rng.permutation(w_plus) @ values[picked[:n_plus], :]
-        series_minus = rng.permutation(w_minus) @ values[picked[n_plus:], :]
-        raw_samples[k], pearson_samples[k] = cross_corr_pm(series_plus, series_minus)
+        a[k, picked[:n_plus]] = rng.permutation(w_plus)
+        b[k, picked[n_plus:]] = rng.permutation(w_minus)
+    raw_samples, pearson_samples = _cross_correlation(c.values, a, b)
     seed_value = seed if isinstance(seed, (int, np.integer)) else None
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),
@@ -186,6 +137,7 @@ class ModeScanRow:
     c_raw: float
     c_pearson: float
     baseline: BaselineStats
+    partition: SubsectorPartition = field(repr=False)
 
 
 @dataclass
@@ -215,7 +167,7 @@ class AnticorrReport:
 
 
 def mode_scan(
-    nr: NormalizedReturns,
+    c: CorrelationMatrix,
     spec: EigenSpectrum,
     u_c: float,
     trials: int = 1000,
@@ -228,8 +180,8 @@ def mode_scan(
     are listed under ``skipped``. The market mode (0) is excluded by default.
     Per-mode baseline streams derive deterministically from (seed, mode).
     """
-    if spec.assets != nr.assets:
-        raise ConfigurationError("spectrum and return panel refer to different assets")
+    if spec.assets != c.assets:
+        raise ConfigurationError("spectrum and correlation matrix refer to different assets")
     if int(seed) != seed or seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     seed = int(seed)
@@ -250,11 +202,13 @@ def mode_scan(
                 SkippedMode(alpha, f"empty {' and '.join(empty)} side at u_c={u_c:g}")
             )
             continue
-        series_plus = subsector_series(nr, part, "+")
-        series_minus = subsector_series(nr, part, "-")
-        c_raw, c_pearson = cross_corr_pm(series_plus, series_minus)
+        w_plus = np.zeros((1, n))
+        w_minus = np.zeros((1, n))
+        w_plus[0, list(part.positive)] = part.positive_weights
+        w_minus[0, list(part.negative)] = part.negative_weights
+        (c_raw,), (c_pearson,) = _cross_correlation(c.values, w_plus, w_minus)
         baseline = random_baseline(
-            nr,
+            c,
             sizes=(n_pos, n_neg),
             weights=(np.abs(part.positive_weights), np.abs(part.negative_weights)),
             trials=trials,
@@ -266,9 +220,10 @@ def mode_scan(
                 eigenvalue=float(spec.eigenvalues[alpha]),
                 n_positive=n_pos,
                 n_negative=n_neg,
-                c_raw=c_raw,
-                c_pearson=c_pearson,
+                c_raw=float(c_raw),
+                c_pearson=float(c_pearson),
                 baseline=baseline,
+                partition=part,
             )
         )
     return AnticorrReport(
@@ -277,7 +232,7 @@ def mode_scan(
         seed=seed,
         include_market_mode=include_market_mode,
         n_assets=n,
-        n_observations=nr.n_observations,
+        n_observations=c.n_observations,
         rows=rows,
         skipped=skipped,
     )

@@ -210,9 +210,9 @@ def _scan_suffix(u_c: float) -> str:
     return f"uc{u_c:g}".replace(".", "p")
 
 
-def _run_scan(args, nr, c, spec, u_c: float, out: Path) -> None:
+def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
     report = ac.mode_scan(
-        nr,
+        c,
         spec,
         u_c,
         trials=args.trials,
@@ -227,8 +227,7 @@ def _run_scan(args, nr, c, spec, u_c: float, out: Path) -> None:
 
     lines = ["u_c,mode,n_positive,n_negative,within_positive,within_negative,between"]
     for row in report.rows:
-        part = sec.select_components(spec, row.mode_index, u_c)
-        blocks = ac.block_averages(c, part)
+        blocks = ac.block_averages(c, row.partition)
 
         def fmt(x):
             return "" if x is None else f"{x:.17g}"
@@ -252,9 +251,9 @@ def cmd_anticorr(args) -> int:
     out = _out_dir(args)
     thresholds = args.u_c or [sec.DEFAULT_STOCK_THRESHOLDS[-1]]
     for u_c in thresholds:
-        _run_scan(args, nr, c, spec, u_c, out)
+        _run_scan(args, c, spec, u_c, out)
     if args.u_c_zero_scan:
-        _run_scan(args, nr, c, spec, 0.0, out)
+        _run_scan(args, c, spec, 0.0, out)
     print(f"wrote scan artifacts under {out}")
     return 0
 
@@ -263,11 +262,8 @@ def cmd_synth(args) -> int:
     cfg_path = Path(args.config)
     if not cfg_path.exists():
         raise DataError(f"market config not found: {cfg_path}")
-    raw_cfg = json.loads(cfg_path.read_text())
-    if not isinstance(raw_cfg, dict):
-        raise ConfigurationError("market config must be a JSON object")
-    seed = args.seed if args.seed is not None else int(raw_cfg.get("seed", 0))
-    market = synth.spec_from_dict(raw_cfg)
+    market, config_seed = synth.load_market_spec(cfg_path)
+    seed = args.seed if args.seed is not None else config_seed
     nr, truth = synth.generate(market, seed=seed)
     panel = synth.prices_from_returns(nr)
     out = _out_dir(args)
@@ -330,7 +326,6 @@ def build_parser() -> _Parser:
     _add_panel_options(p)
     p.add_argument("--margin", type=float, default=1.0, help="significance margin on the noise edge")
     p.add_argument("--out-dir", dest="out_dir", default="out", help="artifact directory")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the report for provenance")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sectors", help="sign-split subsector tables")
@@ -352,7 +347,6 @@ def build_parser() -> _Parser:
         help="keep mode 0 even when single-signed",
     )
     p.add_argument("--out-dir", dest="out_dir", default="out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sectors)
 
     p = sub.add_parser("anticorr", help="subsector cross-correlation scan")

@@ -203,10 +203,14 @@ def load_matrix(path) -> CorrelationMatrix:
     sidecar = path.with_suffix(".meta.json")
     if not sidecar.exists():
         raise ValidationError(f"missing matrix sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text())
-    values = np.asarray(rows)
+    try:
+        n_observations = int(json.loads(sidecar.read_text())["n_observations"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValidationError(
+            f"matrix sidecar {sidecar} lacks a valid n_observations: {exc!r}"
+        ) from None
     return CorrelationMatrix(
         assets=assets,
-        values=values,
-        n_observations=int(meta["n_observations"]),
+        values=np.asarray(rows),
+        n_observations=n_observations,
     )

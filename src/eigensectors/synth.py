@@ -289,12 +289,16 @@ def spec_from_dict(cfg: dict) -> MarketSpec:
         raise ConfigurationError(f"bad market config value: {exc}") from None
 
 
-def load_market_spec(path) -> MarketSpec:
-    """Read a MarketSpec from a JSON key-value configuration file."""
+def load_market_spec(path) -> tuple[MarketSpec, int]:
+    """Read a MarketSpec and its seed (default 0) from a JSON configuration file."""
     try:
         cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigurationError(f"market config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("market config must be a JSON object")
-    return spec_from_dict(cfg)
+    try:
+        seed = int(cfg.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad market config value: {exc}") from None
+    return spec_from_dict(cfg), seed

@@ -197,7 +197,7 @@ def _parse_price(text: str, line_no: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"unparsable price {text!r}", line_no) from None
-    if math.isnan(value):
+    if not math.isfinite(value):
         raise ParseError(f"unparsable price {text!r}", line_no)
     return value
 

@@ -74,6 +74,39 @@ def spectrum_of(nr: NormalizedReturns) -> EigenSpectrum:
     return eigendecompose(correlation_matrix(nr))
 
 
+def combination_series(nr: NormalizedReturns, weights, indices) -> np.ndarray:
+    """Series oracle: the weighted sum of the indexed normalized return rows."""
+    return np.asarray(weights, dtype=float) @ nr.values[list(indices)]
+
+
+def series_cross_correlation(a, b) -> tuple[float, float]:
+    """Series oracle: raw time average <a b> and population Pearson of a and b.
+
+    The Pearson value is NaN when either series has zero variance.
+    """
+    raw = float(np.mean(a * b))
+    ac, bc = a - a.mean(), b - b.mean()
+    denom = np.sqrt(np.mean(ac * ac) * np.mean(bc * bc))
+    return raw, float(np.mean(ac * bc) / denom) if denom > 0.0 else float("nan")
+
+
+def baseline_oracle(nr: NormalizedReturns, weights, trials, seed):
+    """Series oracle for random_baseline: the same draws, evaluated on the series.
+
+    Returns (raw_samples, pearson_samples).
+    """
+    w_plus, w_minus = (np.abs(np.asarray(w, dtype=float)) for w in weights)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        picked = rng.choice(nr.n_assets, size=w_plus.size + w_minus.size, replace=False)
+        a = combination_series(nr, rng.permutation(w_plus), picked[: w_plus.size])
+        b = combination_series(nr, rng.permutation(w_minus), picked[w_plus.size :])
+        out.append(series_cross_correlation(a, b))
+    raw, pearson = np.array(out).T
+    return raw, pearson
+
+
 def spectrum_with_mode(u, n_observations=1000):
     """Spectrum whose mode 0 is the given vector; other columns are basis fill.
 

@@ -209,10 +209,11 @@ def _tapered_market():
 
 def test_criterion_6_anticorrelation_vs_baseline():
     nr, _ = generate(_tapered_market(), seed=0)
-    spec = spectrum_of(nr)
+    c = correlation_matrix(nr)
+    spec = eigendecompose(c)
     sig = significant_eigenvalues(spec)
     assert sig.indices == (0, 1, 2, 3, 4)
-    report = mode_scan(nr, spec, u_c=0.20, trials=1000, seed=0)
+    report = mode_scan(c, spec, u_c=0.20, trials=1000, seed=0)
     rows = {row.mode_index: row for row in report.rows}
     assert {1, 2, 3, 4} <= rows.keys()
     strongest = rows[1]

@@ -10,25 +10,30 @@ from eigensectors import (
     BlockSpec,
     ConfigurationError,
     CorrelationMatrix,
+    EigenSpectrum,
     MarketSpec,
     SubsectorPartition,
-    ValidationError,
     block_averages,
     correlation_matrix,
-    cross_corr_pm,
     eigendecompose,
-    eigenmode_correlation,
     generate,
     mode_scan,
     normalize_returns,
     random_baseline,
     report_to_dict,
     select_components,
-    subsector_series,
     write_report_json,
     write_scan_delimited,
 )
-from helpers import FIXTURE_4X4, noise_returns, returns, spectrum_of
+from helpers import (
+    FIXTURE_4X4,
+    baseline_oracle,
+    combination_series,
+    noise_returns,
+    returns,
+    series_cross_correlation,
+    spectrum_of,
+)
 
 ONE_BLOCK = MarketSpec(
     n_assets=50,
@@ -54,6 +59,10 @@ TWO_BLOCK = MarketSpec(
     ),
 )
 
+# C route vs series oracle: the identities hold exactly, so only rounding
+# separates the two (observed <= 2e-15)
+ORACLE_TOL = 1e-12
+
 
 def two_asset_panel():
     """Two positively correlated series; mode 1 splits them one per side."""
@@ -63,98 +72,33 @@ def two_asset_panel():
     return normalize_returns(returns(np.vstack([base + 0.6 * noise[0], base + 0.6 * noise[1]])))
 
 
-def stub_partition(nr, positive, negative, pos_w, neg_w):
-    return SubsectorPartition(
-        mode_index=0,
-        threshold=0.1,
-        assets=nr.assets,
-        positive=tuple(positive),
-        negative=tuple(negative),
-        positive_weights=np.asarray(pos_w, dtype=float),
-        negative_weights=np.asarray(neg_w, dtype=float),
-        anchor_index=0,
-    )
+def matrix_and_spectrum(nr):
+    c = correlation_matrix(nr)
+    return c, eigendecompose(c)
 
 
-# ----------------------------------------------------------- mode correlation
+def oracle_panel(name):
+    if name == "one_block":
+        return generate(ONE_BLOCK, seed=0)[0]
+    return noise_returns(12, 400, 21)
 
 
-def test_mode_correlation_identity_basis():
-    c = CorrelationMatrix(assets=("X", "Y", "Z"), values=np.eye(3), n_observations=50)
-    mc = eigenmode_correlation(eigendecompose(c), 1)
-    expected = np.zeros((3, 3))
-    expected[1, 1] = 1.0
-    assert np.allclose(mc.values, expected)
-    assert mc.mode_index == 1
-    assert mc.assets == ("X", "Y", "Z")
-
-
-def test_mode_correlation_sign_structure():
-    c = CorrelationMatrix(
-        assets=("a", "b", "c", "d"), values=FIXTURE_4X4.copy(), n_observations=100
-    )
-    mc = eigenmode_correlation(eigendecompose(c), 1)
-    # mode 1 puts assets 0, 1 opposite assets 2, 3
-    assert mc.values[0, 1] > 0 and mc.values[2, 3] > 0
-    assert mc.values[0, 2] < 0 and mc.values[1, 3] < 0
-    assert np.allclose(mc.values, mc.values.T)
-
-
-def test_mode_correlation_unit_trace():
-    spec = spectrum_of(noise_returns(8, 200, 2))
-    for alpha in range(8):
-        mc = eigenmode_correlation(spec, alpha)
-        assert np.trace(mc.values) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mode_correlations_reconstruct_matrix():
-    cm = correlation_matrix(noise_returns(6, 150, 3))
-    spec = eigendecompose(cm)
-    total = np.zeros((6, 6))
-    for alpha in range(6):
-        total += spec.eigenvalues[alpha] * eigenmode_correlation(spec, alpha).values
-    assert np.abs(total - cm.values).max() < 1e-9
-
-
-# ------------------------------------------------------------------- series
+# ------------------------------------------------------------ series oracle
 
 
 def test_series_singleton_scales_row():
     nr = noise_returns(4, 100, 0)
-    part = stub_partition(nr, (2,), (), [0.3], [])
-    series = subsector_series(nr, part, "+")
-    assert np.array_equal(series, 0.3 * nr.values[2])
+    assert np.array_equal(combination_series(nr, [0.3], (2,)), 0.3 * nr.values[2])
 
 
 def test_series_signed_weights_cancel():
     row = default_rng(5).standard_normal(200)
     nr = normalize_returns(returns(np.vstack([row, row])))
     # equal and opposite weights over identical rows: exact cancellation
-    part = stub_partition(nr, (0, 1), (), [0.5, -0.5], [])
-    assert np.all(subsector_series(nr, part, "+") == 0.0)
-
-
-def test_series_empty_side_is_an_error():
-    nr = noise_returns(4, 100, 1)
-    part = stub_partition(nr, (0,), (), [0.4], [])
-    with pytest.raises(ValidationError, match="lower u_c"):
-        subsector_series(nr, part, "-")
-
-
-def test_series_asset_mismatch():
-    nr = noise_returns(4, 100, 1)
-    part = SubsectorPartition(
-        mode_index=0,
-        threshold=0.1,
-        assets=("W", "X", "Y", "Z"),
-        positive=(0,),
-        negative=(1,),
-        positive_weights=np.array([0.4]),
-        negative_weights=np.array([-0.4]),
-        anchor_index=0,
-    )
-    with pytest.raises(ConfigurationError):
-        subsector_series(nr, part, "+")
+    series = combination_series(nr, [0.5, -0.5], (0, 1))
+    assert np.all(series == 0.0)
+    raw, pearson = series_cross_correlation(series, nr.values[0])
+    assert raw == 0.0 and np.isnan(pearson)
 
 
 def test_series_recovers_planted_factor():
@@ -164,66 +108,111 @@ def test_series_recovers_planted_factor():
     nr, _ = generate(spec_cfg, seed=3)
     part = select_components(spectrum_of(nr), 0, 0.0)
     assert len(part.positive) == 50 and len(part.negative) == 0
-    series = subsector_series(nr, part, "+")
+    series = combination_series(nr, part.positive_weights, part.positive)
     factor = default_rng(SeedSequence(3).spawn(2)[0]).standard_normal(2000)
     assert abs(np.corrcoef(series, factor)[0, 1]) > 0.95
 
 
-# ------------------------------------------------------------- cross product
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("u_c", [0.15, 0.0])
+@pytest.mark.parametrize("panel_name", ["one_block", "noise"])
+def test_scan_matches_series_oracle(panel_name, u_c):
+    nr = oracle_panel(panel_name)
+    c, spec = matrix_and_spectrum(nr)
+    report = mode_scan(c, spec, u_c, trials=100, seed=0)
+    assert report.rows
+    for row in report.rows:
+        part = row.partition
+        assert part.mode_index == row.mode_index
+        raw, pearson = series_cross_correlation(
+            combination_series(nr, part.positive_weights, part.positive),
+            combination_series(nr, part.negative_weights, part.negative),
+        )
+        assert abs(row.c_raw - raw) <= ORACLE_TOL
+        assert abs(row.c_pearson - pearson) <= ORACLE_TOL
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("u_c", [0.15, 0.0])
+@pytest.mark.parametrize("panel_name", ["one_block", "noise"])
+def test_baseline_matches_series_oracle(panel_name, u_c):
+    nr = oracle_panel(panel_name)
+    c, spec = matrix_and_spectrum(nr)
+    part = select_components(spec, 1, u_c)
+    weights = (part.positive_weights, part.negative_weights)
+    sizes = (len(part.positive), len(part.negative))
+    bl = random_baseline(c, sizes, weights, trials=60, seed=SeedSequence([0, 1]))
+    raw, pearson = baseline_oracle(nr, weights, trials=60, seed=SeedSequence([0, 1]))
+    assert np.abs(bl.raw_samples - raw).max() <= ORACLE_TOL
+    assert np.abs(bl.pearson_samples - pearson).max() <= ORACLE_TOL
+
+
+# ---------------------------------------------------------- cross product
 
 
 def test_cross_corr_against_own_negation():
+    # asset 1 is asset 0 negated: every trial's two combinations are
+    # exact opposites up to their weights
     a = default_rng(7).standard_normal(1000)
-    out = cross_corr_pm(a, -a)
-    assert out.raw == pytest.approx(-np.mean(a * a))
-    assert out.pearson == pytest.approx(-1.0, abs=1e-12)
-    assert out == (out.raw, out.pearson)  # NamedTuple unpacking order
+    nr = normalize_returns(returns(np.vstack([a, -a])))
+    c = correlation_matrix(nr)
+    bl = random_baseline(c, (1, 1), ([0.7], [0.4]), trials=20, seed=0)
+    assert np.allclose(bl.pearson_samples, -1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(bl.raw_samples, -0.28, rtol=0.0, atol=1e-12)
 
 
 def test_cross_corr_independent_series():
     for seed in range(10):
-        a, b = default_rng(seed).standard_normal((2, 10_000))
-        assert abs(cross_corr_pm(a, b).pearson) < 0.05
+        c = correlation_matrix(noise_returns(6, 10_000, seed))
+        bl = random_baseline(c, (1, 1), ([0.5], [0.5]), trials=30, seed=seed)
+        assert np.abs(bl.pearson_samples).max() < 0.05
 
 
 def test_cross_corr_zero_variance_gives_nan_pearson():
-    b = default_rng(8).standard_normal(100)
-    out = cross_corr_pm(np.ones(100), b)
-    assert np.isnan(out.pearson)
-    assert out.raw == pytest.approx(np.mean(b))
-
-
-def test_cross_corr_shape_validation():
-    with pytest.raises(ConfigurationError):
-        cross_corr_pm(np.zeros((2, 5)), np.zeros((2, 5)))
-    with pytest.raises(ConfigurationError):
-        cross_corr_pm(np.zeros(5), np.zeros(6))
+    # assets 0 and 1 are perfectly anti-correlated, so equal positive
+    # weights on both give a combination of zero variance
+    c = CorrelationMatrix(
+        assets=("X", "Y", "Z"),
+        values=np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        n_observations=100,
+    )
+    bl = random_baseline(c, (2, 1), ([0.5, 0.5], [0.4]), trials=40, seed=3)
+    degenerate = bl.raw_samples == 0.0  # the plus side drew {X, Y}
+    assert degenerate.any() and not degenerate.all()
+    assert np.array_equal(np.isnan(bl.pearson_samples), degenerate)
+    assert np.allclose(bl.raw_samples[~degenerate], -0.2, rtol=0.0, atol=1e-15)
 
 
 def test_cross_corr_negation_invariant():
-    a, b = default_rng(9).standard_normal((2, 500))
-    assert cross_corr_pm(-a, -b) == cross_corr_pm(a, b)
+    # flipping every eigenvector's sign swaps the two sides of each split;
+    # both weight vectors change sign, so the correlations stay put
+    nr, _ = generate(ONE_BLOCK, seed=1)
+    c, spec = matrix_and_spectrum(nr)
+    flipped = EigenSpectrum(
+        assets=spec.assets,
+        eigenvalues=spec.eigenvalues,
+        eigenvectors=-spec.eigenvectors,
+        n_observations=spec.n_observations,
+    )
+    a = mode_scan(c, spec, 0.15, trials=100, seed=0)
+    b = mode_scan(c, flipped, 0.15, trials=100, seed=0)
+    assert [r.mode_index for r in a.rows] == [r.mode_index for r in b.rows]
+    for ra, rb in zip(a.rows, b.rows):
+        assert (ra.n_positive, ra.n_negative) == (rb.n_negative, rb.n_positive)
+        assert ra.c_raw == pytest.approx(rb.c_raw, rel=0.0, abs=ORACLE_TOL)
+        assert ra.c_pearson == pytest.approx(rb.c_pearson, rel=0.0, abs=ORACLE_TOL)
 
 
 def test_two_block_market_separates_from_baseline():
     # planted two-sided structure sits far below the random-combination level
     for seed in range(3):
         nr, _ = generate(TWO_BLOCK, seed=seed)
-        part = select_components(spectrum_of(nr), 1, 0.15)
-        cc = cross_corr_pm(
-            subsector_series(nr, part, "+"), subsector_series(nr, part, "-")
-        )
-        baseline = random_baseline(
-            nr,
-            sizes=(len(part.positive), len(part.negative)),
-            weights=(np.abs(part.positive_weights), np.abs(part.negative_weights)),
-            trials=300,
-            seed=seed,
-        )
-        z = (cc.pearson - baseline.pearson_mean) / baseline.pearson_std
+        row = mode_scan(*matrix_and_spectrum(nr), 0.15, trials=300, seed=seed).rows[0]
+        assert row.mode_index == 1
+        z = (row.c_pearson - row.baseline.pearson_mean) / row.baseline.pearson_std
         # random combinations co-move through the market factor, so the
         # baseline sits high; the planted split falls far below it
-        assert baseline.pearson_mean > 0.5
+        assert row.baseline.pearson_mean > 0.5
         assert z < -3.0
 
 
@@ -235,34 +224,35 @@ def test_baseline_pair_panel_exhausts_to_direct_value():
     base = rng.standard_normal(500)
     noise = rng.standard_normal(500)
     nr = normalize_returns(returns(np.vstack([base, -base + 0.3 * noise])))
-    bl = random_baseline(nr, (1, 1), (np.array([0.7]), np.array([0.4])), trials=50, seed=0)
-    direct = cross_corr_pm(0.7 * nr.values[0], 0.4 * nr.values[1])
+    c = correlation_matrix(nr)
+    bl = random_baseline(c, (1, 1), (np.array([0.7]), np.array([0.4])), trials=50, seed=0)
+    raw, pearson = series_cross_correlation(0.7 * nr.values[0], 0.4 * nr.values[1])
     # on two assets every draw is the same pair, up to 1 ulp from the two
     # weight orderings
-    assert np.allclose(bl.pearson_samples, direct.pearson, rtol=0.0, atol=1e-12)
-    assert np.allclose(bl.raw_samples, direct.raw, rtol=0.0, atol=1e-12)
-    assert direct.pearson < -0.9
+    assert np.allclose(bl.pearson_samples, pearson, rtol=0.0, atol=1e-12)
+    assert np.allclose(bl.raw_samples, raw, rtol=0.0, atol=1e-12)
+    assert pearson < -0.9
     assert bl.n_trials == 50
 
 
 def test_baseline_rectifies_weight_signs():
-    nr = noise_returns(6, 300, 4)
-    flip = random_baseline(nr, (1, 1), ([-0.7], [0.4]), trials=20, seed=1)
-    kept = random_baseline(nr, (1, 1), ([0.7], [0.4]), trials=20, seed=1)
+    c = correlation_matrix(noise_returns(6, 300, 4))
+    flip = random_baseline(c, (1, 1), ([-0.7], [0.4]), trials=20, seed=1)
+    kept = random_baseline(c, (1, 1), ([0.7], [0.4]), trials=20, seed=1)
     assert np.array_equal(flip.pearson_samples, kept.pearson_samples)
     assert np.array_equal(flip.raw_samples, kept.raw_samples)
 
 
 def test_baseline_determinism_and_seed_record():
-    nr = noise_returns(8, 200, 5)
+    c = correlation_matrix(noise_returns(8, 200, 5))
     weights = ([0.5, 0.3], [0.4])
-    a = random_baseline(nr, (2, 1), weights, trials=30, seed=11)
-    b = random_baseline(nr, (2, 1), weights, trials=30, seed=11)
-    c = random_baseline(nr, (2, 1), weights, trials=30, seed=12)
+    a = random_baseline(c, (2, 1), weights, trials=30, seed=11)
+    b = random_baseline(c, (2, 1), weights, trials=30, seed=11)
+    d = random_baseline(c, (2, 1), weights, trials=30, seed=12)
     assert np.array_equal(a.pearson_samples, b.pearson_samples)
-    assert not np.array_equal(a.pearson_samples, c.pearson_samples)
+    assert not np.array_equal(a.pearson_samples, d.pearson_samples)
     assert a.seed == 11
-    spawned = random_baseline(nr, (2, 1), weights, trials=1, seed=SeedSequence(11))
+    spawned = random_baseline(c, (2, 1), weights, trials=1, seed=SeedSequence(11))
     assert spawned.seed is None
     assert spawned.n_trials == 1
 
@@ -271,22 +261,22 @@ def test_baseline_centered_on_zero_for_noise():
     # single-asset sides on a long noise panel: the Monte Carlo error bar
     # dominates any panel-conditional offset
     for k in range(3):
-        nr = noise_returns(20, 8000, 50 + k)
-        bl = random_baseline(nr, (1, 1), (np.full(1, 0.4), np.full(1, 0.4)), trials=200, seed=k)
+        c = correlation_matrix(noise_returns(20, 8000, 50 + k))
+        bl = random_baseline(c, (1, 1), (np.full(1, 0.4), np.full(1, 0.4)), trials=200, seed=k)
         assert abs(bl.pearson_mean) < 3.0 * bl.pearson_std / np.sqrt(bl.n_trials)
         assert abs(bl.raw_mean) < 3.0 * bl.raw_std / np.sqrt(bl.n_trials)
 
 
 def test_baseline_validation():
-    nr = noise_returns(5, 100, 6)
+    c = correlation_matrix(noise_returns(5, 100, 6))
     with pytest.raises(ConfigurationError):
-        random_baseline(nr, (0, 1), ([], [0.4]), trials=10)
+        random_baseline(c, (0, 1), ([], [0.4]), trials=10)
     with pytest.raises(ConfigurationError):
-        random_baseline(nr, (3, 3), ([0.1] * 3, [0.1] * 3), trials=10)
+        random_baseline(c, (3, 3), ([0.1] * 3, [0.1] * 3), trials=10)
     with pytest.raises(ConfigurationError):
-        random_baseline(nr, (2, 1), ([0.1], [0.4]), trials=10)
+        random_baseline(c, (2, 1), ([0.1], [0.4]), trials=10)
     with pytest.raises(ConfigurationError):
-        random_baseline(nr, (1, 1), ([0.1], [0.4]), trials=0)
+        random_baseline(c, (1, 1), ([0.1], [0.4]), trials=0)
 
 
 # ---------------------------------------------------------------- mode scan
@@ -295,8 +285,8 @@ def test_baseline_validation():
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_scan_two_asset_panel():
     nr = two_asset_panel()
-    spec = spectrum_of(nr)
-    report = mode_scan(nr, spec, 0.15, trials=150, seed=0)
+    c, spec = matrix_and_spectrum(nr)
+    report = mode_scan(c, spec, 0.15, trials=150, seed=0)
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.mode_index == 1
@@ -306,8 +296,10 @@ def test_scan_two_asset_panel():
     assert report.skipped == []
     # the per-mode baseline stream is (seed, mode), reproducible externally
     part = select_components(spec, 1, 0.15)
+    assert row.partition.positive == part.positive
+    assert row.partition.negative == part.negative
     manual = random_baseline(
-        nr,
+        c,
         sizes=(1, 1),
         weights=(np.abs(part.positive_weights), np.abs(part.negative_weights)),
         trials=150,
@@ -318,9 +310,10 @@ def test_scan_two_asset_panel():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_scan_market_mode_opt_in_lists_skip():
-    nr = two_asset_panel()
-    spec = spectrum_of(nr)
-    report = mode_scan(nr, spec, 0.15, trials=150, seed=0, include_market_mode=True)
+    report = mode_scan(
+        *matrix_and_spectrum(two_asset_panel()), 0.15, trials=150, seed=0,
+        include_market_mode=True,
+    )
     assert [r.mode_index for r in report.rows] == [1]
     assert [s.mode_index for s in report.skipped] == [0]
     assert "negative" in report.skipped[0].reason
@@ -328,7 +321,7 @@ def test_scan_market_mode_opt_in_lists_skip():
 
 def test_scan_flags_planted_mode_and_decay():
     nr, _ = generate(ONE_BLOCK, seed=0)
-    report = mode_scan(nr, spectrum_of(nr), 0.15, trials=300, seed=0)
+    report = mode_scan(*matrix_and_spectrum(nr), 0.15, trials=300, seed=0)
     assert [r.mode_index for r in report.rows] == list(range(1, 50))
     assert report.skipped == []
     planted = report.rows[0]
@@ -350,7 +343,7 @@ def test_scan_noise_panel_shows_no_strong_signal():
     # stay small and the correlations themselves stay tiny
     for panel_seed in range(3):
         nr = noise_returns(10, 10_000, panel_seed)
-        report = mode_scan(nr, spectrum_of(nr), 0.0, trials=300, seed=0)
+        report = mode_scan(*matrix_and_spectrum(nr), 0.0, trials=300, seed=0)
         assert len(report.rows) == 9
         z = np.array(
             [
@@ -364,25 +357,23 @@ def test_scan_noise_panel_shows_no_strong_signal():
 
 
 def test_scan_seed_validation():
-    nr = noise_returns(4, 100, 7)
-    spec = spectrum_of(nr)
+    c, spec = matrix_and_spectrum(noise_returns(4, 100, 7))
     with pytest.raises(ConfigurationError):
-        mode_scan(nr, spec, 0.0, trials=150, seed=-1)
+        mode_scan(c, spec, 0.0, trials=150, seed=-1)
     with pytest.raises(ConfigurationError):
-        mode_scan(nr, spec, 0.0, trials=150, seed=0.5)
+        mode_scan(c, spec, 0.0, trials=150, seed=0.5)
 
 
 def test_scan_requires_report_grade_trials():
-    nr = noise_returns(4, 100, 7)
     with pytest.raises(ConfigurationError):
-        mode_scan(nr, spectrum_of(nr), 0.0, trials=50, seed=0)
+        mode_scan(*matrix_and_spectrum(noise_returns(4, 100, 7)), 0.0, trials=50, seed=0)
 
 
 def test_scan_asset_mismatch():
-    nr = noise_returns(4, 100, 7)
+    c = correlation_matrix(noise_returns(4, 100, 7))
     other = spectrum_of(noise_returns(5, 100, 7))
     with pytest.raises(ConfigurationError):
-        mode_scan(nr, other, 0.0, trials=150, seed=0)
+        mode_scan(c, other, 0.0, trials=150, seed=0)
 
 
 # ------------------------------------------------------------ block averages
@@ -469,8 +460,7 @@ def test_block_averages_asset_mismatch():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_report_dict_layout():
-    nr = two_asset_panel()
-    report = mode_scan(nr, spectrum_of(nr), 0.15, trials=150, seed=0)
+    report = mode_scan(*matrix_and_spectrum(two_asset_panel()), 0.15, trials=150, seed=0)
     d = report_to_dict(report)
     assert set(d) == {
         "u_c",
@@ -506,8 +496,7 @@ def test_report_dict_layout():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_scan_csv_round_trip(tmp_path):
-    nr = two_asset_panel()
-    report = mode_scan(nr, spectrum_of(nr), 0.15, trials=150, seed=0)
+    report = mode_scan(*matrix_and_spectrum(two_asset_panel()), 0.15, trials=150, seed=0)
     path = tmp_path / "scan.csv"
     write_scan_delimited(report, path)
     lines = path.read_text().splitlines()
@@ -524,8 +513,7 @@ def test_scan_csv_round_trip(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_report_json_file(tmp_path):
-    nr = two_asset_panel()
-    report = mode_scan(nr, spectrum_of(nr), 0.15, trials=150, seed=0)
+    report = mode_scan(*matrix_and_spectrum(two_asset_panel()), 0.15, trials=150, seed=0)
     path = tmp_path / "report.json"
     write_report_json(report, path)
     assert json.loads(path.read_text()) == report_to_dict(report)

@@ -100,6 +100,20 @@ def test_synth_seed_flag_overrides_config(market_dir, tmp_path):
     assert (out / "panel.csv").read_bytes() != (market_dir / "panel.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [("{not json", "not valid JSON"), (json.dumps({**MARKET_CONFIG, "seed": "x"}), "bad market config value")],
+    ids=["invalid_json", "bad_seed"],
+)
+def test_synth_malformed_config_exits_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_synth_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(MARKET_CONFIG))

@@ -222,6 +222,16 @@ def test_load_requires_sidecar(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("sidecar", ["{not json", '{"n_assets": 3}', '{"n_observations": "many"}'])
+def test_load_rejects_bad_sidecar(tmp_path, sidecar):
+    c = correlation_matrix(noise_returns(3, 100, 12))
+    path = tmp_path / "corr.csv"
+    save_matrix(c, path)
+    (tmp_path / "corr.meta.json").write_text(sidecar)
+    with pytest.raises(ValidationError, match="n_observations"):
+        load_matrix(path)
+
+
 def test_load_reports_ragged_row(tmp_path):
     path = tmp_path / "corr.csv"
     path.write_text("X,Y\n1.0,0.5\n0.5\n")

@@ -246,7 +246,12 @@ def test_spec_from_dict_errors():
 def test_load_market_spec(tmp_path):
     path = tmp_path / "market.json"
     path.write_text(json.dumps({"n_assets": 4, "n_observations": 50}))
-    assert load_market_spec(path) == MarketSpec(4, 50)
+    assert load_market_spec(path) == (MarketSpec(4, 50), 0)
+    path.write_text(json.dumps({"n_assets": 4, "n_observations": 50, "seed": 9}))
+    assert load_market_spec(path) == (MarketSpec(4, 50), 9)
+    path.write_text(json.dumps({"n_assets": 4, "n_observations": 50, "seed": "x"}))
+    with pytest.raises(ConfigurationError, match="bad market config value"):
+        load_market_spec(path)
     path.write_text("{not json")
     with pytest.raises(ConfigurationError, match="JSON"):
         load_market_spec(path)

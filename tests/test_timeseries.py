@@ -94,6 +94,18 @@ def test_load_long_bad_price_reports_line_number():
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("price", ["inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+def test_load_non_finite_price_reports_line_number(fmt, price):
+    if fmt == "long":
+        source = long_csv(["2015-01-05,AAA,10.0", f"2015-01-06,AAA,{price}"])
+    else:
+        source = io.StringIO(f"date,AAA\n2015-01-05,10.0\n2015-01-06,{price}\n")
+    with pytest.raises(ParseError, match="unparsable price") as err:
+        load_prices(source, fmt=fmt)
+    assert err.value.line_number == 3
+
+
 def test_load_long_missing_column():
     with pytest.raises(ParseError):
         load_prices(io.StringIO("date,ticker,price\n2015-01-05,AAA,10.0\n"))
