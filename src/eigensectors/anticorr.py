@@ -184,6 +184,10 @@ def mode_scan(
         raise ConfigurationError("spectrum and correlation matrix refer to different assets")
     if int(seed) != seed or seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    if trials < MIN_REPORT_TRIALS:
+        raise ConfigurationError(
+            f"reports need >= {MIN_REPORT_TRIALS} baseline trials, got {trials}"
+        )
     seed = int(seed)
     n = spec.n_assets
     rows: list[ModeScanRow] = []

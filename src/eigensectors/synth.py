@@ -126,6 +126,8 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
     market factor, 1 the idiosyncratic noise, 2+k the factor of block k in
     declaration order. The layout is a stable contract so factor series can
     be reconstructed independently from the same seed."""
+    if int(seed) != seed or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     n, t = spec.n_assets, spec.n_observations
     streams = np.random.SeedSequence(seed).spawn(2 + len(spec.blocks))
     market_rng = np.random.default_rng(streams[0])

@@ -13,8 +13,9 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -80,11 +81,10 @@ class PricePanel:
             raise ValidationError(
                 f"price grid shape {self.prices.shape} != ({n}, {d})"
             )
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise ValidationError(f"dates not strictly increasing at {a} -> {b}")
-        present = self.prices[~np.isnan(self.prices)]
-        if present.size and present.min() <= 0.0:
+        dates = np.array(self.dates, dtype=object)
+        for i in np.flatnonzero(dates[:-1] >= dates[1:])[:1]:  # the first unordered pair
+            raise ValidationError(f"dates not strictly increasing at {dates[i]} -> {dates[i + 1]}")
+        if (self.prices <= 0.0).any():  # NaN compares False
             raise ValidationError("panel contains non-positive prices")
 
     @property
@@ -175,31 +175,17 @@ class ShiftRule:
             raise ConfigurationError("shift rule with source == target weekday")
 
 
-def _open_source(source):
+def _read_text(source) -> str:
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline=""), True
-    return source, False
+        with open(source, "r", newline="") as handle:
+            return handle.read()
+    return source.read()
 
 
-def _detect_delimiter(sample_line: str) -> str:
-    return "\t" if "\t" in sample_line else ","
-
-
-def _parse_date(text: str, line_no: int) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError:
-        raise ParseError(f"unparsable date {text!r}", line_no) from None
-
-
-def _parse_price(text: str, line_no: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"unparsable price {text!r}", line_no) from None
-    if not math.isfinite(value):
-        raise ParseError(f"unparsable price {text!r}", line_no)
-    return value
+def _delimiter(text: str, given: str | None) -> str:
+    """The given delimiter, else tab if the first line has one, else comma."""
+    first_line = (text.partition("\n")[0].splitlines() or [""])[0]
+    return given or ("\t" if "\t" in first_line else ",")
 
 
 def load_prices(
@@ -224,96 +210,120 @@ def load_prices(
     """
     if fmt not in ("long", "wide"):
         raise ConfigurationError(f"unknown format {fmt!r}, expected 'long' or 'wide'")
-    handle, owned = _open_source(source)
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    lines = text.splitlines()
-    if not lines:
+    text = _read_text(source)
+    if not text:
         raise ParseError("empty input", 1)
-    delim = delimiter or _detect_delimiter(lines[0])
+    delim = _delimiter(text, delimiter)
     reader = csv.reader(io.StringIO(text), delimiter=delim)
-    rows = list(reader)
-    header = [h.strip() for h in rows[0]]
-
-    obs: dict[str, dict[dt.date, float]] = {}
-
-    def record(asset: str, date: dt.date, price: float, line_no: int):
-        if price <= 0.0:
-            raise ValidationError(
-                f"non-positive price {price!r} for asset {asset!r} on {date}"
-            )
-        per_asset = obs.setdefault(asset, {})
-        if date in per_asset:
-            raise ValidationError(
-                f"duplicate observation for asset {asset!r} on {date}"
-            )
-        per_asset[date] = price
-
+    header = [h.strip() for h in next(reader)]
     if fmt == "long":
         try:
-            i_date = header.index(date_column)
-            i_asset = header.index(asset_column)
-            i_price = header.index(price_column)
+            cols = [header.index(c) for c in (date_column, asset_column, price_column)]
         except ValueError as exc:
             raise ParseError(f"missing column in header: {exc}", 1) from None
-        for line_no, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) <= max(i_date, i_asset, i_price):
-                raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
-            date = _parse_date(row[i_date], line_no)
-            asset = row[i_asset].strip()
-            if not asset:
-                raise ParseError("empty asset identifier", line_no)
-            price = _parse_price(row[i_price], line_no)
-            record(asset, date, price, line_no)
     else:
         if len(header) < 2:
             raise ParseError("wide header needs a date column plus asset columns", 1)
-        asset_names = header[1:]
-        if len(set(asset_names)) != len(asset_names):
+        if "" in header[1:]:
+            raise ParseError("empty asset name in wide header", 1)
+        if len(set(header[1:])) != len(header) - 1:
             raise ValidationError("duplicate asset columns in wide header")
-        for line_no, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line_no
-                )
-            date = _parse_date(row[0], line_no)
-            for asset, cell in zip(asset_names, row[1:]):
-                cell = cell.strip()
-                if not cell or cell.upper() in ("NA", "NAN"):
+        cols = [0]
+    width = len(header)
+    cells: list[str] = []  # every kept row's cells in turn, each row cut or padded to width
+    # Any ValueError below means some row is bad; the row-by-row check finds the first.
+    try:
+        for row in reader:
+            if len(row) != width or not row[cols[0]].strip():
+                if not any(c.strip() for c in row):
                     continue
-                record(asset, date, _parse_price(cell, line_no), line_no)
-
-    return _panel_from_observations(obs, metadata)
-
-
-def _panel_from_observations(
-    obs: Mapping[str, Mapping[dt.date, float]],
-    metadata: Mapping[str, str] | None = None,
-    first_valid: Mapping[str, dt.date] | None = None,
-    asset_order: Sequence[str] | None = None,
-) -> PricePanel:
-    assets = tuple(asset_order) if asset_order is not None else tuple(sorted(obs))
-    all_dates = sorted({d for per_asset in obs.values() for d in per_asset})
-    dates = tuple(all_dates)
-    index = {d: j for j, d in enumerate(dates)}
-    grid = np.full((len(assets), len(dates)), np.nan)
-    for i, asset in enumerate(assets):
-        for date, price in obs[asset].items():
-            grid[i, index[date]] = price
+                if fmt == "wide" or len(row) <= max(cols) or not row[cols[0]].strip():
+                    raise ValueError("malformed row")
+                row = row[:width] + [""] * (width - len(row))
+            cells += row
+        dates, d = _index(cells[cols[0]::width], lambda t: dt.date.fromisoformat(t.strip()))
+        if fmt == "long":
+            assets, a = _index(cells[cols[1]::width], str.strip)
+            if "" in assets:
+                raise ValueError("empty asset identifier")
+            values = np.array(cells[cols[2]::width], dtype=float)
+        else:
+            assets, a = _index(header[1:], str)
+            by_asset = chain.from_iterable(cells[j::width] for j in range(1, width))
+            texts = list(map(str.strip, by_asset))
+            values = np.array(list(map(_AS_NAN.get, texts, texts)), dtype=float)
+            missing = np.isnan(values)
+            if any(texts[i].upper() not in _MISSING for i in np.flatnonzero(missing)):
+                raise ValueError("unparsable price")
+            kept = np.flatnonzero(~missing)
+            a, d, values = a[kept // d.size], d[kept % d.size], values[kept]
+        if not ((values > 0.0) & (values < np.inf)).all():
+            raise ValueError("price not finite and positive")
+        grid = np.full((len(assets), len(dates)), np.nan)
+        grid[a, d] = values
+        present = ~np.isnan(grid)
+        if np.count_nonzero(present) != values.size:
+            raise ValueError("duplicate observation")
+    except ValueError:
+        _raise_first_fault(text, delim, fmt, header, cols)
+    observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
     return PricePanel(
-        assets=assets,
-        dates=dates,
-        prices=grid,
+        assets=tuple(compress(assets, observed_assets)),
+        dates=tuple(compress(dates, observed_dates)),
+        prices=grid[np.ix_(observed_assets, observed_dates)],
         metadata=dict(metadata) if metadata else None,
-        first_valid=dict(first_valid) if first_valid else None,
     )
+
+
+# Upper-cased wide cells that mark a missing observation, and the ones of
+# them that float() rejects, rewritten so that they parse to NaN.
+_MISSING = ("", "NA", "NAN")
+_AS_NAN = dict.fromkeys(("", "NA", "Na", "nA", "na"), "nan")
+
+
+def _index(texts: Sequence[str], key) -> tuple[list, np.ndarray]:
+    """The sorted distinct key(text) over texts, and each text's position among them."""
+    keyed = {t: key(t) for t in dict.fromkeys(texts)}
+    where = {k: j for j, k in enumerate(sorted(set(keyed.values())))}
+    position = {t: where[k] for t, k in keyed.items()}
+    return list(where), np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
+
+
+def _raise_first_fault(text, delim, fmt, header, cols) -> NoReturn:
+    """Check the rows one at a time and raise the error of the first bad one."""
+    seen: set[tuple[str, dt.date]] = set()
+    rows = list(csv.reader(io.StringIO(text), delimiter=delim))
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if fmt == "long" and len(row) <= max(cols):
+            raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
+        if fmt == "wide" and len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
+        try:
+            date = dt.date.fromisoformat(row[cols[0]].strip())
+        except ValueError:
+            raise ParseError(f"unparsable date {row[cols[0]]!r}", line_no) from None
+        if fmt == "long":
+            cells = [(row[cols[1]].strip(), row[cols[2]])]
+        else:
+            pairs = zip(header[1:], map(str.strip, row[1:]))
+            cells = [(asset, cell) for asset, cell in pairs if cell.upper() not in _MISSING]
+        for asset, cell in cells:
+            if not asset:  # wide headers have no empty names
+                raise ParseError("empty asset identifier", line_no)
+            try:
+                price = float(cell)
+            except ValueError:
+                price = math.nan
+            if not math.isfinite(price):
+                raise ParseError(f"unparsable price {cell!r}", line_no)
+            if price <= 0.0:
+                raise ValidationError(f"non-positive price {price!r} for asset {asset!r} on {date}")
+            if (asset, date) in seen:
+                raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
+            seen.add((asset, date))
+    raise AssertionError("the vectorized pass rejected rows that the row check accepts")
 
 
 def load_metadata(source, *, delimiter: str | None = None) -> dict[str, str]:
@@ -321,16 +331,10 @@ def load_metadata(source, *, delimiter: str | None = None) -> dict[str, str]:
 
     A header row is skipped when its first cell is 'asset' (case-insensitive).
     """
-    handle, owned = _open_source(source)
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    lines = text.splitlines()
-    if not lines:
+    text = _read_text(source)
+    if not text:
         return {}
-    delim = delimiter or _detect_delimiter(lines[0])
+    delim = _delimiter(text, delimiter)
     mapping: dict[str, str] = {}
     for line_no, row in enumerate(csv.reader(io.StringIO(text), delimiter=delim), start=1):
         if not row or all(not c.strip() for c in row):
@@ -351,11 +355,11 @@ def align_calendar(panel: PricePanel, rules: Sequence[ShiftRule]) -> PricePanel:
     to the nearest preceding target weekday. Collisions keep the value already
     on the target date. Dates left with no observations disappear.
     """
-    known = set(panel.assets)
+    row = {asset: i for i, asset in enumerate(panel.assets)}
     seen: dict[tuple[str, int], int] = {}
     for rule in rules:
         for asset in rule.assets:
-            if asset not in known:
+            if asset not in row:
                 raise ConfigurationError(f"shift rule references unknown asset {asset!r}")
             key = (asset, rule.source)
             if key in seen and seen[key] != rule.target:
@@ -364,29 +368,37 @@ def align_calendar(panel: PricePanel, rules: Sequence[ShiftRule]) -> PricePanel:
                 )
             seen[key] = rule.target
 
-    obs: dict[str, dict[dt.date, float]] = {}
-    for i, asset in enumerate(panel.assets):
-        per_asset = {}
-        for j, date in enumerate(panel.dates):
-            p = panel.prices[i, j]
-            if not np.isnan(p):
-                per_asset[date] = p
-        obs[asset] = per_asset
-
+    days = np.array([d.toordinal() for d in panel.dates], dtype=np.int64)
+    grid = panel.prices
     for rule in rules:
         back = (rule.source - rule.target) % 7  # days back to nearest preceding target
-        for asset in rule.assets:
-            per_asset = obs[asset]
-            moved = [d for d in per_asset if d.weekday() == rule.source]
-            for date in moved:
-                target_date = date - dt.timedelta(days=back)
-                value = per_asset.pop(date)
-                if target_date not in per_asset:
-                    per_asset[target_date] = value
-
-    return _panel_from_observations(
-        obs, panel.metadata, panel.first_valid, asset_order=panel.assets
+        source = days[(days - 1) % 7 == rule.source]  # ordinal 1 is a Monday
+        merged = np.union1d(days, source - back)
+        wider = np.full((panel.n_assets, merged.size), np.nan)
+        wider[:, np.searchsorted(merged, days)] = grid
+        days, grid = merged, wider
+        rows = np.array([row[a] for a in rule.assets], dtype=np.intp)[:, None]
+        src, tgt = np.searchsorted(days, source), np.searchsorted(days, source - back)
+        kept = grid[rows, tgt]
+        grid[rows, tgt] = np.where(np.isnan(kept), grid[rows, src], kept)
+        grid[rows, src] = np.nan
+    observed = ~np.isnan(grid).all(axis=0)
+    return PricePanel(
+        assets=panel.assets,
+        dates=tuple(dt.date.fromordinal(int(o)) for o in days[observed]),
+        prices=grid[:, observed],
+        metadata=dict(panel.metadata) if panel.metadata else None,
+        first_valid=dict(panel.first_valid) if panel.first_valid else None,
     )
+
+
+def _first_valid(panel: PricePanel) -> np.ndarray:
+    """Each asset's first observed date index; InsufficientDataError for an asset with none."""
+    present = ~np.isnan(panel.prices)
+    empty = np.flatnonzero(~present.any(axis=1))
+    if empty.size:
+        raise InsufficientDataError(f"asset {panel.assets[empty[0]]!r} has zero observations")
+    return present.argmax(axis=1)
 
 
 def forward_fill(panel: PricePanel) -> PricePanel:
@@ -397,27 +409,15 @@ def forward_fill(panel: PricePanel) -> PricePanel:
 
     Raises InsufficientDataError for an asset with no observations at all.
     """
-    prices = panel.prices.copy()
-    first_valid: dict[str, dt.date] = {}
-    for i, asset in enumerate(panel.assets):
-        row = prices[i]
-        valid = np.flatnonzero(~np.isnan(row))
-        if valid.size == 0:
-            raise InsufficientDataError(f"asset {asset!r} has zero observations")
-        first = valid[0]
-        first_valid[asset] = panel.dates[first]
-        last = row[first]
-        for j in range(first + 1, row.size):
-            if np.isnan(row[j]):
-                row[j] = last
-            else:
-                last = row[j]
+    first = _first_valid(panel)
+    last = np.where(np.isnan(panel.prices), 0, np.arange(panel.n_dates))
+    np.maximum.accumulate(last, axis=1, out=last)  # index of the latest observation
     return PricePanel(
         assets=panel.assets,
         dates=panel.dates,
-        prices=prices,
+        prices=np.take_along_axis(panel.prices, last, axis=1),
         metadata=panel.metadata,
-        first_valid=first_valid,
+        first_valid={a: panel.dates[j] for a, j in zip(panel.assets, first)},
     )
 
 
@@ -428,15 +428,7 @@ def trim_to_common_range(panel: PricePanel) -> PricePanel:
     down to the common intersection. Raises InsufficientDataError when fewer
     than 3 dates survive.
     """
-    firsts = []
-    for i in range(panel.n_assets):
-        valid = np.flatnonzero(~np.isnan(panel.prices[i]))
-        if valid.size == 0:
-            raise InsufficientDataError(
-                f"asset {panel.assets[i]!r} has zero observations"
-            )
-        firsts.append(valid[0])
-    start = max(firsts)
+    start = int(_first_valid(panel).max())
     if panel.n_dates - start < 3:
         raise InsufficientDataError(
             f"common range has {panel.n_dates - start} dates, need at least 3"

@@ -1,14 +1,20 @@
 """Shared builders for the test modules. Pure numpy, no pytest machinery."""
 
+import csv
 import datetime as dt
+import io
+import math
 
 import numpy as np
 
 from eigensectors import (
     EigenSpectrum,
+    InsufficientDataError,
     NormalizedReturns,
+    ParseError,
     PricePanel,
     ReturnMatrix,
+    ValidationError,
     correlation_matrix,
     eigendecompose,
     normalize_returns,
@@ -122,4 +128,167 @@ def spectrum_with_mode(u, n_observations=1000):
         eigenvalues=np.linspace(2.0, 0.5, n),
         eigenvectors=vectors,
         n_observations=n_observations,
+    )
+
+
+# --- ingest oracle: the per-cell loader, calendar shift, forward fill and trim
+# that the vectorized functions in eigensectors.timeseries replaced.
+
+
+def _oracle_date(text, line_no):
+    try:
+        return dt.date.fromisoformat(text.strip())
+    except ValueError:
+        raise ParseError(f"unparsable date {text!r}", line_no) from None
+
+
+def _oracle_price(text, line_no):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"unparsable price {text!r}", line_no) from None
+    if not math.isfinite(value):
+        raise ParseError(f"unparsable price {text!r}", line_no)
+    return value
+
+
+def _oracle_panel(obs, metadata=None, first_valid=None, asset_order=None):
+    assets = tuple(asset_order) if asset_order is not None else tuple(sorted(obs))
+    dates = tuple(sorted({d for per_asset in obs.values() for d in per_asset}))
+    index = {d: j for j, d in enumerate(dates)}
+    grid = np.full((len(assets), len(dates)), np.nan)
+    for i, asset in enumerate(assets):
+        for date, price in obs[asset].items():
+            grid[i, index[date]] = price
+    return PricePanel(
+        assets=assets,
+        dates=dates,
+        prices=grid,
+        metadata=dict(metadata) if metadata else None,
+        first_valid=dict(first_valid) if first_valid else None,
+    )
+
+
+def load_prices_oracle(text, fmt="long"):
+    """Oracle for load_prices on a whole file's text, default column names."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", 1)
+    delim = "\t" if "\t" in lines[0] else ","
+    rows = list(csv.reader(io.StringIO(text), delimiter=delim))
+    header = [h.strip() for h in rows[0]]
+    obs = {}
+
+    def record(asset, date, price):
+        if price <= 0.0:
+            raise ValidationError(
+                f"non-positive price {price!r} for asset {asset!r} on {date}"
+            )
+        per_asset = obs.setdefault(asset, {})
+        if date in per_asset:
+            raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
+        per_asset[date] = price
+
+    if fmt == "long":
+        try:
+            i_date = header.index("date")
+            i_asset = header.index("asset")
+            i_price = header.index("price")
+        except ValueError as exc:
+            raise ParseError(f"missing column in header: {exc}", 1) from None
+        for line_no, row in enumerate(rows[1:], start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) <= max(i_date, i_asset, i_price):
+                raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
+            date = _oracle_date(row[i_date], line_no)
+            asset = row[i_asset].strip()
+            if not asset:
+                raise ParseError("empty asset identifier", line_no)
+            record(asset, date, _oracle_price(row[i_price], line_no))
+    else:
+        if len(header) < 2:
+            raise ParseError("wide header needs a date column plus asset columns", 1)
+        asset_names = header[1:]
+        if len(set(asset_names)) != len(asset_names):
+            raise ValidationError("duplicate asset columns in wide header")
+        for line_no, row in enumerate(rows[1:], start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
+            date = _oracle_date(row[0], line_no)
+            for asset, cell in zip(asset_names, row[1:]):
+                cell = cell.strip()
+                if not cell or cell.upper() in ("NA", "NAN"):
+                    continue
+                record(asset, date, _oracle_price(cell, line_no))
+    return _oracle_panel(obs)
+
+
+def align_calendar_oracle(panel, rules):
+    """Oracle for align_calendar with valid rules: per-asset dicts of observations."""
+    obs = {}
+    for i, asset in enumerate(panel.assets):
+        obs[asset] = {
+            date: panel.prices[i, j]
+            for j, date in enumerate(panel.dates)
+            if not np.isnan(panel.prices[i, j])
+        }
+    for rule in rules:
+        back = (rule.source - rule.target) % 7
+        for asset in rule.assets:
+            per_asset = obs[asset]
+            for date in [d for d in per_asset if d.weekday() == rule.source]:
+                target = date - dt.timedelta(days=back)
+                value = per_asset.pop(date)
+                if target not in per_asset:
+                    per_asset[target] = value
+    return _oracle_panel(obs, panel.metadata, panel.first_valid, asset_order=panel.assets)
+
+
+def first_valid_oracle(panel):
+    """Each asset's first observed date index, one row at a time."""
+    firsts = []
+    for i, asset in enumerate(panel.assets):
+        valid = np.flatnonzero(~np.isnan(panel.prices[i]))
+        if valid.size == 0:
+            raise InsufficientDataError(f"asset {asset!r} has zero observations")
+        firsts.append(int(valid[0]))
+    return firsts
+
+
+def forward_fill_oracle(panel):
+    """Oracle for forward_fill: a per-cell carry of the last observed price."""
+    firsts = first_valid_oracle(panel)
+    prices = panel.prices.copy()
+    for row, first in zip(prices, firsts):
+        last = row[first]
+        for j in range(first + 1, row.size):
+            if np.isnan(row[j]):
+                row[j] = last
+            else:
+                last = row[j]
+    return PricePanel(
+        assets=panel.assets,
+        dates=panel.dates,
+        prices=prices,
+        metadata=panel.metadata,
+        first_valid={a: panel.dates[j] for a, j in zip(panel.assets, firsts)},
+    )
+
+
+def trim_oracle(panel):
+    """Oracle for trim_to_common_range."""
+    start = max(first_valid_oracle(panel))
+    if panel.n_dates - start < 3:
+        raise InsufficientDataError(
+            f"common range has {panel.n_dates - start} dates, need at least 3"
+        )
+    return PricePanel(
+        assets=panel.assets,
+        dates=panel.dates[start:],
+        prices=panel.prices[:, start:],
+        metadata=panel.metadata,
+        first_valid=panel.first_valid,
     )

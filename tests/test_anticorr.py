@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+from eigensectors import anticorr
 from eigensectors import (
     BlockSpec,
     ConfigurationError,
@@ -364,9 +365,12 @@ def test_scan_seed_validation():
         mode_scan(c, spec, 0.0, trials=150, seed=0.5)
 
 
-def test_scan_requires_report_grade_trials():
-    with pytest.raises(ConfigurationError):
-        mode_scan(*matrix_and_spectrum(noise_returns(4, 100, 7)), 0.0, trials=50, seed=0)
+def test_scan_requires_report_grade_trials(monkeypatch):
+    calls = []
+    monkeypatch.setattr(anticorr, "random_baseline", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigurationError, match="reports need >= 100 baseline trials, got 99"):
+        mode_scan(*matrix_and_spectrum(noise_returns(4, 100, 7)), 0.0, trials=99, seed=0)
+    assert calls == []
 
 
 def test_scan_asset_mismatch():

@@ -100,15 +100,23 @@ def test_synth_seed_flag_overrides_config(market_dir, tmp_path):
     assert (out / "panel.csv").read_bytes() != (market_dir / "panel.csv").read_bytes()
 
 
+NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
+
+
 @pytest.mark.parametrize(
-    ("text", "message"),
-    [("{not json", "not valid JSON"), (json.dumps({**MARKET_CONFIG, "seed": "x"}), "bad market config value")],
-    ids=["invalid_json", "bad_seed"],
+    ("text", "flags", "message"),
+    [
+        ("{not json", [], "not valid JSON"),
+        (json.dumps({**MARKET_CONFIG, "seed": "x"}), [], "bad market config value"),
+        (json.dumps({**MARKET_CONFIG, "seed": -1}), [], NEGATIVE_SEED),
+        (json.dumps(MARKET_CONFIG), ["--seed", "-1"], NEGATIVE_SEED),
+    ],
+    ids=["invalid_json", "bad_seed", "negative_config_seed", "negative_seed_flag"],
 )
-def test_synth_malformed_config_exits_1(tmp_path, capsys, text, message):
+def test_synth_malformed_config_exits_1(tmp_path, capsys, text, flags, message):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
-    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert main(["synth", "--config", str(cfg), *flags, "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1

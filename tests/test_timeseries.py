@@ -1,14 +1,19 @@
 import datetime as dt
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensectors import (
     ConfigurationError,
+    EigensectorsError,
     InsufficientDataError,
     ParseError,
+    PricePanel,
     ShiftRule,
     ValidationError,
     ZeroVarianceError,
@@ -23,7 +28,15 @@ from eigensectors import (
     zero_variance_assets,
 )
 
-from helpers import days, panel, returns
+from helpers import (
+    align_calendar_oracle,
+    days,
+    forward_fill_oracle,
+    load_prices_oracle,
+    panel,
+    returns,
+    trim_oracle,
+)
 
 
 LONG_HEADER = "date,asset,price\n"
@@ -132,6 +145,15 @@ def test_load_wide_with_missing_cells():
     assert p.prices[1, 1] == 21.0
 
 
+@pytest.mark.parametrize("header", ["date,AAA,,CCC", "date,AAA, ,CCC", "date\tAAA\t\tCCC"])
+def test_load_wide_empty_asset_name_rejected(header):
+    sep = "\t" if "\t" in header else ","
+    row = sep.join(["2015-01-05", "1.0", "2.0", "3.0"])
+    with pytest.raises(ParseError, match="empty asset name") as err:
+        load_prices(io.StringIO(f"{header}\n{row}\n"), fmt="wide")
+    assert err.value.line_number == 1
+
+
 def test_load_wide_ragged_row_reports_line():
     text = "date,AAA,BBB\n2015-01-05,10.0\n"
     with pytest.raises(ParseError) as err:
@@ -163,6 +185,180 @@ def test_load_metadata_without_header():
 def test_load_metadata_short_row_rejected():
     with pytest.raises(ParseError):
         load_metadata(io.StringIO("AAA,Tech\nBBB\n"))
+
+
+def test_panel_rejects_unordered_dates_naming_first_pair():
+    d = days(4)
+    with pytest.raises(ValidationError) as err:
+        PricePanel(assets=("A", "B"), dates=(d[0], d[1], d[1], d[0]), prices=np.ones((2, 4)))
+    assert str(err.value) == f"dates not strictly increasing at {d[1]} -> {d[1]}"
+
+
+# --- vectorized ingest against the per-cell oracle in helpers
+
+MISSING_CELLS = ["", " ", "NA", "na", " NA ", "nan", "NaN"]
+PRICE_FORMATS = ["{!r}", "{:.4f}", " {!r} ", "{:g}"]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EigensectorsError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), got
+        assert str(got) == str(want)
+        assert getattr(got, "line_number", None) == getattr(want, "line_number", None)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.assets == want.assets
+    assert got.dates == want.dates
+    assert np.array_equal(got.prices, want.prices, equal_nan=True)
+    assert got.first_valid == want.first_valid
+    assert got.metadata == want.metadata
+
+
+@st.composite
+def price_rows(draw, fmt):
+    """(header, rows, delimiter) of a random small panel in one layout.
+
+    Listings are staggered, cells go missing at random, price and date texts
+    vary in format and padding, and long rows come in random order.
+    """
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(3, 9))
+    pool = st.sampled_from(["AAA", "BBB", "CCC", "DDD", "x9"])
+    names = draw(st.lists(pool, min_size=n, max_size=n, unique=True))
+    offsets = sorted(draw(st.sets(st.integers(0, 40), min_size=d, max_size=d)))
+    dates = [dt.date(2015, 1, 1) + dt.timedelta(days=o) for o in offsets]
+    date_texts = [draw(st.sampled_from(["{}", " {} "])).format(x) for x in dates]
+    starts = draw(st.lists(st.integers(0, d // 2), min_size=n, max_size=n))
+    cells = []
+    for i in range(n):
+        row = []
+        for j in range(d):
+            if j < starts[i] or draw(st.integers(0, 4)) == 0:
+                row.append(None)
+            else:
+                price = draw(st.floats(0.01, 500.0))
+                row.append(draw(st.sampled_from(PRICE_FORMATS)).format(price))
+        cells.append(row)
+    delim = draw(st.sampled_from([",", "\t"]))
+    if fmt == "long":
+        header = ["date", "asset", "price"]
+        rows = [
+            [date_texts[j], draw(st.sampled_from(["{}", " {}"])).format(names[i]), cells[i][j]]
+            for i in range(n)
+            for j in range(d)
+            if cells[i][j] is not None
+        ]
+        rows = draw(st.permutations(rows))
+    else:
+        header = ["date", *names]
+        missing = st.sampled_from(MISSING_CELLS)
+        rows = [
+            [date_texts[j]] + [draw(missing) if c[j] is None else c[j] for c in cells]
+            for j in range(d)
+        ]
+    rows = list(rows)
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(st.sampled_from([[], [" "], [""] * len(header)]))
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+    return header, rows, delim
+
+
+def as_text(header, rows, delim):
+    return "\n".join(delim.join(r) for r in [header, *rows]) + "\n"
+
+
+def check_against_oracle(text, fmt):
+    want = outcome(load_prices_oracle, text, fmt)
+    got = outcome(load_prices, io.StringIO(text), fmt)
+    assert_same_outcome(got, want)
+    if isinstance(want, Exception):
+        return
+    for step, oracle in ((forward_fill, forward_fill_oracle), (trim_to_common_range, trim_oracle)):
+        want, got = outcome(oracle, want), outcome(step, got)
+        assert_same_outcome(got, want)
+        if isinstance(want, Exception):
+            return
+
+
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ingest_matches_oracle(fmt, data):
+    check_against_oracle(as_text(*data.draw(price_rows(fmt))), fmt)
+
+
+def inject_fault(kind, row, fmt):
+    """The row with one fault of the given kind (a duplicate is inserted separately)."""
+    row = list(row)
+    price_col = 2 if fmt == "long" else 1
+    if kind == "bad_date":
+        row[0] = "2015-13-45"
+    elif kind == "bad_price":
+        row[price_col] = "abc"
+    elif kind == "inf":
+        row[price_col] = "inf"
+    elif kind == "non_positive":
+        row[price_col] = "-1.5"
+    elif kind == "ragged":
+        row = row[:-1] if fmt == "wide" else row[:2]
+    return row
+
+
+FAULT_MESSAGES = {
+    "bad_date": "unparsable date",
+    "bad_price": "unparsable price",
+    "inf": "unparsable price",
+    "non_positive": "non-positive price",
+    "duplicate": "duplicate observation",
+    "ragged": "fields, got",
+}
+FAULTS = list(FAULT_MESSAGES)
+
+
+def faulty_text(header, rows, delim, fmt, faults):
+    """Apply (kind, position) faults in turn; a duplicate repeats the first clean row."""
+    rows = [list(r) for r in rows]
+    clean = [r for r in rows if r and any(c.strip() for c in r)]
+    for kind, pos in faults if clean else []:
+        pos %= len(rows)
+        if kind == "duplicate":
+            rows.insert(pos, list(clean[0]))
+        elif len(rows[pos]) == len(header):
+            rows[pos] = inject_fault(kind, rows[pos], fmt)
+    return as_text(header, rows, delim)
+
+
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_multi_fault_files_match_oracle(fmt, data):
+    header, rows, delim = data.draw(price_rows(fmt))
+    faults = data.draw(
+        st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 50)), min_size=1, max_size=4)
+    )
+    check_against_oracle(faulty_text(header, rows, delim, fmt, faults), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+@pytest.mark.parametrize("first,second", list(itertools.permutations(FAULTS, 2)))
+def test_first_fault_in_file_order_wins(fmt, first, second):
+    if fmt == "long":
+        header = ["date", "asset", "price"]
+        rows = [[f"2015-01-0{5 + j}", a, f"{10 + j}.5"] for j in range(4) for a in ("AAA", "BBB")]
+    else:
+        header = ["date", "AAA", "BBB"]
+        rows = [[f"2015-01-0{5 + j}", f"{10 + j}.5", "20.0"] for j in range(8)]
+    text = faulty_text(header, rows, ",", fmt, [(first, 2), (second, 5)])
+    got = outcome(load_prices, io.StringIO(text), fmt)
+    assert_same_outcome(got, outcome(load_prices_oracle, text, fmt))
+    assert FAULT_MESSAGES[first] in str(got)
 
 
 # --- calendar alignment
@@ -220,6 +416,34 @@ def test_align_conflicting_rules_rejected():
     ]
     with pytest.raises(ConfigurationError):
         align_calendar(p, rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_align_calendar_matches_oracle(data):
+    n = data.draw(st.integers(2, 4))
+    d = data.draw(st.integers(3, 16))
+    start = dt.date(2015, 1, 5) + dt.timedelta(days=data.draw(st.integers(0, 6)))
+    grid = data.draw(
+        st.lists(
+            st.lists(st.one_of(st.none(), st.floats(1.0, 9.0)), min_size=d, max_size=d),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    metadata = data.draw(st.sampled_from([None, {"A0": "Tech"}]))
+    p = panel(grid, dates=days(d, start), metadata=metadata)
+    p.first_valid = data.draw(st.sampled_from([None, {"A0": p.dates[0]}]))
+    sources = data.draw(st.lists(st.integers(0, 6), max_size=3, unique=True))
+    rules = [
+        ShiftRule(
+            assets=tuple(data.draw(st.lists(st.sampled_from(p.assets), max_size=n))),
+            source=source,
+            target=data.draw(st.integers(0, 6).filter(lambda t, s=source: t != s)),
+        )
+        for source in sources
+    ]
+    assert_same_outcome(outcome(align_calendar, p, rules), outcome(align_calendar_oracle, p, rules))
 
 
 def test_shift_rule_validation():
