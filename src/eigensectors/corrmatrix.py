@@ -163,10 +163,9 @@ def save_matrix(c: CorrelationMatrix, path) -> Path:
     written with 17 significant digits so the round trip is exact.
     """
     path = Path(path)
-    lines = [",".join(c.assets)]
-    for row in c.values:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * c.n_assets) + "\n"
+    body = "".join([row % tuple(r.tolist()) for r in c.values])
+    path.write_text(",".join(c.assets) + "\n" + body)
     sidecar = path.with_suffix(".meta.json")
     sidecar.write_text(
         json.dumps(
@@ -195,7 +194,7 @@ def load_matrix(path) -> CorrelationMatrix:
         if len(cells) != n:
             raise ParseError(f"expected {n} values, got {len(cells)}", line_no)
         try:
-            rows.append([float(x) for x in cells])
+            rows.append(np.array(cells, dtype=float))  # accepts and rejects what float() does
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
     if len(rows) != n:

@@ -224,15 +224,12 @@ def prices_from_returns(
 
 
 def write_panel_wide(panel: PricePanel, path) -> None:
-    """Export a panel in the wide delimited layout load_prices understands."""
-    path = Path(path)
-    lines = ["date," + ",".join(panel.assets)]
-    for j, date in enumerate(panel.dates):
-        cells = [
-            "" if np.isnan(p) else f"{p:.17g}" for p in panel.prices[:, j]
-        ]
-        lines.append(f"{date.isoformat()}," + ",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    """Export a panel in the wide delimited layout load_prices understands; NaN is an empty cell."""
+    row = "%s" + ",%.17g" * panel.n_assets + "\n"
+    body = "".join([row % (d.isoformat(), *p.tolist()) for d, p in zip(panel.dates, panel.prices.T)])
+    with Path(path).open("w") as out:
+        out.write("date," + ",".join(panel.assets) + "\n")
+        out.write(body.replace(",nan", ","))  # dates are ISO and '%.17g' writes only NaN as 'nan'
 
 
 def truth_to_dict(truth: GroundTruth, assets: tuple[str, ...]) -> dict:

@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
@@ -175,17 +176,31 @@ class ShiftRule:
             raise ConfigurationError("shift rule with source == target weekday")
 
 
-def _read_text(source) -> str:
+def _read_bytes(source) -> bytes:
+    """The bytes of a path or file-like source; ParseError at the first byte that is not UTF-8."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", newline="") as handle:
-            return handle.read()
-    return source.read()
+        data = Path(source).read_bytes()
+    else:
+        data = source.read()
+        data = data.encode() if isinstance(data, str) else data
+    if not data.isascii():  # ASCII is UTF-8; only other text pays for a full decode
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = len((data[: exc.start] + b".").splitlines())
+            raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line_no) from None
+    return data
 
 
-def _delimiter(text: str, given: str | None) -> str:
+def _rows(data: bytes, delimiter: str):
+    """csv rows of UTF-8 data; LF, CRLF and CR all end a line."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return csv.reader(lines, delimiter=delimiter)
+
+
+def _delimiter(data: bytes, given: str | None) -> str:
     """The given delimiter, else tab if the first line has one, else comma."""
-    first_line = (text.partition("\n")[0].splitlines() or [""])[0]
-    return given or ("\t" if "\t" in first_line else ",")
+    return given or ("\t" if b"\t" in re.match(rb"[^\r\n]*", data)[0] else ",")
 
 
 def load_prices(
@@ -210,11 +225,11 @@ def load_prices(
     """
     if fmt not in ("long", "wide"):
         raise ConfigurationError(f"unknown format {fmt!r}, expected 'long' or 'wide'")
-    text = _read_text(source)
-    if not text:
+    data = _read_bytes(source)
+    if not data:
         raise ParseError("empty input", 1)
-    delim = _delimiter(text, delimiter)
-    reader = csv.reader(io.StringIO(text), delimiter=delim)
+    delim = _delimiter(data, delimiter)
+    reader = _rows(data, delim)
     header = [h.strip() for h in next(reader)]
     if fmt == "long":
         try:
@@ -265,7 +280,7 @@ def load_prices(
         if np.count_nonzero(present) != values.size:
             raise ValueError("duplicate observation")
     except ValueError:
-        _raise_first_fault(text, delim, fmt, header, cols)
+        _raise_first_fault(data, delim, fmt, header, cols)
     observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
     return PricePanel(
         assets=tuple(compress(assets, observed_assets)),
@@ -289,11 +304,12 @@ def _index(texts: Sequence[str], key) -> tuple[list, np.ndarray]:
     return list(where), np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
 
 
-def _raise_first_fault(text, delim, fmt, header, cols) -> NoReturn:
+def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
     """Check the rows one at a time and raise the error of the first bad one."""
     seen: set[tuple[str, dt.date]] = set()
-    rows = list(csv.reader(io.StringIO(text), delimiter=delim))
-    for line_no, row in enumerate(rows[1:], start=2):
+    rows = _rows(data, delim)
+    next(rows)  # the header
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if fmt == "long" and len(row) <= max(cols):
@@ -331,12 +347,11 @@ def load_metadata(source, *, delimiter: str | None = None) -> dict[str, str]:
 
     A header row is skipped when its first cell is 'asset' (case-insensitive).
     """
-    text = _read_text(source)
-    if not text:
+    data = _read_bytes(source)
+    if not data:
         return {}
-    delim = _delimiter(text, delimiter)
     mapping: dict[str, str] = {}
-    for line_no, row in enumerate(csv.reader(io.StringIO(text), delimiter=delim), start=1):
+    for line_no, row in enumerate(_rows(data, _delimiter(data, delimiter)), start=1):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < 2:

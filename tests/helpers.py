@@ -292,3 +292,31 @@ def trim_oracle(panel):
         metadata=panel.metadata,
         first_valid=panel.first_valid,
     )
+
+
+# --- writer oracle: the per-cell formatting that write_panel_wide and
+# save_matrix replaced.
+
+# Floats whose '%.17g' text is easy to get wrong: NaN, infinities, signed
+# zero, subnormals and extreme magnitudes.
+EDGE_FLOATS = (
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300,
+    1.7976931348623157e308,
+)
+
+
+def write_panel_wide_oracle(panel, path):
+    """Oracle for write_panel_wide: one f-string and one NaN test per cell."""
+    lines = ["date," + ",".join(panel.assets)]
+    for j, date in enumerate(panel.dates):
+        cells = ["" if np.isnan(p) else f"{p:.17g}" for p in panel.prices[:, j]]
+        lines.append(f"{date.isoformat()}," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def save_matrix_oracle(c, path):
+    """Oracle for the grid file of save_matrix: one f-string per entry."""
+    lines = [",".join(c.assets)]
+    for row in c.values:
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    path.write_text("\n".join(lines) + "\n")

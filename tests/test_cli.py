@@ -209,6 +209,55 @@ def test_zero_variance_asset_handling(tmp_path, capsys):
     assert report["n_assets"] == 2
 
 
+@pytest.mark.parametrize(
+    ("fmt", "text"),
+    [
+        ("wide", b"date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,10\xff1,49\n2015-01-07,103,48\n"),
+        ("long", b"date,asset,price\n2015-01-05,AAA,100\n2015-01-05,B\xe9B,50\n"),
+    ],
+    ids=["wide", "long"],
+)
+def test_non_utf8_price_file_is_a_data_error(tmp_path, capsys, fmt, text):
+    panel = tmp_path / "p.csv"
+    panel.write_bytes(text)
+    rc = main(["analyze", "--input", str(panel), "--format", fmt, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: not UTF-8") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _without_config(path):
+    report = json.loads(path.read_text())
+    del report["config"]  # echoes the input path and out dir
+    return report
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_ends_give_identical_artifacts(market_dir, tmp_path, capsys, line_end):
+    outputs = {}
+    for name, end in (("lf", b"\n"), ("twin", line_end)):
+        for source in ("panel.csv", "metadata.csv"):
+            (tmp_path / f"{name}_{source}").write_bytes(
+                (market_dir / source).read_bytes().replace(b"\n", end)
+            )
+        out = tmp_path / name
+        assert main(["analyze", "--input", str(tmp_path / f"{name}_panel.csv"), "--format", "wide",
+                     "--out-dir", str(out)]) == 0
+        assert main(["sectors", "--input", str(tmp_path / f"{name}_panel.csv"), "--format", "wide",
+                     "--metadata", str(tmp_path / f"{name}_metadata.csv"), "--u-c", "0.3",
+                     "--out-dir", str(out)]) == 0
+        outputs[name] = (
+            (out / "corr_matrix.csv").read_bytes(),
+            (out / "sectors.csv").read_bytes(),
+            _without_config(out / "analysis_report.json"),
+            _without_config(out / "sectors.json"),
+        )
+    capsys.readouterr()
+    assert outputs["twin"] == outputs["lf"]
+    assert outputs["lf"][3]["rows"][0]["dominant"] == "Split"  # the metadata was read
+
+
 # ------------------------------------------------------------------- sectors
 
 
@@ -258,6 +307,17 @@ def test_sectors_matrix_reuse_matches_input_route(market_dir, tmp_path, capsys):
     a = json.loads((via_matrix / "sectors.json").read_text())
     b = json.loads((via_input / "sectors.json").read_text())
     assert a["rows"] == b["rows"]
+
+
+def test_non_utf8_metadata_is_a_data_error(market_dir, tmp_path, capsys):
+    meta = tmp_path / "meta.csv"
+    meta.write_bytes(b"asset,category\nA000,Split\nA001,Spl\xe9t\n")
+    rc = main(["sectors", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--metadata", str(meta), "--u-c", "0.3", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: not UTF-8") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_sectors_requires_a_source(tmp_path, capsys):

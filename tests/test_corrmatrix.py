@@ -1,7 +1,13 @@
 """Correlation matrix construction, eigendecomposition, persistence."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eigensectors import (
     CorrelationMatrix,
@@ -15,7 +21,14 @@ from eigensectors import (
     normalize_returns,
     save_matrix,
 )
-from helpers import FIXTURE_4X4, noise_returns, returns, spectrum_of
+from helpers import (
+    EDGE_FLOATS,
+    FIXTURE_4X4,
+    noise_returns,
+    returns,
+    save_matrix_oracle,
+    spectrum_of,
+)
 
 
 def fixture_matrix(n_observations=1000):
@@ -213,6 +226,31 @@ def test_save_load_round_trip_exact(tmp_path):
     assert loaded.values.tobytes() == c.values.tobytes()
 
 
+def _assert_matrix_matches_oracle(values, directory):
+    n = values.shape[0]
+    c = CorrelationMatrix(assets=[f"S{i}" for i in range(n)], values=np.eye(n), n_observations=9)
+    c.values = values  # the writer formats any float; CorrelationMatrix rejects some of these
+    save_matrix(c, directory / "corr.csv")
+    save_matrix_oracle(c, directory / "oracle.csv")
+    assert (directory / "corr.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 259])
+def test_save_matches_oracle_on_correlations(tmp_path, n):
+    values = correlation_matrix(noise_returns(n, 300, n)).values
+    _assert_matrix_matches_oracle(values, tmp_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_save_matches_oracle(data):
+    n = data.draw(st.integers(2, 8))
+    cells = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+    values = data.draw(arrays(np.float64, (n, n), elements=cells))
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_matrix_matches_oracle(values, Path(directory))
+
+
 def test_load_requires_sidecar(tmp_path):
     c = correlation_matrix(noise_returns(3, 100, 12))
     path = tmp_path / "corr.csv"
@@ -243,11 +281,17 @@ def test_load_reports_ragged_row(tmp_path):
 
 def test_load_reports_bad_float(tmp_path):
     path = tmp_path / "corr.csv"
-    path.write_text("X,Y\n1.0,oops\n0.5,1.0\n")
     path.with_suffix(".meta.json").write_text('{"n_assets": 2, "n_observations": 9}\n')
-    with pytest.raises(ParseError) as err:
-        load_matrix(path)
-    assert err.value.line_number == 2
+    for text, line_no, cell in [
+        ("X,Y\n1.0,oops\n0.5,1.0\n", 2, "oops"),
+        ("X,Y\n1.0,0.5\n0.5, 1.0x\n", 3, " 1.0x"),
+        ("X,Y\n1.0,0.5\n\n0x1,1.0\n", 4, "0x1"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert err.value.line_number == line_no
+        assert str(err.value) == f"line {line_no}: could not convert string to float: {cell!r}"
 
 
 def test_load_rejects_missing_rows(tmp_path):

@@ -3,13 +3,20 @@
 import datetime as dt
 import json
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eigensectors import (
     BlockSpec,
     ConfigurationError,
     MarketSpec,
+    PricePanel,
     correlation_matrix,
     eigendecompose,
     generate,
@@ -25,7 +32,7 @@ from eigensectors import (
     write_panel_wide,
 )
 from eigensectors.synth import asset_names, spec_from_dict, truth_to_dict
-from helpers import spectrum_of
+from helpers import EDGE_FLOATS, days, spectrum_of, write_panel_wide_oracle
 
 ONE_BLOCK = MarketSpec(
     n_assets=50,
@@ -296,6 +303,59 @@ def test_panel_wide_preserves_missing_cells(tmp_path):
     loaded = load_prices(path, fmt="wide")
     assert np.isnan(loaded.prices[1, 4])
     assert np.isnan(loaded.prices).sum() == 1
+
+
+CELLS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def price_grids(draw):
+    """Any float grid, with an independent NaN mask, so some date rows are mostly empty."""
+    shape = (draw(st.integers(2, 6)), draw(st.integers(3, 30)))
+    grid = draw(arrays(np.float64, shape, elements=CELLS))
+    grid[draw(arrays(np.bool_, shape))] = np.nan
+    return grid
+
+
+def _gappy(n, t, gaps=()):
+    grid = 100.0 + np.arange(n * t).reshape(n, t) / 7.0
+    for i, j in gaps:
+        grid[i, j] = np.nan
+    return grid
+
+
+def _assert_panel_matches_oracle(grid, directory):
+    n, t = grid.shape
+    assets = ("nan", *asset_names(n)[1:])  # a name that the missing-cell rewrite must not touch
+    panel = PricePanel(assets=assets, dates=days(t), prices=np.ones((n, t)))
+    panel.prices = grid  # the writer formats any float; PricePanel rejects some of these
+    write_panel_wide(panel, directory / "panel.csv")
+    write_panel_wide_oracle(panel, directory / "oracle.csv")
+    assert (directory / "panel.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _gappy(4, 6, [(0, 1), (3, 1), (0, 4), (3, 5)]),
+        _gappy(5, 4, [(1, 2), (2, 2), (3, 2), (0, 3), (1, 3)]),
+        _gappy(6, 5, [(i, 3) for i in range(6) if i != 2]),
+        _gappy(3, 4, [(i, 2) for i in range(3)]),
+        np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]),
+        _gappy(2, 3000, [(0, 0), (1, 1), (0, 2999)]),
+    ],
+    ids=["nan_first_and_last_asset", "adjacent_nans", "mostly_nan_row", "all_nan_row",
+         "edge_values", "two_assets_long"],
+)
+def test_panel_wide_matches_oracle_cases(tmp_path, grid):
+    _assert_panel_matches_oracle(grid, tmp_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=price_grids())
+def test_panel_wide_matches_oracle(grid):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_panel_matches_oracle(grid, Path(directory))
 
 
 def test_metadata_and_truth_serialization():

@@ -167,6 +167,25 @@ def test_load_tab_delimiter_sniffed():
     assert p.n_assets == 2 and p.n_dates == 3
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_non_utf8_reports_line_of_first_bad_byte(end):
+    lines = [b"date\tAAA\tBBB", b"2015-01-05\t1\t2", b"2015-01-06\t1\t2", b"2015-01-07\t\xff\t3",
+             b"2015-01-08\t\xe9\t3"]
+    with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 0xff\)") as err:
+        load_prices(io.BytesIO(end.join(lines) + end), fmt="wide")
+    assert err.value.line_number == 4
+    with pytest.raises(ParseError) as err:
+        load_metadata(io.BytesIO(end.join([b"asset,category", b"AAA,Caf\xe9"]) + end))
+    assert err.value.line_number == 2
+
+
+def test_load_utf8_names():
+    text = "date,Åland,Zürich\n2015-01-05,1,2\n2015-01-06,1,2\n2015-01-07,1,3\n"
+    p = load_prices(io.BytesIO(text.encode()), fmt="wide")
+    assert p.assets == ("Zürich", "Åland")  # sorted by code point
+    assert load_metadata(io.BytesIO("Åland,Énergie\n".encode())) == {"Åland": "Énergie"}
+
+
 def test_load_unknown_format_rejected():
     with pytest.raises(ConfigurationError):
         load_prices(io.StringIO("x"), fmt="square")
@@ -276,6 +295,9 @@ def as_text(header, rows, delim):
 
 def check_against_oracle(text, fmt):
     want = outcome(load_prices_oracle, text, fmt)
+    for end in ("\r\n", "\r"):  # the oracle splits on LF only; the loader takes any line end
+        twin = io.BytesIO(text.replace("\n", end).encode())
+        assert_same_outcome(outcome(load_prices, twin, fmt), want)
     got = outcome(load_prices, io.StringIO(text), fmt)
     assert_same_outcome(got, want)
     if isinstance(want, Exception):
