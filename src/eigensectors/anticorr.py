@@ -22,7 +22,6 @@ positive, assigned to random disjoint asset subsets of the same sizes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -69,42 +68,36 @@ class BaselineStats:
     raw_mean: float
     raw_std: float
     n_trials: int
-    seed: int | None
     pearson_samples: np.ndarray = field(repr=False)
     raw_samples: np.ndarray = field(repr=False)
 
 
 def random_baseline(
     c: CorrelationMatrix,
-    sizes: tuple[int, int],
     weights: tuple[Sequence[float], Sequence[float]],
     trials: int = 1000,
     seed=None,
 ) -> BaselineStats:
     """Correlation of two randomly drawn, disjoint, positively weighted combinations.
 
-    Each trial draws n_plus + n_minus distinct assets uniformly, splits them
-    into two groups, assigns the given weight magnitudes (made positive) to
-    the groups in random order, and records the raw and Pearson correlation
-    of the two combinations. ``seed`` may be an int or a numpy SeedSequence.
+    Each trial draws as many distinct assets as there are weights, uniformly,
+    splits them into a group per weight multiset, assigns the weight
+    magnitudes (made positive) to the groups in random order, and records the
+    raw and Pearson correlation of the two combinations. ``seed`` may be an
+    int or a numpy SeedSequence.
     """
-    n_plus, n_minus = int(sizes[0]), int(sizes[1])
+    w_plus = np.abs(np.asarray(weights[0], dtype=float))
+    w_minus = np.abs(np.asarray(weights[1], dtype=float))
+    n_plus, n_minus = w_plus.size, w_minus.size
     n = c.n_assets
     if n_plus < 1 or n_minus < 1:
-        raise ConfigurationError(f"subset sizes must be >= 1, got {sizes!r}")
+        raise ConfigurationError(f"subset sizes must be >= 1, got ({n_plus}, {n_minus})")
     if n_plus + n_minus > n:
         raise ConfigurationError(
             f"subset sizes {n_plus}+{n_minus} exceed the {n} available assets"
         )
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
-    w_plus = np.abs(np.asarray(weights[0], dtype=float))
-    w_minus = np.abs(np.asarray(weights[1], dtype=float))
-    if w_plus.size != n_plus or w_minus.size != n_minus:
-        raise ConfigurationError(
-            f"weight multiset sizes ({w_plus.size}, {w_minus.size}) "
-            f"do not match subset sizes ({n_plus}, {n_minus})"
-        )
     rng = np.random.default_rng(seed)
     a = np.zeros((trials, n))
     b = np.zeros((trials, n))
@@ -113,14 +106,12 @@ def random_baseline(
         a[k, picked[:n_plus]] = rng.permutation(w_plus)
         b[k, picked[n_plus:]] = rng.permutation(w_minus)
     raw_samples, pearson_samples = _cross_correlation(c.values, a, b)
-    seed_value = seed if isinstance(seed, (int, np.integer)) else None
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),
         pearson_std=float(pearson_samples.std()),
         raw_mean=float(raw_samples.mean()),
         raw_std=float(raw_samples.std()),
         n_trials=int(trials),
-        seed=int(seed_value) if seed_value is not None else None,
         pearson_samples=pearson_samples,
         raw_samples=raw_samples,
     )
@@ -213,7 +204,6 @@ def mode_scan(
         (c_raw,), (c_pearson,) = _cross_correlation(c.values, w_plus, w_minus)
         baseline = random_baseline(
             c,
-            sizes=(n_pos, n_neg),
             weights=(np.abs(part.positive_weights), np.abs(part.negative_weights)),
             trials=trials,
             seed=np.random.SeedSequence([seed, alpha]),
@@ -325,9 +315,3 @@ def write_scan_delimited(report: AnticorrReport, path) -> None:
             f"{row.baseline.pearson_mean:.17g},{row.baseline.pearson_std:.17g}"
         )
     path.write_text("\n".join(lines) + "\n")
-
-
-def write_report_json(report: AnticorrReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    )

@@ -38,29 +38,9 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _config_echo(args, command: str) -> dict:
-    keep = (
-        "input",
-        "format",
-        "delta_t",
-        "u_c",
-        "margin",
-        "trials",
-        "seed",
-        "metadata",
-        "out_dir",
-        "drop_zero_variance",
-        "include_market_mode",
-        "u_c_zero_scan",
-        "matrix",
-        "config",
-    )
-    echo = {"command": command}
-    for key in keep:
-        if hasattr(args, key):
-            value = getattr(args, key)
-            echo[key] = str(value) if isinstance(value, Path) else value
-    return echo
+def _config_echo(args) -> dict:
+    """Every parsed option of the stage, with the stage name under "command"."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _load_panel(args) -> ts.PricePanel:
@@ -120,7 +100,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     cm.save_matrix(c, out / "corr_matrix.csv")
     report = {
-        "config": _config_echo(args, "analyze"),
+        "config": _config_echo(args),
         "n_assets": c.n_assets,
         "n_observations": c.n_observations,
         "q": c.n_observations / c.n_assets,
@@ -182,7 +162,7 @@ def cmd_sectors(args) -> int:
         )
     (out / "sectors.csv").write_text("\n".join(lines) + "\n")
     report = {
-        "config": _config_echo(args, "sectors"),
+        "config": _config_echo(args),
         "thresholds": [float(t) for t in thresholds],
         "rows": [
             {
@@ -221,7 +201,7 @@ def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
     )
     tag = _scan_suffix(u_c)
     payload = ac.report_to_dict(report)
-    payload["config"] = _config_echo(args, "anticorr")
+    payload["config"] = _config_echo(args)
     _write_json(out / f"anticorr_{tag}.json", payload)
     ac.write_scan_delimited(report, out / f"anticorr_scan_{tag}.csv")
 
@@ -275,7 +255,7 @@ def cmd_synth(args) -> int:
     _write_json(
         out / "synth_report.json",
         {
-            "config": _config_echo(args, "synth"),
+            "config": _config_echo(args),
             "seed": seed,
             "n_assets": market.n_assets,
             "n_observations": market.n_observations,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns
+from .timeseries import NormalizedReturns, _read_bytes
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -179,9 +179,12 @@ def save_matrix(c: CorrelationMatrix, path) -> Path:
 
 
 def load_matrix(path) -> CorrelationMatrix:
-    """Read a matrix written by save_matrix (grid + sidecar)."""
+    """Read a matrix written by save_matrix (grid + sidecar).
+
+    The grid is read as UTF-8 like a price file; LF, CRLF and CR all end a line.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = [line.decode() for line in _read_bytes(path).splitlines()]
     if not lines:
         raise ParseError("empty matrix file", 1)
     assets = tuple(s.strip() for s in lines[0].split(","))

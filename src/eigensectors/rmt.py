@@ -83,8 +83,6 @@ class SignificantSet:
     indices: tuple[int, ...]
     eigenvalues: np.ndarray
     ratios: np.ndarray
-    threshold: float
-    margin: float
     law: WishartLaw
 
 
@@ -97,11 +95,4 @@ def significant_eigenvalues(spec: EigenSpectrum, margin: float = 1.0) -> Signifi
     threshold = margin * law.lambda_max
     idx = tuple(int(i) for i in np.flatnonzero(spec.eigenvalues > threshold))
     vals = spec.eigenvalues[list(idx)]
-    return SignificantSet(
-        indices=idx,
-        eigenvalues=vals,
-        ratios=vals / law.lambda_max,
-        threshold=threshold,
-        margin=float(margin),
-        law=law,
-    )
+    return SignificantSet(indices=idx, eigenvalues=vals, ratios=vals / law.lambda_max, law=law)

@@ -35,31 +35,12 @@ class SubsectorPartition:
     stay disjoint.
     """
 
-    mode_index: int
-    threshold: float
     assets: tuple[str, ...]
     positive: tuple[int, ...]
     negative: tuple[int, ...]
     positive_weights: np.ndarray
     negative_weights: np.ndarray
     anchor_index: int
-
-    @property
-    def positive_assets(self) -> tuple[str, ...]:
-        return tuple(self.assets[i] for i in self.positive)
-
-    @property
-    def negative_assets(self) -> tuple[str, ...]:
-        return tuple(self.assets[i] for i in self.negative)
-
-    def side(self, sign: str) -> tuple[int, ...]:
-        if sign in ("+", "positive"):
-            return self.positive
-        if sign in ("-", "negative"):
-            return self.negative
-        raise ConfigurationError(
-            f"side must be '+'/'positive' or '-'/'negative', got {sign!r}"
-        )
 
 
 @dataclass
@@ -118,8 +99,6 @@ def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorP
         pos = np.flatnonzero(u >= u_c)
         neg = np.flatnonzero(u <= -u_c)
     return SubsectorPartition(
-        mode_index=alpha,
-        threshold=u_c,
         assets=spec.assets,
         positive=tuple(int(i) for i in pos),
         negative=tuple(int(i) for i in neg),
@@ -129,19 +108,14 @@ def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorP
     )
 
 
-def label_subsector(
-    partition: SubsectorPartition,
-    side: str,
-    metadata: Mapping[str, str] | None,
-) -> LabelReport:
-    """Label one side by its modal category; "Null" under 50% modal share.
+def label_subsector(members: Sequence[str], metadata: Mapping[str, str] | None) -> LabelReport:
+    """Label a subsector side's members by modal category; "Null" under 50% modal share.
 
     metadata=None labels every member "Unlabeled" (the no-metadata pipeline
     case); a mapping that merely lacks some assets leaves those members
     uncovered, counting toward the total but never toward the match.
     """
-    indices = partition.side(side)
-    members = tuple(partition.assets[i] for i in indices)
+    members = tuple(members)
     if metadata is None:
         cats: tuple[str | None, ...] = tuple(UNLABELED for _ in members)
     else:
@@ -191,7 +165,8 @@ def sector_table(
             part = select_components(spec, alpha, u_c)
             anchor = spec.assets[part.anchor_index]
             lam = float(spec.eigenvalues[alpha])
-            for sign in ("+", "-"):
+            for sign, side in (("+", part.positive), ("-", part.negative)):
+                members = tuple(spec.assets[i] for i in side)
                 rows.append(
                     SectorRow(
                         mode_index=alpha,
@@ -199,7 +174,7 @@ def sector_table(
                         threshold=u_c,
                         sign=sign,
                         anchor_asset=anchor,
-                        report=label_subsector(part, sign, metadata),
+                        report=label_subsector(members, metadata),
                     )
                 )
     return rows

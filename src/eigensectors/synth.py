@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,18 +153,9 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
         )
     raw += spec.noise_std * noise_rng.standard_normal((n, t))
 
-    means = raw.mean(axis=1)
-    stds = raw.std(axis=1)
-    values = (raw - means[:, None]) / stds[:, None]
-    dates = _weekday_run(t + 1)
-    nr = NormalizedReturns(
-        assets=asset_names(n),
-        dates=tuple(dates[1:]),
-        values=values,
-        means=means,
-        stds=stds,
-        delta_t=1,
-    )
+    values = (raw - raw.mean(axis=1)[:, None]) / raw.std(axis=1)[:, None]
+    dates = tuple(_weekday_run(t + 1)[1:])
+    nr = NormalizedReturns(assets=asset_names(n), dates=dates, values=values)
     return nr, GroundTruth(
         blocks=truth_blocks,
         market_strength=spec.market_strength,

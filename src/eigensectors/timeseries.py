@@ -13,10 +13,11 @@ import datetime as dt
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class PricePanel:
     assets: tuple[str, ...]
     dates: tuple[dt.date, ...]
     prices: np.ndarray
-    metadata: dict[str, str] | None = None
     first_valid: dict[str, dt.date] | None = None
 
     def __post_init__(self):
@@ -107,7 +107,6 @@ class ReturnMatrix:
     assets: tuple[str, ...]
     dates: tuple[dt.date, ...]  # observation end dates, length T
     values: np.ndarray
-    delta_t: int = 1
 
     def __post_init__(self):
         self.assets = tuple(self.assets)
@@ -130,9 +129,6 @@ class NormalizedReturns:
     assets: tuple[str, ...]
     dates: tuple[dt.date, ...]
     values: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-    delta_t: int = 1
 
     def __post_init__(self):
         self.assets = tuple(self.assets)
@@ -198,27 +194,30 @@ def _rows(data: bytes, delimiter: str):
     return csv.reader(lines, delimiter=delimiter)
 
 
-def _delimiter(data: bytes, given: str | None) -> str:
-    """The given delimiter, else tab if the first line has one, else comma."""
-    return given or ("\t" if b"\t" in re.match(rb"[^\r\n]*", data)[0] else ",")
+@contextmanager
+def _csv_faults(reader):
+    """A row that csv rejects (a cell over its field size limit) becomes a ParseError at its line.
+
+    A context rather than a generator over the reader, so the row loop pays nothing per row.
+    """
+    try:
+        yield
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
 
 
-def load_prices(
-    source,
-    fmt: str = "long",
-    *,
-    delimiter: str | None = None,
-    date_column: str = "date",
-    asset_column: str = "asset",
-    price_column: str = "price",
-    metadata: Mapping[str, str] | None = None,
-) -> PricePanel:
+def _delimiter(data: bytes) -> str:
+    """Tab if the first line has one, else comma."""
+    return "\t" if b"\t" in re.match(rb"[^\r\n]*", data)[0] else ","
+
+
+def load_prices(source, fmt: str = "long") -> PricePanel:
     """Read a delimited price file into a PricePanel.
 
-    fmt="long": one observation per row with named date/asset/price columns.
+    fmt="long": one observation per row with date, asset and price columns.
     fmt="wide": first column is the date, remaining headers are asset names;
     empty cells mark missing observations. The delimiter is sniffed from the
-    header (comma vs tab) unless given.
+    header (comma vs tab).
 
     Raises ParseError (with a 1-based line number) for malformed rows and
     ValidationError for non-positive prices or duplicate observations.
@@ -228,12 +227,13 @@ def load_prices(
     data = _read_bytes(source)
     if not data:
         raise ParseError("empty input", 1)
-    delim = _delimiter(data, delimiter)
+    delim = _delimiter(data)
     reader = _rows(data, delim)
-    header = [h.strip() for h in next(reader)]
+    with _csv_faults(reader):
+        header = [h.strip() for h in next(reader)]
     if fmt == "long":
         try:
-            cols = [header.index(c) for c in (date_column, asset_column, price_column)]
+            cols = [header.index(c) for c in ("date", "asset", "price")]
         except ValueError as exc:
             raise ParseError(f"missing column in header: {exc}", 1) from None
     else:
@@ -246,7 +246,7 @@ def load_prices(
         cols = [0]
     width = len(header)
     cells: list[str] = []  # every kept row's cells in turn, each row cut or padded to width
-    # Any ValueError below means some row is bad; the row-by-row check finds the first.
+    # Any ValueError or csv.Error below means some row is bad; the row-by-row check finds the first.
     try:
         for row in reader:
             if len(row) != width or not row[cols[0]].strip():
@@ -279,14 +279,13 @@ def load_prices(
         present = ~np.isnan(grid)
         if np.count_nonzero(present) != values.size:
             raise ValueError("duplicate observation")
-    except ValueError:
+    except (ValueError, csv.Error):
         _raise_first_fault(data, delim, fmt, header, cols)
     observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
     return PricePanel(
         assets=tuple(compress(assets, observed_assets)),
         dates=tuple(compress(dates, observed_dates)),
         prices=grid[np.ix_(observed_assets, observed_dates)],
-        metadata=dict(metadata) if metadata else None,
     )
 
 
@@ -308,41 +307,42 @@ def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
     """Check the rows one at a time and raise the error of the first bad one."""
     seen: set[tuple[str, dt.date]] = set()
     rows = _rows(data, delim)
-    next(rows)  # the header
-    for line_no, row in enumerate(rows, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if fmt == "long" and len(row) <= max(cols):
-            raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
-        if fmt == "wide" and len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
-        try:
-            date = dt.date.fromisoformat(row[cols[0]].strip())
-        except ValueError:
-            raise ParseError(f"unparsable date {row[cols[0]]!r}", line_no) from None
-        if fmt == "long":
-            cells = [(row[cols[1]].strip(), row[cols[2]])]
-        else:
-            pairs = zip(header[1:], map(str.strip, row[1:]))
-            cells = [(asset, cell) for asset, cell in pairs if cell.upper() not in _MISSING]
-        for asset, cell in cells:
-            if not asset:  # wide headers have no empty names
-                raise ParseError("empty asset identifier", line_no)
+    with _csv_faults(rows):
+        next(rows)  # the header
+        for line_no, row in enumerate(rows, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if fmt == "long" and len(row) <= max(cols):
+                raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
+            if fmt == "wide" and len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
             try:
-                price = float(cell)
+                date = dt.date.fromisoformat(row[cols[0]].strip())
             except ValueError:
-                price = math.nan
-            if not math.isfinite(price):
-                raise ParseError(f"unparsable price {cell!r}", line_no)
-            if price <= 0.0:
-                raise ValidationError(f"non-positive price {price!r} for asset {asset!r} on {date}")
-            if (asset, date) in seen:
-                raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
-            seen.add((asset, date))
+                raise ParseError(f"unparsable date {row[cols[0]]!r}", line_no) from None
+            if fmt == "long":
+                cells = [(row[cols[1]].strip(), row[cols[2]])]
+            else:
+                pairs = zip(header[1:], map(str.strip, row[1:]))
+                cells = [(asset, cell) for asset, cell in pairs if cell.upper() not in _MISSING]
+            for asset, cell in cells:
+                if not asset:  # wide headers have no empty names
+                    raise ParseError("empty asset identifier", line_no)
+                try:
+                    price = float(cell)
+                except ValueError:
+                    price = math.nan
+                if not math.isfinite(price):
+                    raise ParseError(f"unparsable price {cell!r}", line_no)
+                if price <= 0.0:
+                    raise ValidationError(f"non-positive price {price!r} for asset {asset!r} on {date}")
+                if (asset, date) in seen:
+                    raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
+                seen.add((asset, date))
     raise AssertionError("the vectorized pass rejected rows that the row check accepts")
 
 
-def load_metadata(source, *, delimiter: str | None = None) -> dict[str, str]:
+def load_metadata(source) -> dict[str, str]:
     """Read an asset -> category mapping from a 2+ column delimited file.
 
     A header row is skipped when its first cell is 'asset' (case-insensitive).
@@ -351,15 +351,17 @@ def load_metadata(source, *, delimiter: str | None = None) -> dict[str, str]:
     if not data:
         return {}
     mapping: dict[str, str] = {}
-    for line_no, row in enumerate(_rows(data, _delimiter(data, delimiter)), start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 2:
-            raise ParseError("metadata rows need asset and category fields", line_no)
-        asset = row[0].strip()
-        if line_no == 1 and asset.lower() == "asset":
-            continue
-        mapping[asset] = row[1].strip()
+    rows = _rows(data, _delimiter(data))
+    with _csv_faults(rows):
+        for line_no, row in enumerate(rows, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise ParseError("metadata rows need asset and category fields", line_no)
+            asset = row[0].strip()
+            if line_no == 1 and asset.lower() == "asset":
+                continue
+            mapping[asset] = row[1].strip()
     return mapping
 
 
@@ -402,7 +404,6 @@ def align_calendar(panel: PricePanel, rules: Sequence[ShiftRule]) -> PricePanel:
         assets=panel.assets,
         dates=tuple(dt.date.fromordinal(int(o)) for o in days[observed]),
         prices=grid[:, observed],
-        metadata=dict(panel.metadata) if panel.metadata else None,
         first_valid=dict(panel.first_valid) if panel.first_valid else None,
     )
 
@@ -431,7 +432,6 @@ def forward_fill(panel: PricePanel) -> PricePanel:
         assets=panel.assets,
         dates=panel.dates,
         prices=np.take_along_axis(panel.prices, last, axis=1),
-        metadata=panel.metadata,
         first_valid={a: panel.dates[j] for a, j in zip(panel.assets, first)},
     )
 
@@ -454,7 +454,6 @@ def trim_to_common_range(panel: PricePanel) -> PricePanel:
         assets=panel.assets,
         dates=panel.dates[start:],
         prices=panel.prices[:, start:],
-        metadata=panel.metadata,
         first_valid=panel.first_valid,
     )
 
@@ -477,12 +476,7 @@ def log_returns(panel: PricePanel, delta_t: int = 1) -> ReturnMatrix:
         )
     logp = np.log(panel.prices)
     values = logp[:, delta_t:] - logp[:, :-delta_t]
-    return ReturnMatrix(
-        assets=panel.assets,
-        dates=panel.dates[delta_t:],
-        values=values,
-        delta_t=delta_t,
-    )
+    return ReturnMatrix(assets=panel.assets, dates=panel.dates[delta_t:], values=values)
 
 
 def zero_variance_assets(rm: ReturnMatrix) -> list[str]:
@@ -497,12 +491,7 @@ def drop_assets(rm: ReturnMatrix, assets: Iterable[str]) -> ReturnMatrix:
     keep = [i for i, a in enumerate(rm.assets) if a not in drop]
     if len(keep) < 2:
         raise InsufficientDataError("fewer than 2 assets left after dropping")
-    return ReturnMatrix(
-        assets=tuple(rm.assets[i] for i in keep),
-        dates=rm.dates,
-        values=rm.values[keep],
-        delta_t=rm.delta_t,
-    )
+    return ReturnMatrix(assets=tuple(rm.assets[i] for i in keep), dates=rm.dates, values=rm.values[keep])
 
 
 def normalize_returns(rm: ReturnMatrix) -> NormalizedReturns:
@@ -517,11 +506,4 @@ def normalize_returns(rm: ReturnMatrix) -> NormalizedReturns:
     if bad:
         raise ZeroVarianceError(bad)
     values = (rm.values - means[:, None]) / stds[:, None]
-    return NormalizedReturns(
-        assets=rm.assets,
-        dates=rm.dates,
-        values=values,
-        means=means,
-        stds=stds,
-        delta_t=rm.delta_t,
-    )
+    return NormalizedReturns(assets=rm.assets, dates=rm.dates, values=values)

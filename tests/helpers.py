@@ -45,7 +45,7 @@ def weekdays(count, start=dt.date(2015, 1, 5)):
     return tuple(out)
 
 
-def panel(prices, assets=None, dates=None, metadata=None):
+def panel(prices, assets=None, dates=None):
     """PricePanel from a nested list; None marks a missing cell."""
     grid = np.array(
         [[np.nan if p is None else float(p) for p in row] for row in prices]
@@ -54,16 +54,14 @@ def panel(prices, assets=None, dates=None, metadata=None):
         assets = tuple(f"A{i}" for i in range(grid.shape[0]))
     if dates is None:
         dates = days(grid.shape[1])
-    return PricePanel(assets=tuple(assets), dates=tuple(dates), prices=grid, metadata=metadata)
+    return PricePanel(assets=tuple(assets), dates=tuple(dates), prices=grid)
 
 
-def returns(values, assets=None, delta_t=1):
+def returns(values, assets=None):
     vals = np.asarray(values, dtype=float)
     if assets is None:
         assets = tuple(f"A{i}" for i in range(vals.shape[0]))
-    return ReturnMatrix(
-        assets=tuple(assets), dates=days(vals.shape[1]), values=vals, delta_t=delta_t
-    )
+    return ReturnMatrix(assets=tuple(assets), dates=days(vals.shape[1]), values=vals)
 
 
 def noise_returns(n, t, seed):
@@ -152,7 +150,7 @@ def _oracle_price(text, line_no):
     return value
 
 
-def _oracle_panel(obs, metadata=None, first_valid=None, asset_order=None):
+def _oracle_panel(obs, first_valid=None, asset_order=None):
     assets = tuple(asset_order) if asset_order is not None else tuple(sorted(obs))
     dates = tuple(sorted({d for per_asset in obs.values() for d in per_asset}))
     index = {d: j for j, d in enumerate(dates)}
@@ -164,7 +162,6 @@ def _oracle_panel(obs, metadata=None, first_valid=None, asset_order=None):
         assets=assets,
         dates=dates,
         prices=grid,
-        metadata=dict(metadata) if metadata else None,
         first_valid=dict(first_valid) if first_valid else None,
     )
 
@@ -244,7 +241,7 @@ def align_calendar_oracle(panel, rules):
                 value = per_asset.pop(date)
                 if target not in per_asset:
                     per_asset[target] = value
-    return _oracle_panel(obs, panel.metadata, panel.first_valid, asset_order=panel.assets)
+    return _oracle_panel(obs, panel.first_valid, asset_order=panel.assets)
 
 
 def first_valid_oracle(panel):
@@ -273,7 +270,6 @@ def forward_fill_oracle(panel):
         assets=panel.assets,
         dates=panel.dates,
         prices=prices,
-        metadata=panel.metadata,
         first_valid={a: panel.dates[j] for a, j in zip(panel.assets, firsts)},
     )
 
@@ -289,7 +285,6 @@ def trim_oracle(panel):
         assets=panel.assets,
         dates=panel.dates[start:],
         prices=panel.prices[:, start:],
-        metadata=panel.metadata,
         first_valid=panel.first_valid,
     )
 

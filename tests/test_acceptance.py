@@ -236,8 +236,6 @@ def test_criterion_7_block_averages():
         n_observations=1000,
     )
     part = SubsectorPartition(
-        mode_index=1,
-        threshold=0.0,
         assets=cm.assets,
         positive=(0, 1),
         negative=(2, 3),

@@ -1,7 +1,5 @@
 """Subsector cross-correlation, random baselines, and the mode scan."""
 
-import json
-
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
@@ -23,7 +21,6 @@ from eigensectors import (
     random_baseline,
     report_to_dict,
     select_components,
-    write_report_json,
     write_scan_delimited,
 )
 from helpers import (
@@ -124,7 +121,6 @@ def test_scan_matches_series_oracle(panel_name, u_c):
     assert report.rows
     for row in report.rows:
         part = row.partition
-        assert part.mode_index == row.mode_index
         raw, pearson = series_cross_correlation(
             combination_series(nr, part.positive_weights, part.positive),
             combination_series(nr, part.negative_weights, part.negative),
@@ -141,8 +137,7 @@ def test_baseline_matches_series_oracle(panel_name, u_c):
     c, spec = matrix_and_spectrum(nr)
     part = select_components(spec, 1, u_c)
     weights = (part.positive_weights, part.negative_weights)
-    sizes = (len(part.positive), len(part.negative))
-    bl = random_baseline(c, sizes, weights, trials=60, seed=SeedSequence([0, 1]))
+    bl = random_baseline(c, weights, trials=60, seed=SeedSequence([0, 1]))
     raw, pearson = baseline_oracle(nr, weights, trials=60, seed=SeedSequence([0, 1]))
     assert np.abs(bl.raw_samples - raw).max() <= ORACLE_TOL
     assert np.abs(bl.pearson_samples - pearson).max() <= ORACLE_TOL
@@ -157,7 +152,7 @@ def test_cross_corr_against_own_negation():
     a = default_rng(7).standard_normal(1000)
     nr = normalize_returns(returns(np.vstack([a, -a])))
     c = correlation_matrix(nr)
-    bl = random_baseline(c, (1, 1), ([0.7], [0.4]), trials=20, seed=0)
+    bl = random_baseline(c, ([0.7], [0.4]), trials=20, seed=0)
     assert np.allclose(bl.pearson_samples, -1.0, rtol=0.0, atol=1e-12)
     assert np.allclose(bl.raw_samples, -0.28, rtol=0.0, atol=1e-12)
 
@@ -165,7 +160,7 @@ def test_cross_corr_against_own_negation():
 def test_cross_corr_independent_series():
     for seed in range(10):
         c = correlation_matrix(noise_returns(6, 10_000, seed))
-        bl = random_baseline(c, (1, 1), ([0.5], [0.5]), trials=30, seed=seed)
+        bl = random_baseline(c, ([0.5], [0.5]), trials=30, seed=seed)
         assert np.abs(bl.pearson_samples).max() < 0.05
 
 
@@ -177,7 +172,7 @@ def test_cross_corr_zero_variance_gives_nan_pearson():
         values=np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         n_observations=100,
     )
-    bl = random_baseline(c, (2, 1), ([0.5, 0.5], [0.4]), trials=40, seed=3)
+    bl = random_baseline(c, ([0.5, 0.5], [0.4]), trials=40, seed=3)
     degenerate = bl.raw_samples == 0.0  # the plus side drew {X, Y}
     assert degenerate.any() and not degenerate.all()
     assert np.array_equal(np.isnan(bl.pearson_samples), degenerate)
@@ -226,7 +221,7 @@ def test_baseline_pair_panel_exhausts_to_direct_value():
     noise = rng.standard_normal(500)
     nr = normalize_returns(returns(np.vstack([base, -base + 0.3 * noise])))
     c = correlation_matrix(nr)
-    bl = random_baseline(c, (1, 1), (np.array([0.7]), np.array([0.4])), trials=50, seed=0)
+    bl = random_baseline(c, (np.array([0.7]), np.array([0.4])), trials=50, seed=0)
     raw, pearson = series_cross_correlation(0.7 * nr.values[0], 0.4 * nr.values[1])
     # on two assets every draw is the same pair, up to 1 ulp from the two
     # weight orderings
@@ -238,8 +233,8 @@ def test_baseline_pair_panel_exhausts_to_direct_value():
 
 def test_baseline_rectifies_weight_signs():
     c = correlation_matrix(noise_returns(6, 300, 4))
-    flip = random_baseline(c, (1, 1), ([-0.7], [0.4]), trials=20, seed=1)
-    kept = random_baseline(c, (1, 1), ([0.7], [0.4]), trials=20, seed=1)
+    flip = random_baseline(c, ([-0.7], [0.4]), trials=20, seed=1)
+    kept = random_baseline(c, ([0.7], [0.4]), trials=20, seed=1)
     assert np.array_equal(flip.pearson_samples, kept.pearson_samples)
     assert np.array_equal(flip.raw_samples, kept.raw_samples)
 
@@ -247,14 +242,12 @@ def test_baseline_rectifies_weight_signs():
 def test_baseline_determinism_and_seed_record():
     c = correlation_matrix(noise_returns(8, 200, 5))
     weights = ([0.5, 0.3], [0.4])
-    a = random_baseline(c, (2, 1), weights, trials=30, seed=11)
-    b = random_baseline(c, (2, 1), weights, trials=30, seed=11)
-    d = random_baseline(c, (2, 1), weights, trials=30, seed=12)
+    a = random_baseline(c, weights, trials=30, seed=11)
+    b = random_baseline(c, weights, trials=30, seed=11)
+    d = random_baseline(c, weights, trials=30, seed=12)
     assert np.array_equal(a.pearson_samples, b.pearson_samples)
     assert not np.array_equal(a.pearson_samples, d.pearson_samples)
-    assert a.seed == 11
-    spawned = random_baseline(c, (2, 1), weights, trials=1, seed=SeedSequence(11))
-    assert spawned.seed is None
+    spawned = random_baseline(c, weights, trials=1, seed=SeedSequence(11))
     assert spawned.n_trials == 1
 
 
@@ -263,7 +256,7 @@ def test_baseline_centered_on_zero_for_noise():
     # dominates any panel-conditional offset
     for k in range(3):
         c = correlation_matrix(noise_returns(20, 8000, 50 + k))
-        bl = random_baseline(c, (1, 1), (np.full(1, 0.4), np.full(1, 0.4)), trials=200, seed=k)
+        bl = random_baseline(c, (np.full(1, 0.4), np.full(1, 0.4)), trials=200, seed=k)
         assert abs(bl.pearson_mean) < 3.0 * bl.pearson_std / np.sqrt(bl.n_trials)
         assert abs(bl.raw_mean) < 3.0 * bl.raw_std / np.sqrt(bl.n_trials)
 
@@ -271,13 +264,11 @@ def test_baseline_centered_on_zero_for_noise():
 def test_baseline_validation():
     c = correlation_matrix(noise_returns(5, 100, 6))
     with pytest.raises(ConfigurationError):
-        random_baseline(c, (0, 1), ([], [0.4]), trials=10)
+        random_baseline(c, ([], [0.4]), trials=10)
     with pytest.raises(ConfigurationError):
-        random_baseline(c, (3, 3), ([0.1] * 3, [0.1] * 3), trials=10)
+        random_baseline(c, ([0.1] * 3, [0.1] * 3), trials=10)
     with pytest.raises(ConfigurationError):
-        random_baseline(c, (2, 1), ([0.1], [0.4]), trials=10)
-    with pytest.raises(ConfigurationError):
-        random_baseline(c, (1, 1), ([0.1], [0.4]), trials=0)
+        random_baseline(c, ([0.1], [0.4]), trials=0)
 
 
 # ---------------------------------------------------------------- mode scan
@@ -301,7 +292,6 @@ def test_scan_two_asset_panel():
     assert row.partition.negative == part.negative
     manual = random_baseline(
         c,
-        sizes=(1, 1),
         weights=(np.abs(part.positive_weights), np.abs(part.negative_weights)),
         trials=150,
         seed=SeedSequence([0, 1]),
@@ -386,8 +376,6 @@ def test_scan_asset_mismatch():
 def fixture_partition(c, positive, negative):
     u = np.zeros(c.n_assets)
     return SubsectorPartition(
-        mode_index=1,
-        threshold=0.1,
         assets=c.assets,
         positive=tuple(positive),
         negative=tuple(negative),
@@ -513,11 +501,3 @@ def test_scan_csv_round_trip(tmp_path):
     assert float(cells[2]) == row.c_pearson
     assert float(cells[3]) == row.baseline.pearson_mean
     assert float(cells[4]) == row.baseline.pearson_std
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_report_json_file(tmp_path):
-    report = mode_scan(*matrix_and_spectrum(two_asset_panel()), 0.15, trials=150, seed=0)
-    path = tmp_path / "report.json"
-    write_report_json(report, path)
-    assert json.loads(path.read_text()) == report_to_dict(report)

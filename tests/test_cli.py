@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eigensectors import mp_bounds
+from eigensectors import eigendecompose, load_matrix, mode_scan, mp_bounds, report_to_dict
 from eigensectors.cli import main
 
 MARKET_CONFIG = {
@@ -227,6 +227,25 @@ def test_non_utf8_price_file_is_a_data_error(tmp_path, capsys, fmt, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("fmt", "text"),
+    [
+        ("wide", "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,1{},49\n2015-01-07,103,48\n"),
+        ("long", "date,asset,price\n2015-01-05,AAA,100\n2015-01-05,BBB,1{}\n"),
+    ],
+    ids=["wide", "long"],
+)
+def test_oversized_price_cell_is_a_data_error(tmp_path, capsys, fmt, text):
+    # 200000 characters is over csv's default field size limit of 131072
+    panel = tmp_path / "p.csv"
+    panel.write_text(text.format("0" * 200_000))
+    rc = main(["analyze", "--input", str(panel), "--format", fmt, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: field larger than field limit") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _without_config(path):
     report = json.loads(path.read_text())
     del report["config"]  # echoes the input path and out dir
@@ -309,6 +328,17 @@ def test_sectors_matrix_reuse_matches_input_route(market_dir, tmp_path, capsys):
     assert a["rows"] == b["rows"]
 
 
+def test_non_utf8_matrix_is_a_data_error(tmp_path, capsys):
+    grid = tmp_path / "corr_matrix.csv"
+    grid.write_bytes(b"AAA,BBB\n1,0.5\n0.5,1\xff\n")
+    (tmp_path / "corr_matrix.meta.json").write_text('{"n_assets": 2, "n_observations": 10}\n')
+    rc = main(["sectors", "--matrix", str(grid), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: not UTF-8 text (byte 0xff)") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_non_utf8_metadata_is_a_data_error(market_dir, tmp_path, capsys):
     meta = tmp_path / "meta.csv"
     meta.write_bytes(b"asset,category\nA000,Split\nA001,Spl\xe9t\n")
@@ -375,6 +405,18 @@ def test_anticorr_artifacts(market_dir, tmp_path, capsys):
     assert [m["mode"] for m in zero["modes"]] == list(range(12))
 
 
+def test_anticorr_report_json_is_report_to_dict(market_dir, tmp_path, capsys):
+    args = ["--input", str(market_dir / "panel.csv"), "--format", "wide"]
+    args += ["--out-dir", str(tmp_path)]
+    assert main(["analyze", *args]) == 0
+    assert main(["anticorr", *args, "--u-c", "0.3", "--trials", "150"]) == 0
+    capsys.readouterr()
+    c = load_matrix(tmp_path / "corr_matrix.csv")  # '%.17g' round-trips C exactly
+    report = mode_scan(c, eigendecompose(c), 0.3, trials=150, seed=0)
+    payload = _without_config(tmp_path / "anticorr_uc0p3.json")
+    assert json.dumps(payload, sort_keys=True) == json.dumps(report_to_dict(report), sort_keys=True)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_anticorr_default_threshold_tag(market_dir, tmp_path, capsys):
     out = tmp_path / "scan"
@@ -396,3 +438,39 @@ def test_anticorr_rejects_small_trials(market_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "trials" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------- config echo
+
+PANEL_KEYS = {"command", "input", "format", "delta_t", "drop_zero_variance", "out_dir"}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    ("stage", "flags", "report", "keys"),
+    [
+        ("analyze", ["--format", "wide"], "analysis_report.json", PANEL_KEYS | {"margin"}),
+        (
+            "sectors",
+            ["--format", "wide"],
+            "sectors.json",
+            PANEL_KEYS | {"matrix", "u_c", "margin", "metadata", "include_market_mode"},
+        ),
+        (
+            "anticorr",
+            ["--format", "wide", "--trials", "100"],
+            "anticorr_uc0p1.json",
+            PANEL_KEYS | {"u_c", "u_c_zero_scan", "trials", "seed", "include_market_mode"},
+        ),
+        ("synth", [], "synth_report.json", {"command", "config", "seed", "out_dir"}),
+    ],
+    ids=["analyze", "sectors", "anticorr", "synth"],
+)
+def test_config_echo_names_every_option(market_dir, tmp_path, capsys, stage, flags, report, keys):
+    source = ["--config", str(market_dir / "config.json")] if stage == "synth" else [
+        "--input", str(market_dir / "panel.csv")]
+    assert main([stage, *source, *flags, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / report).read_text())["config"]
+    assert set(config) == keys
+    assert config["command"] == stage

@@ -294,6 +294,21 @@ def test_load_reports_bad_float(tmp_path):
         assert str(err.value) == f"line {line_no}: could not convert string to float: {cell!r}"
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_reads_utf8_bytes_with_any_line_end(tmp_path, end):
+    c = correlation_matrix(noise_returns(3, 100, 13))
+    path = tmp_path / "corr.csv"
+    save_matrix(c, path)
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(end.join(lines) + end)
+    assert load_matrix(path).values.tobytes() == c.values.tobytes()
+    lines[2] += b"\xff"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 0xff\)") as err:
+        load_matrix(path)
+    assert err.value.line_number == 3
+
+
 def test_load_rejects_missing_rows(tmp_path):
     path = tmp_path / "corr.csv"
     path.write_text("X,Y\n1.0,0.5\n")

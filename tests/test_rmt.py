@@ -158,7 +158,6 @@ def test_dominant_mode_ratio():
     sig = significant_eigenvalues(spec)
     assert sig.indices == (0,)
     assert round(float(sig.ratios[0])) == 56
-    assert sig.threshold == pytest.approx(sig.law.lambda_max)
 
 
 def test_single_factor_market_gives_single_mode():

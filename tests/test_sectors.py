@@ -10,7 +10,6 @@ from eigensectors import (
     MarketSpec,
     BlockSpec,
     SignificantSet,
-    SubsectorPartition,
     generate,
     is_single_signed,
     label_subsector,
@@ -59,8 +58,6 @@ def test_select_splits_by_sign_and_magnitude():
     assert part.negative == (1, 3)
     assert np.allclose(part.positive_weights, [0.2])
     assert np.allclose(part.negative_weights, [-0.15, -0.3])
-    assert part.mode_index == 0
-    assert part.threshold == 0.10
 
 
 def test_select_threshold_is_inclusive():
@@ -83,8 +80,6 @@ def test_select_can_leave_both_sides_empty():
     part = select_components(spec, 0, 0.9)
     assert part.positive == ()
     assert part.negative == ()
-    assert part.positive_assets == ()
-    assert part.negative_assets == ()
 
 
 def test_select_rejects_negative_threshold():
@@ -105,13 +100,6 @@ def test_select_mode_bounds():
         select_components(spec, -1, 0.1)
     with pytest.raises(IndexError):
         select_components(spec, 4, 0.1)
-
-
-def test_select_asset_name_views():
-    spec = padded_mode([0.2, -0.15, 0.3])
-    part = select_components(spec, 0, 0.10)
-    assert part.positive_assets == ("A0", "A2")
-    assert part.negative_assets == ("A1",)
 
 
 def test_select_records_anchor():
@@ -147,35 +135,12 @@ def test_select_sign_flip_swaps_sides():
     assert np.allclose(a.negative_weights, -b.positive_weights)
 
 
-def test_side_accepts_both_spellings():
-    spec = padded_mode([0.2, -0.15])
-    part = select_components(spec, 0, 0.10)
-    assert part.side("+") == part.side("positive") == (0,)
-    assert part.side("-") == part.side("negative") == (1,)
-    with pytest.raises(ConfigurationError):
-        part.side("pos")
-
-
 # ------------------------------------------------------------------- labeling
-
-
-def partition_of(members):
-    """Partition stub whose positive side is exactly ``members``."""
-    return SubsectorPartition(
-        mode_index=1,
-        threshold=0.1,
-        assets=tuple(members),
-        positive=tuple(range(len(members))),
-        negative=(),
-        positive_weights=np.full(len(members), 0.2),
-        negative_weights=np.zeros(0),
-        anchor_index=0,
-    )
 
 
 def test_label_majority():
     report = label_subsector(
-        partition_of(["a", "b", "c"]), "+", {"a": "Tech", "b": "Tech", "c": "Bank"}
+        ["a", "b", "c"], {"a": "Tech", "b": "Tech", "c": "Bank"}
     )
     assert report.dominant_category == "Tech"
     assert report.matched == 2
@@ -186,7 +151,7 @@ def test_label_majority():
 
 def test_label_unanimous():
     report = label_subsector(
-        partition_of(["a", "b"]), "+", {"a": "Gold", "b": "Gold"}
+        ["a", "b"], {"a": "Gold", "b": "Gold"}
     )
     assert report.dominant_category == "Gold"
     assert report.matched == report.total == 2
@@ -194,7 +159,7 @@ def test_label_unanimous():
 
 def test_label_below_half_degrades_to_null():
     meta = {"a": "A", "b": "A", "c": "B", "d": "C", "e": "D"}
-    report = label_subsector(partition_of(["a", "b", "c", "d", "e"]), "+", meta)
+    report = label_subsector(["a", "b", "c", "d", "e"], meta)
     assert report.dominant_category == "Null"
     assert report.matched == 2  # modal count survives the degradation
     assert report.total == 5
@@ -202,13 +167,13 @@ def test_label_below_half_degrades_to_null():
 
 def test_label_tie_resolves_lexicographically():
     meta = {"a": "Beta", "b": "Beta", "c": "Alpha", "d": "Alpha"}
-    report = label_subsector(partition_of(["a", "b", "c", "d"]), "+", meta)
+    report = label_subsector(["a", "b", "c", "d"], meta)
     assert report.dominant_category == "Alpha"
     assert report.matched == 2
 
 
 def test_label_without_metadata():
-    report = label_subsector(partition_of(["a", "b"]), "+", None)
+    report = label_subsector(["a", "b"], None)
     assert report.dominant_category == "Unlabeled"
     assert report.matched == report.total == 2
     assert report.member_categories == ("Unlabeled", "Unlabeled")
@@ -216,7 +181,7 @@ def test_label_without_metadata():
 
 def test_label_partial_coverage():
     report = label_subsector(
-        partition_of(["a", "b", "c", "d"]), "+", {"a": "Tech", "b": "Tech"}
+        ["a", "b", "c", "d"], {"a": "Tech", "b": "Tech"}
     )
     assert report.dominant_category == "Tech"  # 2/4 is exactly half
     assert report.matched == 2
@@ -224,21 +189,21 @@ def test_label_partial_coverage():
     assert report.member_categories == ("Tech", "Tech", None, None)
 
     thin = label_subsector(
-        partition_of(["a", "b", "c", "d"]), "+", {"a": "Tech"}
+        ["a", "b", "c", "d"], {"a": "Tech"}
     )
     assert thin.dominant_category == "Null"
     assert thin.matched == 1
 
 
 def test_label_no_coverage_at_all():
-    report = label_subsector(partition_of(["a", "b"]), "+", {"x": "Tech"})
+    report = label_subsector(["a", "b"], {"x": "Tech"})
     assert report.dominant_category == "Null"
     assert report.matched == 0
     assert report.member_categories == (None, None)
 
 
 def test_label_empty_side():
-    report = label_subsector(partition_of([]), "-", {"a": "Tech"})
+    report = label_subsector([], {"a": "Tech"})
     assert report.dominant_category == "Null"
     assert report.matched == report.total == 0
     assert report.members == ()
@@ -297,8 +262,6 @@ def test_table_market_mode_opt_in():
         indices=(0,),
         eigenvalues=np.array([2.0]),
         ratios=np.array([2.0 / 2.25]),
-        threshold=2.25,
-        margin=1.0,
         law=mp_bounds(4.0),
     )
     assert sector_table(spec, sig, [0.10], None) == []
@@ -324,8 +287,6 @@ def test_table_threshold_validation():
         indices=(0,),
         eigenvalues=np.array([2.0]),
         ratios=np.array([2.0 / 2.25]),
-        threshold=2.25,
-        margin=1.0,
         law=mp_bounds(4.0),
     )
     with pytest.raises(ConfigurationError):

@@ -57,7 +57,6 @@ def test_generate_shapes_names_dates():
     assert nr.values.shape == (7, 40)
     assert nr.assets == asset_names(7)
     assert len(nr.dates) == 40
-    assert nr.delta_t == 1
     assert all(d.weekday() < 5 for d in nr.dates)
     assert all(a < b for a, b in zip(nr.dates, nr.dates[1:]))
     assert nr.dates[0] == dt.date(2000, 1, 4)
