@@ -2,8 +2,9 @@
 
 Generates a market, analyzes its spectrum, extracts sectors, and scans
 for anti-correlated flows, all through the command-line entry point, then
-shows what each stage left on disk. The same commands work verbatim in a
-shell once the package is installed (`eigensectors <subcommand> ...`).
+shows what each stage left on disk, in a temporary directory that is
+removed at the end. The same commands work verbatim in a shell once the
+package is installed (`eigensectors <subcommand> ...`).
 
 Run: python3 demos/04_cli_pipeline.py
 """
@@ -40,39 +41,40 @@ def run(argv):
 
 
 def main():
-    out = Path(tempfile.mkdtemp(prefix="eigensectors_demo_"))
-    cfg = out / "config.json"
-    cfg.write_text(json.dumps(CONFIG, indent=2))
-    panel = str(out / "panel.csv")
-    wide = ["--format", "wide", "--out-dir", str(out)]
+    with tempfile.TemporaryDirectory(prefix="eigensectors_demo_") as tmp:
+        out = Path(tmp)
+        cfg = out / "config.json"
+        cfg.write_text(json.dumps(CONFIG, indent=2))
+        panel = str(out / "panel.csv")
+        wide = ["--format", "wide", "--out-dir", str(out)]
 
-    run(["synth", "--config", str(cfg), "--out-dir", str(out)])
-    run(["analyze", "--input", panel, *wide])
-    run(["sectors", "--input", panel, "--metadata", str(out / "metadata.csv"),
-         "--u-c", "0.3", *wide])
-    run(["anticorr", "--input", panel, "--u-c", "0.3", "--trials", "200", *wide])
+        run(["synth", "--config", str(cfg), "--out-dir", str(out)])
+        run(["analyze", "--input", panel, *wide])
+        run(["sectors", "--input", panel, "--metadata", str(out / "metadata.csv"),
+             "--u-c", "0.3", *wide])
+        run(["anticorr", "--input", panel, "--u-c", "0.3", "--trials", "200", *wide])
 
-    print(f"artifacts in {out}:")
-    for p in sorted(out.iterdir()):
-        print(f"  {p.name:28s} {p.stat().st_size:7d} bytes")
-    print()
+        print(f"artifacts in {out}:")
+        for p in sorted(out.iterdir()):
+            print(f"  {p.name:28s} {p.stat().st_size:7d} bytes")
+        print()
 
-    analysis = json.loads((out / "analysis_report.json").read_text())
-    print("from analysis_report.json:")
-    print(f"  N={analysis['n_assets']} T={analysis['n_observations']} "
-          f"Q={analysis['q']:.1f}")
-    print(f"  noise band: [{analysis['lambda_min_noise']:.3f}, "
-          f"{analysis['lambda_max_noise']:.3f}]")
-    for m in analysis["significant_modes"]:
-        print(f"  significant mode {m['mode']}: eigenvalue {m['eigenvalue']:.2f} "
-              f"({m['ratio_to_noise_edge']:.1f}x the edge)")
-    print()
+        analysis = json.loads((out / "analysis_report.json").read_text())
+        print("from analysis_report.json:")
+        print(f"  N={analysis['n_assets']} T={analysis['n_observations']} "
+              f"Q={analysis['q']:.1f}")
+        print(f"  noise band: [{analysis['lambda_min_noise']:.3f}, "
+              f"{analysis['lambda_max_noise']:.3f}]")
+        for m in analysis["significant_modes"]:
+            print(f"  significant mode {m['mode']}: eigenvalue {m['eigenvalue']:.2f} "
+                  f"({m['ratio_to_noise_edge']:.1f}x the edge)")
+        print()
 
-    sectors = json.loads((out / "sectors.json").read_text())
-    print("from sectors.json:")
-    for row in sectors["rows"]:
-        print(f"  u_c={row['u_c']} mode {row['mode']} side {row['sign']}: "
-              f"{row['dominant']} ({row['matched']}/{row['total']})")
+        sectors = json.loads((out / "sectors.json").read_text())
+        print("from sectors.json:")
+        for row in sectors["rows"]:
+            print(f"  u_c={row['u_c']} mode {row['mode']} side {row['sign']}: "
+                  f"{row['dominant']} ({row['matched']}/{row['total']})")
 
 
 if __name__ == "__main__":

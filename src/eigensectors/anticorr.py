@@ -150,12 +150,6 @@ class AnticorrReport:
     rows: list[ModeScanRow]
     skipped: list[SkippedMode]
 
-    def __post_init__(self):
-        if self.trials < MIN_REPORT_TRIALS:
-            raise ConfigurationError(
-                f"reports need >= {MIN_REPORT_TRIALS} baseline trials, got {self.trials}"
-            )
-
 
 def mode_scan(
     c: CorrelationMatrix,

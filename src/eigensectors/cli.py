@@ -22,9 +22,9 @@ from . import timeseries as ts
 from .exceptions import (
     ConfigurationError,
     DataError,
-    DomainError,
     EigensectorsError,
     NumericalError,
+    ZeroVarianceError,
 )
 
 
@@ -38,38 +38,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _config_echo(args) -> dict:
-    """Every parsed option of the stage, with the stage name under "command"."""
-    return {k: v for k, v in vars(args).items() if k != "func"}
+def _write_report(args, name: str, report: dict) -> None:
+    """Write a stage report with every parsed option echoed under "config"."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    _write_json(Path(args.out_dir) / name, {**report, "config": config})
 
 
-def _load_panel(args) -> ts.PricePanel:
-    path = Path(args.input)
+def _existing(path: str, what: str) -> Path:
+    path = Path(path)
     if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    return ts.load_prices(path, fmt=args.format)
-
-
-def _normalized_returns(args) -> tuple[ts.NormalizedReturns, list[str]]:
-    panel = _load_panel(args)
-    panel = ts.forward_fill(panel)
-    panel = ts.trim_to_common_range(panel)
-    rm = ts.log_returns(panel, delta_t=args.delta_t)
-    dropped: list[str] = []
-    if args.drop_zero_variance:
-        dropped = ts.zero_variance_assets(rm)
-        if dropped:
-            print(
-                f"warning: dropping zero-variance assets: {', '.join(dropped)}",
-                file=sys.stderr,
-            )
-            rm = ts.drop_assets(rm, dropped)
-    return ts.normalize_returns(rm), dropped
-
-
-def _spectrum_from_returns(nr: ts.NormalizedReturns) -> tuple[cm.CorrelationMatrix, cm.EigenSpectrum]:
-    c = cm.correlation_matrix(nr)
-    return c, cm.eigendecompose(c)
+        raise DataError(f"{what} not found: {path}")
+    return path
 
 
 def _out_dir(args) -> Path:
@@ -78,29 +57,36 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_metadata_or_none(args) -> dict[str, str] | None:
-    meta_arg = getattr(args, "metadata", None)
-    if not meta_arg:
-        return None
-    path = Path(meta_arg)
-    if not path.exists():
-        print(
-            f"warning: metadata file {path} not found; labels default to "
-            f"{sec.UNLABELED!r}",
-            file=sys.stderr,
-        )
-        return None
-    return ts.load_metadata(path)
+def _analysis_input(args) -> tuple[cm.CorrelationMatrix, cm.EigenSpectrum, list[str]]:
+    """C, its spectrum and the dropped zero-variance assets, from --matrix or from prices."""
+    matrix = getattr(args, "matrix", None)  # only sectors has --matrix
+    if matrix and args.input:
+        raise ConfigurationError(f"{args.command} takes --input or --matrix, not both")
+    if matrix:
+        c = cm.load_matrix(_existing(matrix, "matrix artifact"))
+        return c, cm.eigendecompose(c), []
+    if not args.input:
+        raise ConfigurationError(f"{args.command} needs --input or --matrix")
+    panel = ts.load_prices(_existing(args.input, "input file"), fmt=args.format)
+    rm = ts.log_returns(ts.trim_to_common_range(ts.forward_fill(panel)), delta_t=args.delta_t)
+    try:
+        nr, dropped = ts.normalize_returns(rm), []
+    except ZeroVarianceError as exc:
+        if not args.drop_zero_variance:
+            raise
+        dropped = exc.assets
+        print(f"warning: dropping zero-variance assets: {', '.join(dropped)}", file=sys.stderr)
+        nr = ts.normalize_returns(ts.drop_assets(rm, dropped))
+    c = cm.correlation_matrix(nr)
+    return c, cm.eigendecompose(c), dropped
 
 
 def cmd_analyze(args) -> int:
-    nr, dropped = _normalized_returns(args)
-    c, spec = _spectrum_from_returns(nr)
+    c, spec, dropped = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
     out = _out_dir(args)
     cm.save_matrix(c, out / "corr_matrix.csv")
-    report = {
-        "config": _config_echo(args),
+    _write_report(args, "analysis_report.json", {
         "n_assets": c.n_assets,
         "n_observations": c.n_observations,
         "q": c.n_observations / c.n_assets,
@@ -114,8 +100,7 @@ def cmd_analyze(args) -> int:
         ],
         "dropped_assets": dropped,
         "artifacts": {"matrix": "corr_matrix.csv", "sidecar": "corr_matrix.meta.json"},
-    }
-    _write_json(out / "analysis_report.json", report)
+    })
     print(
         f"analyze: N={c.n_assets} T={c.n_observations} "
         f"Q={c.n_observations / c.n_assets:.3f} "
@@ -126,24 +111,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _spectrum_for_sectors(args) -> cm.EigenSpectrum:
-    if getattr(args, "matrix", None):
-        path = Path(args.matrix)
-        if not path.exists():
-            raise DataError(f"matrix artifact not found: {path}")
-        return cm.eigendecompose(cm.load_matrix(path))
-    if not args.input:
-        raise ConfigurationError("sectors needs --input or --matrix")
-    nr, _ = _normalized_returns(args)
-    _, spec = _spectrum_from_returns(nr)
-    return spec
-
-
 def cmd_sectors(args) -> int:
-    spec = _spectrum_for_sectors(args)
+    _, spec, _ = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
     thresholds = args.u_c or list(sec.DEFAULT_STOCK_THRESHOLDS)
-    metadata = _load_metadata_or_none(args)
+    metadata = None
+    if args.metadata and Path(args.metadata).exists():
+        metadata = ts.load_metadata(Path(args.metadata))
+    elif args.metadata:
+        print(
+            f"warning: metadata file {Path(args.metadata)} not found; labels default to "
+            f"{sec.UNLABELED!r}",
+            file=sys.stderr,
+        )
     rows = sec.sector_table(
         spec,
         sig,
@@ -154,15 +134,13 @@ def cmd_sectors(args) -> int:
     out = _out_dir(args)
     lines = ["u_c,mode,eigenvalue,sign,anchor_asset,dominant,matched,total,members"]
     for r in rows:
-        members = ";".join(r.report.members)
         lines.append(
             f"{r.threshold:g},{r.mode_index},{r.eigenvalue:.17g},{r.sign},"
             f"{r.anchor_asset},{r.report.dominant_category},"
-            f"{r.report.matched},{r.report.total},{members}"
+            f"{r.report.matched},{r.report.total},{';'.join(r.report.members)}"
         )
     (out / "sectors.csv").write_text("\n".join(lines) + "\n")
-    report = {
-        "config": _config_echo(args),
+    _write_report(args, "sectors.json", {
         "thresholds": [float(t) for t in thresholds],
         "rows": [
             {
@@ -179,15 +157,10 @@ def cmd_sectors(args) -> int:
             }
             for r in rows
         ],
-    }
-    _write_json(out / "sectors.json", report)
+    })
     print(f"sectors: {len(rows)} table rows over thresholds {thresholds}")
     print(f"wrote {out / 'sectors.json'}")
     return 0
-
-
-def _scan_suffix(u_c: float) -> str:
-    return f"uc{u_c:g}".replace(".", "p")
 
 
 def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
@@ -199,38 +172,29 @@ def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
         seed=args.seed,
         include_market_mode=args.include_market_mode,
     )
-    tag = _scan_suffix(u_c)
-    payload = ac.report_to_dict(report)
-    payload["config"] = _config_echo(args)
-    _write_json(out / f"anticorr_{tag}.json", payload)
+    tag = f"uc{u_c:g}".replace(".", "p")
+    _write_report(args, f"anticorr_{tag}.json", ac.report_to_dict(report))
     ac.write_scan_delimited(report, out / f"anticorr_scan_{tag}.csv")
 
     lines = ["u_c,mode,n_positive,n_negative,within_positive,within_negative,between"]
     for row in report.rows:
         blocks = ac.block_averages(c, row.partition)
-
-        def fmt(x):
-            return "" if x is None else f"{x:.17g}"
-
+        averages = (blocks.within_positive, blocks.within_negative, blocks.between)
         lines.append(
             f"{u_c:g},{row.mode_index},{blocks.n_positive},{blocks.n_negative},"
-            f"{fmt(blocks.within_positive)},{fmt(blocks.within_negative)},"
-            f"{fmt(blocks.between)}"
+            + ",".join("" if x is None else f"{x:.17g}" for x in averages)
         )
     (out / f"block_averages_{tag}.csv").write_text("\n".join(lines) + "\n")
-    kept = len(report.rows)
     print(
-        f"anticorr u_c={u_c:g}: {kept} modes scanned, "
+        f"anticorr u_c={u_c:g}: {len(report.rows)} modes scanned, "
         f"{len(report.skipped)} skipped, trials={report.trials}"
     )
 
 
 def cmd_anticorr(args) -> int:
-    nr, _ = _normalized_returns(args)
-    c, spec = _spectrum_from_returns(nr)
+    c, spec, _ = _analysis_input(args)
     out = _out_dir(args)
-    thresholds = args.u_c or [sec.DEFAULT_STOCK_THRESHOLDS[-1]]
-    for u_c in thresholds:
+    for u_c in args.u_c or [sec.DEFAULT_STOCK_THRESHOLDS[-1]]:
         _run_scan(args, c, spec, u_c, out)
     if args.u_c_zero_scan:
         _run_scan(args, c, spec, 0.0, out)
@@ -239,10 +203,7 @@ def cmd_anticorr(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise DataError(f"market config not found: {cfg_path}")
-    market, config_seed = synth.load_market_spec(cfg_path)
+    market, config_seed = synth.load_market_spec(_existing(args.config, "market config"))
     seed = args.seed if args.seed is not None else config_seed
     nr, truth = synth.generate(market, seed=seed)
     panel = synth.prices_from_returns(nr)
@@ -252,21 +213,17 @@ def cmd_synth(args) -> int:
     metadata = synth.metadata_from_truth(truth, nr.assets)
     meta_lines = ["asset,category"] + [f"{a},{c}" for a, c in sorted(metadata.items())]
     (out / "metadata.csv").write_text("\n".join(meta_lines) + "\n")
-    _write_json(
-        out / "synth_report.json",
-        {
-            "config": _config_echo(args),
-            "seed": seed,
-            "n_assets": market.n_assets,
-            "n_observations": market.n_observations,
-            "n_blocks": len(market.blocks),
-            "artifacts": {
-                "panel": "panel.csv",
-                "ground_truth": "ground_truth.json",
-                "metadata": "metadata.csv",
-            },
+    _write_report(args, "synth_report.json", {
+        "seed": seed,
+        "n_assets": market.n_assets,
+        "n_observations": market.n_observations,
+        "n_blocks": len(market.blocks),
+        "artifacts": {
+            "panel": "panel.csv",
+            "ground_truth": "ground_truth.json",
+            "metadata": "metadata.csv",
         },
-    )
+    })
     print(
         f"synth: N={market.n_assets} T={market.n_observations} "
         f"blocks={len(market.blocks)} seed={seed}"
@@ -275,111 +232,81 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_panel_options(p: _Parser, input_required: bool = True) -> None:
-    p.add_argument("--input", required=input_required, help="delimited price file")
-    p.add_argument(
-        "--format",
-        choices=("long", "wide"),
-        default="long",
-        help="input layout (default: long)",
-    )
-    p.add_argument(
-        "--delta-t",
-        dest="delta_t",
-        type=int,
-        default=1,
-        help="return horizon in steps (default: 1)",
-    )
-    p.add_argument(
-        "--drop-zero-variance",
-        dest="drop_zero_variance",
-        action="store_true",
-        help="drop constant-return assets with a warning instead of failing",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="eigensectors", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    analyze = sub.add_parser("analyze", help="correlation spectrum vs the noise band")
+    sectors = sub.add_parser("sectors", help="sign-split subsector tables")
+    anticorr = sub.add_parser("anticorr", help="subsector cross-correlation scan")
+    synth_ = sub.add_parser("synth", help="generate a planted synthetic market")
 
-    p = sub.add_parser("analyze", help="correlation spectrum vs the noise band")
-    _add_panel_options(p)
-    p.add_argument("--margin", type=float, default=1.0, help="significance margin on the noise edge")
-    p.add_argument("--out-dir", dest="out_dir", default="out", help="artifact directory")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("sectors", help="sign-split subsector tables")
-    _add_panel_options(p, input_required=False)
-    p.add_argument("--matrix", help="reuse a saved corr_matrix.csv artifact")
-    p.add_argument(
+    # options are added in the order each stage's --help lists them
+    for p in (analyze, sectors, anticorr):
+        p.add_argument("--input", required=p is not sectors, help="delimited price file")
+        p.add_argument(
+            "--format",
+            choices=("long", "wide"),
+            default="long",
+            help="input layout (default: long)",
+        )
+        p.add_argument(
+            "--delta-t", type=int, default=1, help="return horizon in steps (default: 1)"
+        )
+        p.add_argument(
+            "--drop-zero-variance",
+            action="store_true",
+            help="drop constant-return assets with a warning instead of failing",
+        )
+    sectors.add_argument("--matrix", help="reuse a saved corr_matrix.csv artifact")
+    sectors.add_argument(
         "--u-c",
-        dest="u_c",
         type=float,
         action="append",
         help="component threshold; repeat for several (default: 0.08 0.10)",
     )
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--metadata", help="asset,category delimited file")
-    p.add_argument(
-        "--include-market-mode",
-        dest="include_market_mode",
-        action="store_true",
-        help="keep mode 0 even when single-signed",
-    )
-    p.add_argument("--out-dir", dest="out_dir", default="out")
-    p.set_defaults(func=cmd_sectors)
-
-    p = sub.add_parser("anticorr", help="subsector cross-correlation scan")
-    _add_panel_options(p)
-    p.add_argument(
+    anticorr.add_argument(
         "--u-c",
-        dest="u_c",
         type=float,
         action="append",
         help="scan threshold; repeat for several (default: 0.10)",
     )
-    p.add_argument(
-        "--u-c-zero-scan",
-        dest="u_c_zero_scan",
-        action="store_true",
-        help="also scan with u_c = 0 (pure sign split)",
+    anticorr.add_argument(
+        "--u-c-zero-scan", action="store_true", help="also scan with u_c = 0 (pure sign split)"
     )
-    p.add_argument("--trials", type=int, default=1000, help="baseline trials per mode")
-    p.add_argument("--seed", type=int, default=0, help="baseline RNG seed")
-    p.add_argument(
-        "--include-market-mode",
-        dest="include_market_mode",
-        action="store_true",
-    )
-    p.add_argument("--out-dir", dest="out_dir", default="out")
-    p.set_defaults(func=cmd_anticorr)
+    anticorr.add_argument("--trials", type=int, default=1000, help="baseline trials per mode")
+    anticorr.add_argument("--seed", type=int, default=0, help="baseline RNG seed")
+    for p in (analyze, sectors):
+        p.add_argument(
+            "--margin", type=float, default=1.0, help="significance margin on the noise edge"
+        )
+    sectors.add_argument("--metadata", help="asset,category delimited file")
+    for p in (sectors, anticorr):
+        p.add_argument(
+            "--include-market-mode", action="store_true", help="keep mode 0 even when single-signed"
+        )
+    synth_.add_argument("--config", required=True, help="JSON market description")
+    synth_.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
 
-    p = sub.add_parser("synth", help="generate a planted synthetic market")
-    p.add_argument("--config", required=True, help="JSON market description")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
-    p.add_argument("--out-dir", dest="out_dir", default="out")
-    p.set_defaults(func=cmd_synth)
-
+    for p, func in (
+        (analyze, cmd_analyze),
+        (sectors, cmd_sectors),
+        (anticorr, cmd_anticorr),
+        (synth_, cmd_synth),
+    ):
+        p.add_argument("--out-dir", default="out", help="artifact directory")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (EigensectorsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EigensectorsError as exc:  # any stragglers: treat as data problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ConfigurationError):
+            return 1
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -55,14 +55,14 @@ def mp_density(lam, q: float):
     return float(out[0]) if scalar else out
 
 
-def mp_cdf(lam, q: float, grid_points: int = 20001):
-    """Cumulative form of mp_density by dense trapezoid integration.
+def mp_cdf(lam, q: float):
+    """Cumulative form of mp_density by trapezoid integration on 20001 points.
 
     Normalized so the CDF reaches exactly 1 at the upper edge; adequate for
     distribution comparisons (KS-style) away from the q = 1 hard edge.
     """
     law = mp_bounds(q)
-    grid = np.linspace(law.lambda_min, law.lambda_max, grid_points)
+    grid = np.linspace(law.lambda_min, law.lambda_max, 20001)
     dens = mp_density(grid, q)
     cume = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))))
     cume /= cume[-1]
@@ -90,6 +90,8 @@ def significant_eigenvalues(spec: EigenSpectrum, margin: float = 1.0) -> Signifi
     """Select modes above the noise band, with Q = T/N from the spectrum's own T."""
     if not margin > 0.0:
         raise ConfigurationError(f"margin must be positive, got {margin!r}")
+    if not np.isfinite(margin):
+        raise ConfigurationError(f"margin must be finite, got {margin!r}")
     q = spec.n_observations / spec.n_assets
     law = mp_bounds(q)
     threshold = margin * law.lambda_max

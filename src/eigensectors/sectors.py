@@ -20,7 +20,6 @@ from .exceptions import ConfigurationError
 from .rmt import SignificantSet
 
 DEFAULT_STOCK_THRESHOLDS = (0.08, 0.10)
-DEFAULT_INDEX_THRESHOLDS = (0.15,)
 
 NULL_LABEL = "Null"
 UNLABELED = "Unlabeled"
@@ -71,19 +70,27 @@ class SectorRow:
     report: LabelReport
 
 
+def _threshold(u_c: float) -> float:
+    """u_c as a float; ConfigurationError unless 0 <= u_c < inf."""
+    u_c = float(u_c)
+    if u_c < 0.0:
+        raise ConfigurationError(f"threshold u_c must be >= 0, got {u_c!r}")
+    if not np.isfinite(u_c):
+        raise ConfigurationError(f"threshold u_c must be finite, got {u_c!r}")
+    return u_c
+
+
 def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorPartition:
     """Split mode alpha's components at +-u_c (non-strict at the threshold).
 
     u_c should exceed the delocalized component scale 1/sqrt(N); smaller
     positive values trigger a warning. u_c = 0 is the sanctioned sign-split
-    scan mode (strict inequalities). Negative u_c is rejected.
+    scan mode (strict inequalities). Negative or non-finite u_c is rejected.
     """
     n = spec.n_assets
     if not 0 <= alpha < n:
         raise IndexError(f"mode {alpha} out of range 0..{n - 1}")
-    u_c = float(u_c)
-    if u_c < 0.0:
-        raise ConfigurationError(f"threshold u_c must be >= 0, got {u_c!r}")
+    u_c = _threshold(u_c)
     scale = 1.0 / np.sqrt(n)
     if 0.0 < u_c <= scale:
         warnings.warn(
@@ -147,15 +154,18 @@ def sector_table(
 ) -> list[SectorRow]:
     """Label reports for every (threshold, significant mode, sign) combination.
 
-    Thresholds must be given ascending. Mode 0 is dropped when all its
-    components share one sign (the market mode carries no sign split),
-    unless include_market_mode is set.
+    Thresholds must be given ascending, each finite and >= 0, even when no
+    mode is significant. Mode 0 is dropped when all its components share
+    one sign (the market mode carries no sign split), unless
+    include_market_mode is set.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ConfigurationError("need at least one threshold")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ConfigurationError(f"thresholds must be strictly ascending: {thresholds}")
+    for u_c in thresholds:
+        _threshold(u_c)
     modes = list(significant.indices)
     if not include_market_mode and 0 in modes and is_single_signed(spec, 0):
         modes.remove(0)

@@ -109,10 +109,10 @@ def asset_names(n: int) -> tuple[str, ...]:
     return tuple(f"A{i:0{width}d}" for i in range(n))
 
 
-def _weekday_run(count: int, start: dt.date = dt.date(2000, 1, 3)) -> list[dt.date]:
-    """Consecutive weekdays (Mon-Fri), starting at a Monday."""
+def _weekday_run(count: int) -> list[dt.date]:
+    """Consecutive weekdays (Mon-Fri), starting on Monday 2000-01-03."""
     out = []
-    d = start
+    d = dt.date(2000, 1, 3)
     while len(out) < count:
         if d.weekday() < 5:
             out.append(d)
@@ -190,19 +190,16 @@ def population_correlation(spec: MarketSpec) -> CorrelationMatrix:
     )
 
 
-def prices_from_returns(
-    nr: NormalizedReturns,
-    scale: float = 0.02,
-    initial_price: float = 100.0,
-) -> PricePanel:
+def prices_from_returns(nr: NormalizedReturns) -> PricePanel:
     """Integrate normalized returns into a positive price panel.
 
-    Round-trips: loading the panel and recomputing normalized log-returns
-    at delta_t=1 reproduces ``nr.values`` up to float rounding, since
-    normalization absorbs both ``scale`` and ``initial_price``.
+    Log-prices step by 0.02 times each normalized return from a start price
+    of 100. Round-trips: loading the panel and recomputing normalized
+    log-returns at delta_t=1 reproduces ``nr.values`` up to float rounding,
+    since normalization absorbs both the step scale and the start price.
     """
-    log_prices = np.cumsum(scale * nr.values, axis=1)
-    prices = initial_price * np.exp(np.hstack([np.zeros((nr.n_assets, 1)), log_prices]))
+    log_prices = np.cumsum(0.02 * nr.values, axis=1)
+    prices = 100.0 * np.exp(np.hstack([np.zeros((nr.n_assets, 1)), log_prices]))
     first = nr.dates[0]
     prev = first - dt.timedelta(days=1)
     while prev.weekday() >= 5:

@@ -479,12 +479,6 @@ def log_returns(panel: PricePanel, delta_t: int = 1) -> ReturnMatrix:
     return ReturnMatrix(assets=panel.assets, dates=panel.dates[delta_t:], values=values)
 
 
-def zero_variance_assets(rm: ReturnMatrix) -> list[str]:
-    """Assets whose return series is constant (population std exactly zero)."""
-    stds = rm.values.std(axis=1)
-    return [a for a, s in zip(rm.assets, stds) if s == 0.0]
-
-
 def drop_assets(rm: ReturnMatrix, assets: Iterable[str]) -> ReturnMatrix:
     """Remove the given assets from a return matrix."""
     drop = set(assets)
@@ -497,8 +491,8 @@ def drop_assets(rm: ReturnMatrix, assets: Iterable[str]) -> ReturnMatrix:
 def normalize_returns(rm: ReturnMatrix) -> NormalizedReturns:
     """Standardize each asset's returns to mean 0, population std 1.
 
-    Raises ZeroVarianceError naming every constant-return asset; use
-    zero_variance_assets/drop_assets first to discard them instead.
+    Raises ZeroVarianceError naming every constant-return asset; pass its
+    ``assets`` to drop_assets to discard them instead.
     """
     means = rm.values.mean(axis=1)
     stds = rm.values.std(axis=1)

@@ -1,12 +1,13 @@
 """End-to-end command-line runs, in process, against synthetic panels."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from eigensectors import eigendecompose, load_matrix, mode_scan, mp_bounds, report_to_dict
-from eigensectors.cli import main
+from eigensectors.cli import build_parser, main
 
 MARKET_CONFIG = {
     "n_assets": 12,
@@ -356,6 +357,45 @@ def test_sectors_requires_a_source(tmp_path, capsys):
     assert "--input or --matrix" in capsys.readouterr().err
 
 
+def test_sectors_rejects_input_and_matrix(market_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+                 "--out-dir", str(analysis)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["sectors", "--input", str(market_dir / "panel.csv"),
+               "--matrix", str(analysis / "corr_matrix.csv"), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: sectors takes --input or --matrix, not both\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sectors", "--u-c", "nan"],
+        ["sectors", "--u-c", "inf"],
+        ["anticorr", "--u-c", "nan"],
+        ["anticorr", "--u-c", "inf"],
+        ["analyze", "--margin", "inf"],
+        ["sectors", "--margin", "inf"],
+        ["sectors", "--margin", "1e9", "--u-c", "nan"],  # no significant mode
+    ],
+    ids=["sectors_uc_nan", "sectors_uc_inf", "anticorr_uc_nan", "anticorr_uc_inf",
+         "analyze_margin_inf", "sectors_margin_inf", "sectors_no_modes_uc_nan"],
+)
+def test_non_finite_threshold_or_margin_is_a_configuration_error(market_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([*argv, "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_sectors_rejects_bad_threshold_ladder(market_dir, tmp_path, capsys):
     rc = main(
         ["sectors", "--input", str(market_dir / "panel.csv"), "--format", "wide",
@@ -438,6 +478,66 @@ def test_anticorr_rejects_small_trials(market_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "trials" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- option table
+
+# Each stage's options as (dest, type, default, choices, required, action).
+# Options shared by several stages are declared once in build_parser; this
+# table pins that the grouping adds, drops or changes none of them.
+OPTION_TABLE = {
+    "analyze": {
+        "--input": ("input", None, None, None, True, "_StoreAction"),
+        "--format": ("format", None, "long", ("long", "wide"), False, "_StoreAction"),
+        "--delta-t": ("delta_t", int, 1, None, False, "_StoreAction"),
+        "--drop-zero-variance": ("drop_zero_variance", None, False, None, False, "_StoreTrueAction"),
+        "--margin": ("margin", float, 1.0, None, False, "_StoreAction"),
+        "--out-dir": ("out_dir", None, "out", None, False, "_StoreAction"),
+    },
+    "sectors": {
+        "--input": ("input", None, None, None, False, "_StoreAction"),
+        "--format": ("format", None, "long", ("long", "wide"), False, "_StoreAction"),
+        "--delta-t": ("delta_t", int, 1, None, False, "_StoreAction"),
+        "--drop-zero-variance": ("drop_zero_variance", None, False, None, False, "_StoreTrueAction"),
+        "--matrix": ("matrix", None, None, None, False, "_StoreAction"),
+        "--u-c": ("u_c", float, None, None, False, "_AppendAction"),
+        "--margin": ("margin", float, 1.0, None, False, "_StoreAction"),
+        "--metadata": ("metadata", None, None, None, False, "_StoreAction"),
+        "--include-market-mode": ("include_market_mode", None, False, None, False, "_StoreTrueAction"),
+        "--out-dir": ("out_dir", None, "out", None, False, "_StoreAction"),
+    },
+    "anticorr": {
+        "--input": ("input", None, None, None, True, "_StoreAction"),
+        "--format": ("format", None, "long", ("long", "wide"), False, "_StoreAction"),
+        "--delta-t": ("delta_t", int, 1, None, False, "_StoreAction"),
+        "--drop-zero-variance": ("drop_zero_variance", None, False, None, False, "_StoreTrueAction"),
+        "--u-c": ("u_c", float, None, None, False, "_AppendAction"),
+        "--u-c-zero-scan": ("u_c_zero_scan", None, False, None, False, "_StoreTrueAction"),
+        "--trials": ("trials", int, 1000, None, False, "_StoreAction"),
+        "--seed": ("seed", int, 0, None, False, "_StoreAction"),
+        "--include-market-mode": ("include_market_mode", None, False, None, False, "_StoreTrueAction"),
+        "--out-dir": ("out_dir", None, "out", None, False, "_StoreAction"),
+    },
+    "synth": {
+        "--config": ("config", None, None, None, True, "_StoreAction"),
+        "--seed": ("seed", int, None, None, False, "_StoreAction"),
+        "--out-dir": ("out_dir", None, "out", None, False, "_StoreAction"),
+    },
+}
+
+
+def test_option_table_is_pinned():
+    (stages,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {
+        name: {
+            flag: (a.dest, a.type, a.default, a.choices, a.required, type(a).__name__)
+            for a in stage._actions
+            if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        }
+        for name, stage in stages.choices.items()
+    }
+    assert table == OPTION_TABLE
 
 
 # --------------------------------------------------------------- config echo

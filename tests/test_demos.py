@@ -1,4 +1,4 @@
-"""Each demo script runs to completion as its own process."""
+"""Each demo script runs to completion as its own process and cleans up after itself."""
 
 import os
 import subprocess
@@ -17,10 +17,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(scratch)}
     done = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    assert list(scratch.iterdir()) == []  # no temp files left behind

@@ -193,3 +193,6 @@ def test_margin_scales_threshold():
         significant_eigenvalues(spec, margin=0.0)
     with pytest.raises(ConfigurationError):
         significant_eigenvalues(spec, margin=-1.0)
+    for margin in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError):
+            significant_eigenvalues(spec, margin=margin)

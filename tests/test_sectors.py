@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eigensectors import (
-    DEFAULT_INDEX_THRESHOLDS,
     DEFAULT_STOCK_THRESHOLDS,
     ConfigurationError,
     MarketSpec,
@@ -86,6 +85,13 @@ def test_select_rejects_negative_threshold():
     spec = padded_mode([0.2, -0.15])
     with pytest.raises(ConfigurationError):
         select_components(spec, 0, -0.1)
+
+
+@pytest.mark.parametrize("u_c", [float("nan"), float("inf"), float("-inf")])
+def test_select_rejects_non_finite_threshold(u_c):
+    spec = padded_mode([0.2, -0.15])
+    with pytest.raises(ConfigurationError, match="threshold u_c must be"):
+        select_components(spec, 0, u_c)
 
 
 def test_select_warns_below_delocalized_scale():
@@ -225,7 +231,6 @@ def test_single_signed_detection():
 
 def test_default_threshold_ladders():
     assert DEFAULT_STOCK_THRESHOLDS == (0.08, 0.10)
-    assert DEFAULT_INDEX_THRESHOLDS == (0.15,)
 
 
 def test_table_recovers_planted_block():
@@ -295,6 +300,21 @@ def test_table_threshold_validation():
         sector_table(spec, sig, [0.10, 0.08], None)
     with pytest.raises(ConfigurationError):
         sector_table(spec, sig, [0.10, 0.10], None)
+
+
+@pytest.mark.parametrize("thresholds", [[float("nan")], [0.1, float("inf")], [-0.1]])
+@pytest.mark.parametrize("indices", [(0,), ()], ids=["significant", "none_significant"])
+def test_table_rejects_bad_threshold_without_rows(thresholds, indices):
+    # checked up front, so a table with no significant mode rejects it too
+    spec = padded_mode([0.5, -0.5])
+    sig = SignificantSet(
+        indices=indices,
+        eigenvalues=np.array([2.0][: len(indices)]),
+        ratios=np.array([2.0 / 2.25][: len(indices)]),
+        law=mp_bounds(4.0),
+    )
+    with pytest.raises(ConfigurationError, match="threshold u_c must be"):
+        sector_table(spec, sig, thresholds, None)
 
 
 def test_noise_modes_select_few_components():

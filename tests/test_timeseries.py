@@ -25,7 +25,6 @@ from eigensectors import (
     log_returns,
     normalize_returns,
     trim_to_common_range,
-    zero_variance_assets,
 )
 
 from helpers import (
@@ -643,7 +642,9 @@ def test_normalize_random_panels_unit_moments():
 
 def test_zero_variance_listing_and_drop():
     rm = returns([[1, 1, 1], [1, 2, 3], [4, 4, 4]], assets=("P", "Q", "R"))
-    assert zero_variance_assets(rm) == ["P", "R"]
+    with pytest.raises(ZeroVarianceError) as err:
+        normalize_returns(rm)
+    assert err.value.assets == ["P", "R"]
     kept = drop_assets(rm, ["P"])
     assert kept.assets == ("Q", "R")
     with pytest.raises(InsufficientDataError):
