@@ -3,7 +3,7 @@
 Each stage writes deterministic JSON and delimited artifacts into --out-dir
 (byte-identical for identical configuration and seed) and embeds the exact
 configuration it ran with. Exit codes: 0 success, 1 usage or configuration
-error, 2 data error, 3 numerical error.
+error, 2 data error, 3 numerical error or out of memory.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import anticorr as ac
@@ -89,7 +90,7 @@ def cmd_analyze(args) -> int:
     _write_report(args, "analysis_report.json", {
         "n_assets": c.n_assets,
         "n_observations": c.n_observations,
-        "q": c.n_observations / c.n_assets,
+        "q": sig.law.q,
         "lambda_min_noise": sig.law.lambda_min,
         "lambda_max_noise": sig.law.lambda_max,
         "mean_offdiagonal": cm.mean_offdiagonal(c),
@@ -103,7 +104,7 @@ def cmd_analyze(args) -> int:
     })
     print(
         f"analyze: N={c.n_assets} T={c.n_observations} "
-        f"Q={c.n_observations / c.n_assets:.3f} "
+        f"Q={sig.law.q:.3f} "
         f"noise band=[{sig.law.lambda_min:.4f}, {sig.law.lambda_max:.4f}] "
         f"significant={list(sig.indices)}"
     )
@@ -192,12 +193,15 @@ def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
 
 
 def cmd_anticorr(args) -> int:
+    thresholds = args.u_c or [sec.DEFAULT_STOCK_THRESHOLDS[-1]]
+    if args.u_c_zero_scan:
+        thresholds = thresholds + [0.0]
+    # every threshold is checked before the input is read, and each distinct one is scanned once
+    thresholds = dict.fromkeys(map(sec._threshold, thresholds))
     c, spec, _ = _analysis_input(args)
     out = _out_dir(args)
-    for u_c in args.u_c or [sec.DEFAULT_STOCK_THRESHOLDS[-1]]:
+    for u_c in thresholds:
         _run_scan(args, c, spec, u_c, out)
-    if args.u_c_zero_scan:
-        _run_scan(args, c, spec, 0.0, out)
     print(f"wrote scan artifacts under {out}")
     return 0
 
@@ -300,13 +304,17 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (EigensectorsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ConfigurationError):
-            return 1
-        return 3 if isinstance(exc, NumericalError) else 2
+    with warnings.catch_warnings():
+        # library notices print as one line, like the CLI's own warnings
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (EigensectorsError, OSError, MemoryError) as exc:
+            # a MemoryError raised by the interpreter itself carries no message
+            print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+            if isinstance(exc, ConfigurationError):
+                return 1
+            return 3 if isinstance(exc, (NumericalError, MemoryError)) else 2
 
 
 if __name__ == "__main__":

@@ -115,11 +115,9 @@ def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
     try:
         w, v = np.linalg.eigh(c.values)
     except np.linalg.LinAlgError as exc:
-        finite = np.isfinite(c.values).all()
         raise NumericalError(
             f"eigendecomposition failed: {exc} "
-            f"(N={c.n_assets}, finite={finite}, "
-            f"max|C|={np.abs(c.values).max():.3e})"
+            f"(N={c.n_assets}, max|C|={np.abs(c.values).max():.3e})"
         ) from exc
 
     anchors = np.argmax(np.abs(v), axis=0)

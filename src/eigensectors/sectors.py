@@ -87,18 +87,15 @@ def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorP
     positive values trigger a warning. u_c = 0 is the sanctioned sign-split
     scan mode (strict inequalities). Negative or non-finite u_c is rejected.
     """
-    n = spec.n_assets
-    if not 0 <= alpha < n:
-        raise IndexError(f"mode {alpha} out of range 0..{n - 1}")
+    u = spec.vector(alpha)
     u_c = _threshold(u_c)
-    scale = 1.0 / np.sqrt(n)
+    scale = 1.0 / np.sqrt(spec.n_assets)
     if 0.0 < u_c <= scale:
         warnings.warn(
             f"u_c={u_c:g} does not exceed the delocalized component scale "
             f"1/sqrt(N)={scale:.4f}; subsectors will pick up noise components",
             stacklevel=2,
         )
-    u = spec.vector(alpha)
     if u_c == 0.0:
         pos = np.flatnonzero(u > 0.0)
         neg = np.flatnonzero(u < 0.0)

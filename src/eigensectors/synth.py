@@ -21,7 +21,7 @@ import numpy as np
 
 from .corrmatrix import CorrelationMatrix
 from .exceptions import ConfigurationError
-from .timeseries import NormalizedReturns, PricePanel
+from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, normalize_returns
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,8 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
         )
     raw += spec.noise_std * noise_rng.standard_normal((n, t))
 
-    values = (raw - raw.mean(axis=1)[:, None]) / raw.std(axis=1)[:, None]
     dates = tuple(_weekday_run(t + 1)[1:])
-    nr = NormalizedReturns(assets=asset_names(n), dates=dates, values=values)
+    nr = normalize_returns(ReturnMatrix(asset_names(n), dates, raw))
     return nr, GroundTruth(
         blocks=truth_blocks,
         market_strength=spec.market_strength,

@@ -8,6 +8,7 @@ All statistics are population statistics (1/T divisors).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -96,9 +97,6 @@ class PricePanel:
     def n_dates(self) -> int:
         return len(self.dates)
 
-    def missing_mask(self) -> np.ndarray:
-        return np.isnan(self.prices)
-
 
 @dataclass
 class ReturnMatrix:
@@ -122,32 +120,17 @@ class ReturnMatrix:
         return self.values.shape[1]
 
 
-@dataclass
-class NormalizedReturns:
+class NormalizedReturns(ReturnMatrix):
     """Row-wise standardized returns: each row has mean 0 and population std 1."""
 
-    assets: tuple[str, ...]
-    dates: tuple[dt.date, ...]
-    values: np.ndarray
-
     def __post_init__(self):
-        self.assets = tuple(self.assets)
-        self.dates = tuple(self.dates)
-        self.values = np.asarray(self.values, dtype=float)
+        super().__post_init__()
         row_mean = self.values.mean(axis=1)
         row_std = self.values.std(axis=1)
         if np.abs(row_mean).max(initial=0.0) > 1e-12:
             raise ValidationError("normalized rows must have mean 0 within 1e-12")
         if np.abs(row_std - 1.0).max(initial=0.0) > 1e-12:
             raise ValidationError("normalized rows must have std 1 within 1e-12")
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
-    @property
-    def n_observations(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -173,12 +156,16 @@ class ShiftRule:
 
 
 def _read_bytes(source) -> bytes:
-    """The bytes of a path or file-like source; ParseError at the first byte that is not UTF-8."""
+    """The bytes of a path or file-like source, less a leading UTF-8 byte-order mark.
+
+    ParseError at the first byte that is not UTF-8.
+    """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
     else:
         data = source.read()
         data = data.encode() if isinstance(data, str) else data
+    data = data.removeprefix(codecs.BOM_UTF8)  # the same object when there is no mark
     if not data.isascii():  # ASCII is UTF-8; only other text pays for a full decode
         try:
             data.decode("utf-8")
@@ -309,9 +296,10 @@ def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
     rows = _rows(data, delim)
     with _csv_faults(rows):
         next(rows)  # the header
-        for line_no, row in enumerate(rows, start=2):
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
+            line_no = rows.line_num  # the row's last physical line; a quoted cell may span several
             if fmt == "long" and len(row) <= max(cols):
                 raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
             if fmt == "wide" and len(row) != len(header):
@@ -353,13 +341,13 @@ def load_metadata(source) -> dict[str, str]:
     mapping: dict[str, str] = {}
     rows = _rows(data, _delimiter(data))
     with _csv_faults(rows):
-        for line_no, row in enumerate(rows, start=1):
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 2:
-                raise ParseError("metadata rows need asset and category fields", line_no)
+                raise ParseError("metadata rows need asset and category fields", rows.line_num)
             asset = row[0].strip()
-            if line_no == 1 and asset.lower() == "asset":
+            if rows.line_num == 1 and asset.lower() == "asset":
                 continue
             mapping[asset] = row[1].strip()
     return mapping
@@ -467,7 +455,7 @@ def log_returns(panel: PricePanel, delta_t: int = 1) -> ReturnMatrix:
         raise InsufficientDataError(
             f"delta_t={delta_t} needs more than {panel.n_dates} dates"
         )
-    missing = panel.missing_mask()
+    missing = np.isnan(panel.prices)
     if missing.any():
         i, j = np.argwhere(missing)[0]
         raise ValidationError(

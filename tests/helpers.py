@@ -172,8 +172,8 @@ def load_prices_oracle(text, fmt="long"):
     if not lines:
         raise ParseError("empty input", 1)
     delim = "\t" if "\t" in lines[0] else ","
-    rows = list(csv.reader(io.StringIO(text), delimiter=delim))
-    header = [h.strip() for h in rows[0]]
+    rows = csv.reader(io.StringIO(text), delimiter=delim)
+    header = [h.strip() for h in next(rows)]
     obs = {}
 
     def record(asset, date, price):
@@ -193,9 +193,10 @@ def load_prices_oracle(text, fmt="long"):
             i_price = header.index("price")
         except ValueError as exc:
             raise ParseError(f"missing column in header: {exc}", 1) from None
-        for line_no, row in enumerate(rows[1:], start=2):
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
+            line_no = rows.line_num  # the last physical line of a row with a quoted line break
             if len(row) <= max(i_date, i_asset, i_price):
                 raise ParseError(f"expected at least {len(header)} fields, got {len(row)}", line_no)
             date = _oracle_date(row[i_date], line_no)
@@ -209,9 +210,10 @@ def load_prices_oracle(text, fmt="long"):
         asset_names = header[1:]
         if len(set(asset_names)) != len(asset_names):
             raise ValidationError("duplicate asset columns in wide header")
-        for line_no, row in enumerate(rows[1:], start=2):
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
+            line_no = rows.line_num  # the last physical line of a row with a quoted line break
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
             date = _oracle_date(row[0], line_no)

@@ -378,12 +378,14 @@ def test_sectors_rejects_input_and_matrix(market_dir, tmp_path, capsys):
         ["sectors", "--u-c", "inf"],
         ["anticorr", "--u-c", "nan"],
         ["anticorr", "--u-c", "inf"],
+        ["anticorr", "--u-c", "0.3", "--u-c", "nan"],  # checked before the 0.3 scan writes
         ["analyze", "--margin", "inf"],
         ["sectors", "--margin", "inf"],
         ["sectors", "--margin", "1e9", "--u-c", "nan"],  # no significant mode
     ],
     ids=["sectors_uc_nan", "sectors_uc_inf", "anticorr_uc_nan", "anticorr_uc_inf",
-         "analyze_margin_inf", "sectors_margin_inf", "sectors_no_modes_uc_nan"],
+         "anticorr_later_uc_nan", "analyze_margin_inf", "sectors_margin_inf",
+         "sectors_no_modes_uc_nan"],
 )
 def test_non_finite_threshold_or_margin_is_a_configuration_error(market_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -394,6 +396,25 @@ def test_non_finite_threshold_or_margin_is_a_configuration_error(market_dir, tmp
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be finite" in err and "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_library_notice_is_one_warning_line(tmp_path, capsys):
+    config = {
+        "n_assets": 60,
+        "n_observations": 300,
+        "blocks": [{"assets": list(range(10)), "loading": 2.0, "sign_pattern": [1] * 5 + [-1] * 5}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rc = main(["sectors", "--input", str(tmp_path / "panel.csv"), "--format", "wide",
+               "--u-c", "0.1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "warning: u_c=0.1 does not exceed the delocalized component scale 1/sqrt(N)=0.1291; "
+        "subsectors will pick up noise components\n"
+    )
 
 
 def test_sectors_rejects_bad_threshold_ladder(market_dir, tmp_path, capsys):
@@ -443,6 +464,31 @@ def test_anticorr_artifacts(market_dir, tmp_path, capsys):
     assert zero["u_c"] == 0.0
     # every mode splits at u_c = 0 on a noisy panel
     assert [m["mode"] for m in zero["modes"]] == list(range(12))
+
+
+@pytest.mark.parametrize(
+    ("flags", "tags"),
+    [
+        (["--u-c", "0", "--u-c-zero-scan"], ["0"]),
+        (["--u-c", "0.3", "--u-c", "0.4", "--u-c", "0.3"], ["0.3", "0.4"]),
+    ],
+    ids=["zero_scan_of_zero", "repeated"],
+)
+def test_anticorr_scans_each_distinct_threshold_once(market_dir, tmp_path, capsys, flags, tags):
+    rc = main(["anticorr", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               *flags, "--trials", "100", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    scans = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert scans == [f"anticorr u_c={tag}" for tag in tags]
+
+
+def test_anticorr_out_of_memory_exits_3(market_dir, tmp_path, capsys):
+    # numpy refuses a (10**15, N) baseline array at once: it exceeds the address space
+    rc = main(["anticorr", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--u-c", "0.3", "--trials", str(10**15), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_anticorr_report_json_is_report_to_dict(market_dir, tmp_path, capsys):

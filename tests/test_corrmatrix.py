@@ -1,5 +1,6 @@
 """Correlation matrix construction, eigendecomposition, persistence."""
 
+import codecs
 import tempfile
 from pathlib import Path
 
@@ -307,6 +308,14 @@ def test_load_reads_utf8_bytes_with_any_line_end(tmp_path, end):
     with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 0xff\)") as err:
         load_matrix(path)
     assert err.value.line_number == 3
+
+
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    c = correlation_matrix(noise_returns(3, 100, 13))
+    path = tmp_path / "corr.csv"
+    save_matrix(c, path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_matrix(path).assets == c.assets
 
 
 def test_load_rejects_missing_rows(tmp_path):

@@ -106,6 +106,8 @@ def test_select_mode_bounds():
         select_components(spec, -1, 0.1)
     with pytest.raises(IndexError):
         select_components(spec, 4, 0.1)
+    with pytest.raises(IndexError, match=r"^mode 4 out of range 0\.\.3$"):  # before the threshold
+        select_components(spec, 4, float("nan"))
 
 
 def test_select_records_anchor():

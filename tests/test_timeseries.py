@@ -1,3 +1,4 @@
+import codecs
 import datetime as dt
 import io
 import itertools
@@ -60,7 +61,7 @@ def test_load_long_all_cells_present():
     )
     assert p.assets == ("AAA", "BBB")
     assert p.n_dates == 3
-    assert not p.missing_mask().any()
+    assert not np.isnan(p.prices).any()
     assert p.prices[0, 0] == 10.0 and p.prices[1, 2] == 19.5
 
 
@@ -76,7 +77,7 @@ def test_load_long_absent_cell_marked_missing():
             ]
         )
     )
-    mask = p.missing_mask()
+    mask = np.isnan(p.prices)
     assert mask[0, 1] and mask.sum() == 1
 
 
@@ -140,7 +141,7 @@ def test_load_wide_with_missing_cells():
     )
     p = load_prices(io.StringIO(text), fmt="wide")
     assert p.assets == ("AAA", "BBB")
-    assert p.missing_mask()[0, 1]
+    assert np.isnan(p.prices)[0, 1]
     assert p.prices[1, 1] == 21.0
 
 
@@ -211,6 +212,24 @@ def test_load_utf8_names():
     p = load_prices(io.BytesIO(text.encode()), fmt="wide")
     assert p.assets == ("Zürich", "Åland")  # sorted by code point
     assert load_metadata(io.BytesIO("Åland,Énergie\n".encode())) == {"Åland": "Énergie"}
+
+
+@pytest.mark.parametrize(
+    ("fmt", "text"),
+    [
+        ("long", "date,asset,price\n2015-01-05,AAA,1\n2015-01-06,AAA,2\n2015-01-07,BBB,3\n"),
+        ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,1,2\n2015-01-07,1,3\n"),
+    ],
+    ids=["long", "wide"],
+)
+def test_load_skips_utf8_byte_order_mark(fmt, text):
+    marked = load_prices(io.BytesIO(codecs.BOM_UTF8 + text.encode()), fmt=fmt)
+    assert_same_outcome(marked, load_prices(io.StringIO(text), fmt=fmt))
+
+
+def test_load_metadata_skips_utf8_byte_order_mark():
+    marked = io.BytesIO(codecs.BOM_UTF8 + b"asset,category\nAAA,Tech\n")
+    assert load_metadata(marked) == {"AAA": "Tech"}
 
 
 def test_load_unknown_format_rejected():
@@ -407,6 +426,27 @@ def test_first_fault_in_file_order_wins(fmt, first, second):
     got = outcome(load_prices, io.StringIO(text), fmt)
     assert_same_outcome(got, outcome(load_prices_oracle, text, fmt))
     assert FAULT_MESSAGES[first] in str(got)
+
+
+@pytest.mark.parametrize(
+    ("fmt", "text"),
+    [
+        ("long", 'date,asset,price\n2015-01-05,"A\nB",1.0\n2015-01-06,AAA,bad\n'),
+        ("wide", 'date,"A\nB",CCC\n2015-01-05,1.0,2.0\n2015-01-06,bad,2.0\n'),
+    ],
+    ids=["long", "wide"],
+)
+def test_fault_after_quoted_line_break_names_its_physical_line(fmt, text):
+    check_against_oracle(text, fmt)
+    with pytest.raises(ParseError, match="unparsable price") as err:
+        load_prices(io.StringIO(text), fmt=fmt)
+    assert err.value.line_number == 4
+
+
+def test_metadata_fault_after_quoted_line_break_names_its_physical_line():
+    with pytest.raises(ParseError) as err:
+        load_metadata(io.StringIO('asset,category\n"A\nB",Tech\nCCC\n'))
+    assert err.value.line_number == 4
 
 
 # --- calendar alignment
