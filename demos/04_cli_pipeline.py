@@ -3,8 +3,11 @@
 Generates a market, analyzes its spectrum, extracts sectors, and scans
 for anti-correlated flows, all through the command-line entry point, then
 shows what each stage left on disk, in a temporary directory that is
-removed at the end. The same commands work verbatim in a shell once the
-package is installed (`eigensectors <subcommand> ...`).
+removed at the end. The price panel is parsed once: `analyze` saves the
+correlation matrix, and `sectors` and `anticorr` read it back with
+`--matrix` (its 17-digit numbers round-trip exactly, so their artifacts
+match an `--input` run byte for byte). The same commands work verbatim in
+a shell once the package is installed (`eigensectors <subcommand> ...`).
 
 Run: python3 demos/04_cli_pipeline.py
 """
@@ -45,14 +48,13 @@ def main():
         out = Path(tmp)
         cfg = out / "config.json"
         cfg.write_text(json.dumps(CONFIG, indent=2))
-        panel = str(out / "panel.csv")
-        wide = ["--format", "wide", "--out-dir", str(out)]
+        here = ["--out-dir", str(out)]
+        matrix = ["--matrix", str(out / "corr_matrix.csv")]  # written by analyze
 
-        run(["synth", "--config", str(cfg), "--out-dir", str(out)])
-        run(["analyze", "--input", panel, *wide])
-        run(["sectors", "--input", panel, "--metadata", str(out / "metadata.csv"),
-             "--u-c", "0.3", *wide])
-        run(["anticorr", "--input", panel, "--u-c", "0.3", "--trials", "200", *wide])
+        run(["synth", "--config", str(cfg), *here])
+        run(["analyze", "--input", str(out / "panel.csv"), "--format", "wide", *here])
+        run(["sectors", *matrix, "--metadata", str(out / "metadata.csv"), "--u-c", "0.3", *here])
+        run(["anticorr", *matrix, "--u-c", "0.3", "--trials", "200", *here])
 
         print(f"artifacts in {out}:")
         for p in sorted(out.iterdir()):

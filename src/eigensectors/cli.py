@@ -60,7 +60,7 @@ def _out_dir(args) -> Path:
 
 def _analysis_input(args) -> tuple[cm.CorrelationMatrix, cm.EigenSpectrum, list[str]]:
     """C, its spectrum and the dropped zero-variance assets, from --matrix or from prices."""
-    matrix = getattr(args, "matrix", None)  # only sectors has --matrix
+    matrix = getattr(args, "matrix", None)  # analyze has no --matrix
     if matrix and args.input:
         raise ConfigurationError(f"{args.command} takes --input or --matrix, not both")
     if matrix:
@@ -132,6 +132,7 @@ def cmd_sectors(args) -> int:
         metadata,
         include_market_mode=args.include_market_mode,
     )
+    thresholds = list(map(sec._threshold, thresholds))  # all checked by now; -0 becomes 0
     out = _out_dir(args)
     lines = ["u_c,mode,eigenvalue,sign,anchor_asset,dominant,matched,total,members"]
     for r in rows:
@@ -142,7 +143,7 @@ def cmd_sectors(args) -> int:
         )
     (out / "sectors.csv").write_text("\n".join(lines) + "\n")
     _write_report(args, "sectors.json", {
-        "thresholds": [float(t) for t in thresholds],
+        "thresholds": thresholds,
         "rows": [
             {
                 "u_c": r.threshold,
@@ -246,7 +247,7 @@ def build_parser() -> _Parser:
 
     # options are added in the order each stage's --help lists them
     for p in (analyze, sectors, anticorr):
-        p.add_argument("--input", required=p is not sectors, help="delimited price file")
+        p.add_argument("--input", required=p is analyze, help="delimited price file")
         p.add_argument(
             "--format",
             choices=("long", "wide"),
@@ -261,7 +262,8 @@ def build_parser() -> _Parser:
             action="store_true",
             help="drop constant-return assets with a warning instead of failing",
         )
-    sectors.add_argument("--matrix", help="reuse a saved corr_matrix.csv artifact")
+    for p in (sectors, anticorr):
+        p.add_argument("--matrix", help="reuse a saved corr_matrix.csv artifact")
     sectors.add_argument(
         "--u-c",
         type=float,

@@ -71,13 +71,13 @@ class SectorRow:
 
 
 def _threshold(u_c: float) -> float:
-    """u_c as a float; ConfigurationError unless 0 <= u_c < inf."""
+    """u_c as a float, negative zero as 0; ConfigurationError unless 0 <= u_c < inf."""
     u_c = float(u_c)
     if u_c < 0.0:
         raise ConfigurationError(f"threshold u_c must be >= 0, got {u_c!r}")
     if not np.isfinite(u_c):
         raise ConfigurationError(f"threshold u_c must be finite, got {u_c!r}")
-    return u_c
+    return u_c + 0.0
 
 
 def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorPartition:
@@ -161,8 +161,7 @@ def sector_table(
         raise ConfigurationError("need at least one threshold")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ConfigurationError(f"thresholds must be strictly ascending: {thresholds}")
-    for u_c in thresholds:
-        _threshold(u_c)
+    thresholds = [_threshold(u_c) for u_c in thresholds]
     modes = list(significant.indices)
     if not include_market_mode and 0 in modes and is_single_signed(spec, 0):
         modes.remove(0)

@@ -14,9 +14,10 @@ import datetime as dt
 import io
 import math
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
@@ -158,7 +159,7 @@ class ShiftRule:
 def _read_bytes(source) -> bytes:
     """The bytes of a path or file-like source, less a leading UTF-8 byte-order mark.
 
-    ParseError at the first byte that is not UTF-8.
+    ParseError at the first byte that is not UTF-8, or at a NUL byte, which no text holds.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -166,6 +167,9 @@ def _read_bytes(source) -> bytes:
         data = source.read()
         data = data.encode() if isinstance(data, str) else data
     data = data.removeprefix(codecs.BOM_UTF8)  # the same object when there is no mark
+    nul = data.find(b"\0")
+    if nul >= 0:
+        raise ParseError("NUL byte in text", len((data[:nul] + b".").splitlines()))
     if not data.isascii():  # ASCII is UTF-8; only other text pays for a full decode
         try:
             data.decode("utf-8")
@@ -198,13 +202,146 @@ def _delimiter(data: bytes) -> str:
     return "\t" if b"\t" in re.match(rb"[^\r\n]*", data)[0] else ","
 
 
+# The characters that str.strip() removes from ASCII text, line ends aside. A price
+# cell, missing marker included, must be ASCII, so this is all the padding it can have.
+_PAD = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
+_FIELD_LIMIT = csv.field_size_limit()
+
+
+def _body_patterns(delim: str) -> dict[str, tuple[tuple[re.Pattern, ...], re.Pattern]]:
+    """The byte patterns that turn a price file's body into what np.loadtxt reads as csv does.
+
+    Maps each layout to (hints, cleanup). cleanup matches, after a line end or
+    a delimiter (the lead): a row of blank cells, a quoted cell to step over,
+    or nothing after a lone CR; the wide layout's also matches a cell, not the
+    first of its row, that is empty or NA. cleanup changes nothing in a body
+    where no hint is found. re scans fast only for a pattern that begins with
+    one literal byte, as each hint does, so cleanup runs only where a hint
+    finds work.
+    """
+    d = re.escape(delim).encode()
+    pad_byte = b"[%s]" % re.escape(_PAD.replace(delim, "")).encode()
+    pad = pad_byte + b"*"
+    quoted_pad = b"[%s]*" % re.escape(_PAD + "\r\n").encode()
+    # csv reads an unclosed quote to the end of the input
+    blank = rb'(?:"%s(?:"|\Z)%s|%s)' % (quoted_pad, pad, pad)
+    missing = rb'(?:"%s(?:[Nn][Aa])?%s(?:"|\Z)%s|%s(?:[Nn][Aa])?%s)' % (
+        quoted_pad, quoted_pad, pad, pad, pad
+    )
+    hints = (
+        re.compile(rb"\r(?!\n)"),  # a lone CR
+        re.compile(rb'\n(?:%s[%s"]|%s+(?:[\r\n]|\Z))' % (pad, d, pad_byte)),  # where a blank row may start
+    )
+    # after a delimiter, what may start an empty, NA or quoted cell
+    gap = re.compile(rb'%s(?:[%s\r\n"Nn]|%s|\Z)' % (d, d, pad_byte))
+
+    def cleanup(cells: bytes) -> re.Pattern:
+        return re.compile(
+            rb"(?P<lead>\r(?!\n)|\r\n|\n|%s)(?:(?![0-9])(?:" % d  # no cell matched here starts with a digit
+            + rb"(?P<blank>(?<=[\r\n])%s(?:%s%s)*(?=[\r\n]|\Z))" % (blank, d, blank)
+            + cells
+            + rb'|(?P<quoted>"(?:[^"]|"")*(?:"|\Z))'
+            + rb")|(?<=\r))"
+        )
+
+    wide_cells = rb"|(?P<missing>(?<=%s)%s(?=[%s\r\n]|\Z))" % (d, missing, d)
+    return {"long": (hints, cleanup(b"")), "wide": ((*hints, gap), cleanup(wide_cells))}
+
+
+_BODY_PATTERNS = {delim: _body_patterns(delim) for delim in (",", "\t")}
+_SIGNED_NAN = (re.compile(rb"\+[Nn][Aa][Nn]"), re.compile(rb"-[Nn][Aa][Nn]"))
+
+
+def _cleaned(m: re.Match) -> bytes:
+    lead, found = m["lead"], m.lastgroup
+    if found == "quoted":  # the cell stays as it is
+        return (b"\n" if lead == b"\r" else lead) + m["quoted"]
+    if found == "missing":
+        return lead + b"nan"
+    return b"\n"  # a blank row, kept as an empty line, or a lone CR
+
+
+def _body(data: bytes, header_lines: int, delim: str, fmt: str) -> bytes:
+    """The rows after the header, as np.loadtxt must see them to read what csv reads.
+
+    Starts at the line end that closes the header. Outside quoted cells, rows
+    of blank cells become empty lines, a lone CR becomes LF and, in the wide
+    layout, an empty or NA cell becomes nan.
+    """
+    line_ends = re.finditer(rb"\r\n|\r|\n", data)
+    header_end = next(islice(line_ends, header_lines - 1, None), None)
+    body = data[header_end.start() :] if header_end else b""
+    hints, cleanup = _BODY_PATTERNS[delim][fmt]
+    if any(hint.search(body) for hint in hints):
+        body = cleanup.sub(_cleaned, body)
+    return body
+
+
+def _over_field_limit(body: bytes, delim: str) -> bool:
+    """True when an unquoted cell of body has more characters than csv's field size limit.
+
+    Such a cell covers a whole aligned block of half the limit, so only blocks
+    with no delimiter or line end are looked at more closely.
+    """
+    stops = (delim.encode(), b"\n", b"\r")
+    half = _FIELD_LIMIT // 2
+    for s in range(0, len(body), half):
+        if any(body.find(c, s, s + half) >= 0 for c in stops):
+            continue
+        start = max(body.rfind(c, 0, s) for c in stops) + 1
+        ends = [e for e in (body.find(c, s) for c in stops) if e >= 0]
+        cell = body[start : min(ends, default=len(body))].decode()
+        if len(cell) - cell.count('"') > _FIELD_LIMIT:  # quotes aside, a lower bound on its length
+            return True
+    return False
+
+
+def _table(body: bytes, delim: str, fields: Sequence[tuple], usecols=None) -> dict[str, np.ndarray]:
+    """The columns of one np.loadtxt pass over body with csv's quoting, a row per line.
+
+    fields are (name, dtype) pairs; a dtype of None is a text column, read as
+    bytes and returned at the width of its longest cell. ValueError for any
+    row that loadtxt rejects and for a cell over csv's field size limit.
+    """
+    if _over_field_limit(body, delim):
+        raise ValueError("cell over the field size limit")
+    width = {name: 16 for name, kind in fields if kind is None}
+    while True:
+        dtype = [(name, f"S{width[name]}" if kind is None else kind) for name, kind in fields]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                io.BytesIO(body), dtype=dtype, delimiter=delim, comments=None,
+                quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
+            )
+        longest = {name: int(np.char.str_len(table[name]).max(initial=1)) for name in width}
+        cut = [name for name in width if longest[name] == width[name]]
+        if not cut:
+            break
+        # a cell fills its field, so it may have been cut: read again with that field twice as wide
+        if any(width[name] > 4 * _FIELD_LIMIT for name in cut):  # more bytes than csv's limit of characters
+            raise ValueError("cell over the field size limit")
+        del table
+        for name in cut:
+            width[name] = min(2 * width[name], 4 * _FIELD_LIMIT + 1)
+    for name, n in longest.items():  # a quoted cell may hold delimiters: count its characters
+        cells = table[name][np.char.str_len(table[name]) > _FIELD_LIMIT] if n > _FIELD_LIMIT else []
+        if any(len(cell.decode()) > _FIELD_LIMIT for cell in cells):
+            raise ValueError("cell over the field size limit")
+    # the narrowest text columns sort fastest in _index
+    return {
+        name: table[name].astype(f"S{longest[name]}") if name in longest else table[name]
+        for name, _ in fields
+    }
+
+
 def load_prices(source, fmt: str = "long") -> PricePanel:
     """Read a delimited price file into a PricePanel.
 
     fmt="long": one observation per row with date, asset and price columns.
     fmt="wide": first column is the date, remaining headers are asset names;
-    empty cells mark missing observations. The delimiter is sniffed from the
-    header (comma vs tab).
+    empty or NA cells mark missing observations. The delimiter is sniffed from
+    the header (comma vs tab). Price cells are ASCII decimal floats.
 
     Raises ParseError (with a 1-based line number) for malformed rows and
     ValidationError for non-positive prices or duplicate observations.
@@ -231,34 +368,24 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         if len(set(header[1:])) != len(header) - 1:
             raise ValidationError("duplicate asset columns in wide header")
         cols = [0]
-    width = len(header)
-    cells: list[str] = []  # every kept row's cells in turn, each row cut or padded to width
-    # Any ValueError or csv.Error below means some row is bad; the row-by-row check finds the first.
+    # Any ValueError below means some row is bad; the row-by-row check finds the first.
     try:
-        for row in reader:
-            if len(row) != width or not row[cols[0]].strip():
-                if not any(c.strip() for c in row):
-                    continue
-                if fmt == "wide" or len(row) <= max(cols) or not row[cols[0]].strip():
-                    raise ValueError("malformed row")
-                row = row[:width] + [""] * (width - len(row))
-            cells += row
-        dates, d = _index(cells[cols[0]::width], lambda t: dt.date.fromisoformat(t.strip()))
+        body = _body(data, reader.line_num, delim, fmt)
         if fmt == "long":
-            assets, a = _index(cells[cols[1]::width], str.strip)
+            table = _table(body, delim, [("date", None), ("asset", None), ("price", float)], cols)
+            assets, a = _index(table["asset"], _text)
             if "" in assets:
                 raise ValueError("empty asset identifier")
-            values = np.array(cells[cols[2]::width], dtype=float)
+            dates, d = _index(table["date"], _date)
+            values = table["price"]
         else:
-            assets, a = _index(header[1:], str)
-            by_asset = chain.from_iterable(cells[j::width] for j in range(1, width))
-            texts = list(map(str.strip, by_asset))
-            values = np.array(list(map(_AS_NAN.get, texts, texts)), dtype=float)
-            missing = np.isnan(values)
-            if any(texts[i].upper() not in _MISSING for i in np.flatnonzero(missing)):
-                raise ValueError("unparsable price")
-            kept = np.flatnonzero(~missing)
-            a, d, values = a[kept // d.size], d[kept % d.size], values[kept]
+            if any(p.search(body) for p in _SIGNED_NAN):  # loadtxt reads it as NaN; csv's reading rejects it
+                raise ValueError("signed NaN")
+            table = _table(body, delim, [("date", None), ("price", (float, (len(header) - 1,)))])
+            assets, a = _index(np.array(header[1:]), str)
+            dates, d = _index(table["date"], _date)
+            row, col = np.nonzero(~np.isnan(table["price"]))
+            a, d, values = a[col], d[row], table["price"][row, col]
         if not ((values > 0.0) & (values < np.inf)).all():
             raise ValueError("price not finite and positive")
         grid = np.full((len(assets), len(dates)), np.nan)
@@ -266,7 +393,7 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         present = ~np.isnan(grid)
         if np.count_nonzero(present) != values.size:
             raise ValueError("duplicate observation")
-    except (ValueError, csv.Error):
+    except ValueError:
         _raise_first_fault(data, delim, fmt, header, cols)
     observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
     return PricePanel(
@@ -276,18 +403,37 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     )
 
 
-# Upper-cased wide cells that mark a missing observation, and the ones of
-# them that float() rejects, rewritten so that they parse to NaN.
+# Upper-cased wide cells that mark a missing observation.
 _MISSING = ("", "NA", "NAN")
-_AS_NAN = dict.fromkeys(("", "NA", "Na", "nA", "na"), "nan")
 
 
-def _index(texts: Sequence[str], key) -> tuple[list, np.ndarray]:
-    """The sorted distinct key(text) over texts, and each text's position among them."""
-    keyed = {t: key(t) for t in dict.fromkeys(texts)}
-    where = {k: j for j, k in enumerate(sorted(set(keyed.values())))}
-    position = {t: where[k] for t, k in keyed.items()}
-    return list(where), np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
+def _text(cell: bytes) -> str:
+    return cell.decode().strip()
+
+
+def _date(cell: bytes) -> dt.date:
+    return dt.date.fromisoformat(_text(cell))
+
+
+def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
+    """The sorted distinct key(text) over a text column, and each text's position among them.
+
+    Runs of one text are sorted once: a long file lists each date, or each asset, in a run.
+    """
+    starts = np.flatnonzero(np.concatenate(([texts.size > 0], texts[1:] != texts[:-1])))
+    distinct, inverse = np.unique(texts[starts], return_inverse=True)
+    keys = list(map(key, distinct.tolist()))
+    where = {k: j for j, k in enumerate(sorted(set(keys)))}
+    runs = np.diff(np.append(starts, texts.size))
+    return list(where), np.repeat(np.array([where[k] for k in keys], np.intp)[inverse], runs)
+
+
+def _price(cell: str) -> float:
+    """A price cell as np.loadtxt reads it: NaN unless an ASCII decimal float, padding aside."""
+    try:
+        return float(cell.strip()) if cell.isascii() and "_" not in cell else math.nan
+    except ValueError:
+        return math.nan
 
 
 def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
@@ -297,7 +443,7 @@ def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
     with _csv_faults(rows):
         next(rows)  # the header
         for row in rows:
-            if not row or all(not c.strip() for c in row):
+            if all(c.isascii() and not c.strip() for c in row):
                 continue
             line_no = rows.line_num  # the row's last physical line; a quoted cell may span several
             if fmt == "long" and len(row) <= max(cols):
@@ -309,19 +455,19 @@ def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
             except ValueError:
                 raise ParseError(f"unparsable date {row[cols[0]]!r}", line_no) from None
             if fmt == "long":
-                cells = [(row[cols[1]].strip(), row[cols[2]])]
-            else:
-                pairs = zip(header[1:], map(str.strip, row[1:]))
-                cells = [(asset, cell) for asset, cell in pairs if cell.upper() not in _MISSING]
-            for asset, cell in cells:
+                cells = [(row[cols[1]].strip(), row[cols[2]], row[cols[2]])]
+            else:  # (asset, cell, the cell as a message shows it)
+                pairs = zip(header[1:], row[1:])
+                cells = [
+                    (asset, cell, cell.strip()) for asset, cell in pairs
+                    if not (cell.isascii() and cell.strip().upper() in _MISSING)
+                ]
+            for asset, cell, shown in cells:
                 if not asset:  # wide headers have no empty names
                     raise ParseError("empty asset identifier", line_no)
-                try:
-                    price = float(cell)
-                except ValueError:
-                    price = math.nan
+                price = _price(cell)
                 if not math.isfinite(price):
-                    raise ParseError(f"unparsable price {cell!r}", line_no)
+                    raise ParseError(f"unparsable price {shown!r}", line_no)
                 if price <= 0.0:
                     raise ValidationError(f"non-positive price {price!r} for asset {asset!r} on {date}")
                 if (asset, date) in seen:

@@ -140,14 +140,20 @@ def _oracle_date(text, line_no):
         raise ParseError(f"unparsable date {text!r}", line_no) from None
 
 
-def _oracle_price(text, line_no):
+def _oracle_price(text, line_no, shown):
+    """A price cell: an ASCII decimal float, padding aside (no '_', no other digits)."""
     try:
-        value = float(text)
+        value = float(text.strip()) if text.isascii() and "_" not in text else math.nan
     except ValueError:
-        raise ParseError(f"unparsable price {text!r}", line_no) from None
+        value = math.nan
     if not math.isfinite(value):
-        raise ParseError(f"unparsable price {text!r}", line_no)
+        raise ParseError(f"unparsable price {shown!r}", line_no)
     return value
+
+
+def _blank(row):
+    """csv skips a row whose cells are all ASCII whitespace."""
+    return all(c.isascii() and not c.strip() for c in row)
 
 
 def _oracle_panel(obs, first_valid=None, asset_order=None):
@@ -194,7 +200,7 @@ def load_prices_oracle(text, fmt="long"):
         except ValueError as exc:
             raise ParseError(f"missing column in header: {exc}", 1) from None
         for row in rows:
-            if not row or all(not c.strip() for c in row):
+            if _blank(row):
                 continue
             line_no = rows.line_num  # the last physical line of a row with a quoted line break
             if len(row) <= max(i_date, i_asset, i_price):
@@ -203,7 +209,7 @@ def load_prices_oracle(text, fmt="long"):
             asset = row[i_asset].strip()
             if not asset:
                 raise ParseError("empty asset identifier", line_no)
-            record(asset, date, _oracle_price(row[i_price], line_no))
+            record(asset, date, _oracle_price(row[i_price], line_no, row[i_price]))
     else:
         if len(header) < 2:
             raise ParseError("wide header needs a date column plus asset columns", 1)
@@ -211,17 +217,17 @@ def load_prices_oracle(text, fmt="long"):
         if len(set(asset_names)) != len(asset_names):
             raise ValidationError("duplicate asset columns in wide header")
         for row in rows:
-            if not row or all(not c.strip() for c in row):
+            if _blank(row):
                 continue
             line_no = rows.line_num  # the last physical line of a row with a quoted line break
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
             date = _oracle_date(row[0], line_no)
-            for asset, cell in zip(asset_names, row[1:]):
-                cell = cell.strip()
-                if not cell or cell.upper() in ("NA", "NAN"):
+            for asset, raw in zip(asset_names, row[1:]):
+                cell = raw.strip()
+                if raw.isascii() and cell.upper() in ("", "NA", "NAN"):
                     continue
-                record(asset, date, _oracle_price(cell, line_no))
+                record(asset, date, _oracle_price(raw, line_no, cell))
     return _oracle_panel(obs)
 
 

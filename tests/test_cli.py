@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -351,24 +352,47 @@ def test_non_utf8_metadata_is_a_data_error(market_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_sectors_requires_a_source(tmp_path, capsys):
-    rc = main(["sectors", "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("stage", ["sectors", "anticorr"])
+def test_stage_requires_a_source(tmp_path, capsys, stage):
+    rc = main([stage, "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "--input or --matrix" in capsys.readouterr().err
 
 
-def test_sectors_rejects_input_and_matrix(market_dir, tmp_path, capsys):
+@pytest.mark.parametrize("stage", ["sectors", "anticorr"])
+def test_stage_rejects_input_and_matrix(market_dir, tmp_path, capsys, stage):
     analysis = tmp_path / "analysis"
     assert main(["analyze", "--input", str(market_dir / "panel.csv"), "--format", "wide",
                  "--out-dir", str(analysis)]) == 0
     capsys.readouterr()
     out = tmp_path / "out"
-    rc = main(["sectors", "--input", str(market_dir / "panel.csv"),
+    rc = main([stage, "--input", str(market_dir / "panel.csv"),
                "--matrix", str(analysis / "corr_matrix.csv"), "--out-dir", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: sectors takes --input or --matrix, not both\n"
+    assert err == f"error: {stage} takes --input or --matrix, not both\n"
     assert not out.exists()
+
+
+def test_anticorr_matrix_reuse_matches_input_route(market_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+                 "--out-dir", str(analysis)]) == 0
+    scan = ["--u-c", "0.3", "--u-c-zero-scan", "--trials", "150", "--include-market-mode"]
+    assert main(["anticorr", "--matrix", str(analysis / "corr_matrix.csv"), *scan,
+                 "--out-dir", str(tmp_path / "m")]) == 0
+    assert main(["anticorr", "--input", str(market_dir / "panel.csv"), "--format", "wide", *scan,
+                 "--out-dir", str(tmp_path / "i")]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in (tmp_path / "i").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "m").iterdir())
+    assert len(names) == 6
+    for name in names:
+        via_matrix, via_input = tmp_path / "m" / name, tmp_path / "i" / name
+        if name.endswith(".json"):  # the config echo names the route
+            assert _without_config(via_matrix) == _without_config(via_input)
+        else:
+            assert via_matrix.read_bytes() == via_input.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -415,6 +439,18 @@ def test_library_notice_is_one_warning_line(tmp_path, capsys):
         "warning: u_c=0.1 does not exceed the delocalized component scale 1/sqrt(N)=0.1291; "
         "subsectors will pick up noise components\n"
     )
+
+
+def test_sectors_reads_negative_zero_threshold_as_zero(market_dir, tmp_path, capsys):
+    rc = main(["sectors", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--u-c", "-0", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "thresholds [0.0]" in capsys.readouterr().out
+    report = json.loads((tmp_path / "sectors.json").read_text())
+    assert [math.copysign(1.0, t) for t in report["thresholds"]] == [1.0]
+    assert report["rows"] and all(math.copysign(1.0, r["u_c"]) == 1.0 for r in report["rows"])
+    rows = (tmp_path / "sectors.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("0,") for row in rows)
 
 
 def test_sectors_rejects_bad_threshold_ladder(market_dir, tmp_path, capsys):
@@ -470,9 +506,11 @@ def test_anticorr_artifacts(market_dir, tmp_path, capsys):
     ("flags", "tags"),
     [
         (["--u-c", "0", "--u-c-zero-scan"], ["0"]),
+        (["--u-c", "-0"], ["0"]),
+        (["--u-c", "-0", "--u-c-zero-scan"], ["0"]),
         (["--u-c", "0.3", "--u-c", "0.4", "--u-c", "0.3"], ["0.3", "0.4"]),
     ],
-    ids=["zero_scan_of_zero", "repeated"],
+    ids=["zero_scan_of_zero", "negative_zero", "zero_scan_of_negative_zero", "repeated"],
 )
 def test_anticorr_scans_each_distinct_threshold_once(market_dir, tmp_path, capsys, flags, tags):
     rc = main(["anticorr", "--input", str(market_dir / "panel.csv"), "--format", "wide",
@@ -480,6 +518,8 @@ def test_anticorr_scans_each_distinct_threshold_once(market_dir, tmp_path, capsy
     assert rc == 0
     scans = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
     assert scans == [f"anticorr u_c={tag}" for tag in tags]
+    files = sorted(path.name for path in tmp_path.glob("anticorr_uc*.json"))
+    assert files == sorted(f"anticorr_uc{tag.replace('.', 'p')}.json" for tag in tags)
 
 
 def test_anticorr_out_of_memory_exits_3(market_dir, tmp_path, capsys):
@@ -553,10 +593,11 @@ OPTION_TABLE = {
         "--out-dir": ("out_dir", None, "out", None, False, "_StoreAction"),
     },
     "anticorr": {
-        "--input": ("input", None, None, None, True, "_StoreAction"),
+        "--input": ("input", None, None, None, False, "_StoreAction"),
         "--format": ("format", None, "long", ("long", "wide"), False, "_StoreAction"),
         "--delta-t": ("delta_t", int, 1, None, False, "_StoreAction"),
         "--drop-zero-variance": ("drop_zero_variance", None, False, None, False, "_StoreTrueAction"),
+        "--matrix": ("matrix", None, None, None, False, "_StoreAction"),
         "--u-c": ("u_c", float, None, None, False, "_AppendAction"),
         "--u-c-zero-scan": ("u_c_zero_scan", None, False, None, False, "_StoreTrueAction"),
         "--trials": ("trials", int, 1000, None, False, "_StoreAction"),
@@ -606,7 +647,7 @@ PANEL_KEYS = {"command", "input", "format", "delta_t", "drop_zero_variance", "ou
             "anticorr",
             ["--format", "wide", "--trials", "100"],
             "anticorr_uc0p1.json",
-            PANEL_KEYS | {"u_c", "u_c_zero_scan", "trials", "seed", "include_market_mode"},
+            PANEL_KEYS | {"matrix", "u_c", "u_c_zero_scan", "trials", "seed", "include_market_mode"},
         ),
         ("synth", [], "synth_report.json", {"command", "config", "seed", "out_dir"}),
     ],

@@ -29,6 +29,7 @@ from eigensectors import (
 )
 
 from helpers import (
+    EDGE_FLOATS,
     align_calendar_oracle,
     days,
     forward_fill_oracle,
@@ -187,8 +188,10 @@ BIG = "1" + "0" * 200_000  # over csv's default field size limit of 131072 chara
     [
         ("wide", ["date,AAA,BBB", "2015-01-05,1,2", "2015-01-06,1,2", f"2015-01-07,{BIG},3"]),
         ("long", ["date,asset,price", "2015-01-05,AAA,1", "2015-01-06,AAA,1", f"2015-01-07,AAA,{BIG}"]),
+        ("long", ["date,asset,price", "2015-01-05,AAA,1", "2015-01-06,AAA,1", f"2015-01-07,{BIG},1"]),
+        ("long", ["date,asset,price", "2015-01-05,AAA,1", "2015-01-06,AAA,1", f'2015-01-07,"A,{BIG}",1']),
     ],
-    ids=["wide", "long"],
+    ids=["wide", "long", "long_asset", "long_quoted_asset"],
 )
 def test_load_oversized_cell_is_a_parse_error(fmt, lines):
     with pytest.raises(ParseError, match="field larger than field limit") as err:
@@ -261,8 +264,12 @@ def test_panel_rejects_unordered_dates_naming_first_pair():
 
 # --- vectorized ingest against the per-cell oracle in helpers
 
-MISSING_CELLS = ["", " ", "NA", "na", " NA ", "nan", "NaN"]
-PRICE_FORMATS = ["{!r}", "{:.4f}", " {!r} ", "{:g}"]
+# Quoted cells below put a line break only where csv strips it, so that a file
+# read with CRLF or CR line ends gives the same panel as the LF original.
+MISSING_CELLS = ["", " ", "NA", "na", " NA ", "nan", "NaN", '""', '"NA"', '"\n"']
+PRICE_FORMATS = ["{!r}", "{:.4f}", " {!r} ", "{:g}", "\x0b{!r}\t", '"{!r}"', '"{!r}\n"']
+DATE_FORMATS = ["{}", " {} ", '"{}"', '"\n{}"']
+LONG_NAME = "Z" * 300  # wider than the first guess at a text column's width
 
 
 def outcome(fn, *args):
@@ -285,20 +292,26 @@ def assert_same_outcome(got, want):
     assert got.first_valid == want.first_valid
 
 
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
 @st.composite
 def price_rows(draw, fmt):
     """(header, rows, delimiter) of a random small panel in one layout.
 
     Listings are staggered, cells go missing at random, price and date texts
-    vary in format and padding, and long rows come in random order.
+    vary in format, padding and quoting, and long rows come in random order,
+    some with extra trailing fields. Blank rows of several kinds fall between.
     """
     n = draw(st.integers(2, 4))
     d = draw(st.integers(3, 9))
-    pool = st.sampled_from(["AAA", "BBB", "CCC", "DDD", "x9"])
+    delim = draw(st.sampled_from([",", "\t"]))
+    pool = st.sampled_from(["AAA", "BBB", "CCC", "#x", "x9", LONG_NAME, f"A{delim}B", 'Q"R'])
     names = draw(st.lists(pool, min_size=n, max_size=n, unique=True))
     offsets = sorted(draw(st.sets(st.integers(0, 40), min_size=d, max_size=d)))
     dates = [dt.date(2015, 1, 1) + dt.timedelta(days=o) for o in offsets]
-    date_texts = [draw(st.sampled_from(["{}", " {} "])).format(x) for x in dates]
+    date_texts = [draw(st.sampled_from(DATE_FORMATS)).format(x) for x in dates]
     starts = draw(st.lists(st.integers(0, d // 2), min_size=n, max_size=n))
     cells = []
     for i in range(n):
@@ -310,18 +323,24 @@ def price_rows(draw, fmt):
                 price = draw(st.floats(0.01, 500.0))
                 row.append(draw(st.sampled_from(PRICE_FORMATS)).format(price))
         cells.append(row)
-    delim = draw(st.sampled_from([",", "\t"]))
     if fmt == "long":
         header = ["date", "asset", "price"]
-        rows = [
-            [date_texts[j], draw(st.sampled_from(["{}", " {}"])).format(names[i]), cells[i][j]]
-            for i in range(n)
-            for j in range(d)
-            if cells[i][j] is not None
+        name_cells = [
+            quoted(name) if delim in name or '"' in name else draw(st.sampled_from(["{}", " {}"])).format(name)
+            for name in names
         ]
+        rows = []
+        for i in range(n):
+            for j in range(d):
+                if cells[i][j] is None:
+                    continue
+                if draw(st.integers(0, 3)) == 0:  # the same asset, quoted with a line break
+                    name_cells[i] = quoted(names[i] + "\n")
+                extra = draw(st.lists(st.sampled_from(["", "x", "9", "#"]), max_size=2))
+                rows.append([date_texts[j], name_cells[i], cells[i][j], *extra])
         rows = draw(st.permutations(rows))
     else:
-        header = ["date", *names]
+        header = ["date", *(quoted(name) if delim in name or '"' in name else name for name in names)]
         missing = st.sampled_from(MISSING_CELLS)
         rows = [
             [date_texts[j]] + [draw(missing) if c[j] is None else c[j] for c in cells]
@@ -329,7 +348,7 @@ def price_rows(draw, fmt):
         ]
     rows = list(rows)
     for _ in range(draw(st.integers(0, 2))):
-        blank = draw(st.sampled_from([[], [" "], [""] * len(header)]))
+        blank = draw(st.sampled_from([[], [" "], [""] * len(header), ['""', " "], ["\x0b"]]))
         rows.insert(draw(st.integers(0, len(rows))), blank)
     return header, rows, delim
 
@@ -447,6 +466,112 @@ def test_metadata_fault_after_quoted_line_break_names_its_physical_line():
     with pytest.raises(ParseError) as err:
         load_metadata(io.StringIO('asset,category\n"A\nB",Tech\nCCC\n'))
     assert err.value.line_number == 4
+
+
+# np.loadtxt reads what csv reads only when its body is prepared; one case per trap.
+LOADTXT_TRAPS = {
+    "cr_line_ends": ("wide", "date,AAA,BBB\r2015-01-05,1,2\r2015-01-06,,3\r2015-01-07,2,NA\r"),
+    "whitespace_lines": ("long", "date,asset,price\n  \n2015-01-05,AAA,1\n\t\n2015-01-06,AAA,2\n , , \n"
+                                 '"",""\n2015-01-07,BBB,3\n \x0b'),
+    "wide_blank_rows": ("wide", "date,AAA,BBB\n , ,\n2015-01-05,1,2\n,,\n2015-01-06,1,2\n\"\",\" \",\n"
+                                "2015-01-07,1,3\n"),
+    "comment_char": ("long", "date,asset,price\n2015-01-05,#AAA,1\n2015-01-06,#AAA,2\n2015-01-07,B#,3\n"),
+    "comment_price": ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,#2,2\n2015-01-07,1,3\n"),
+    "quoted_delimiter": ("long", 'date,asset,price\n2015-01-05,"A,B",1\n"2015-01-06","A,B","2"\n'
+                                 "2015-01-07,C,3\n"),
+    "quoted_line_break": ("long", 'date,asset,price\n2015-01-05,"A\nB",1\n2015-01-06,"A\nB",2\n'
+                                  '"2015-01-07\n",C,"3\n"\n'),
+    "quoted_missing": ("wide", 'date,AAA,BBB\n2015-01-05,1,""\n2015-01-06,"NA",2\n2015-01-07,"\n",3\n'
+                               '2015-01-08,"5\n",3\n'),
+    "quoted_cell_holding_missing": ("wide", 'date\tAAA\n2015-01-06\t"\n \t"NA"\n2015-01-07\t1\n'),
+    "extra_fields": ("long", "date,asset,price\n2015-01-05,AAA,1,x,\n2015-01-06,AAA,2,\n2015-01-07,BBB,3\n"),
+    "long_name": ("long", f"date,asset,price\n2015-01-05,{'Z' * 300},1\n2015-01-06,{'Z' * 300},2\n"
+                          "2015-01-07,BBB,3\n"),
+    "padded_texts": ("long", "date\tasset\tprice\n 2015-01-05 \t AAA\t 1.5 \n2015-01-06\tAAA\t\x0b2\x1c\n"
+                             "2015-01-07\tBBB\t3\n"),
+    "signed_nan": ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,-nan,2\n2015-01-07,1,3\n"),
+    "unclosed_quote": ("wide", 'date,AAA\n2015-01-05,1\n2015-01-06,1\n2015-01-07,"\n'),
+    "one_asset_wide": ("wide", "date,AAA\n2015-01-05,1\n2015-01-06,\n2015-01-07,2\n"),
+}
+
+
+@pytest.mark.parametrize(("fmt", "text"), LOADTXT_TRAPS.values(), ids=LOADTXT_TRAPS.keys())
+def test_loadtxt_trap_matches_oracle(fmt, text):
+    want = outcome(load_prices_oracle, text.replace("\r", "\n"), fmt)  # the oracle counts LF lines only
+    assert_same_outcome(outcome(load_prices, io.BytesIO(text.encode()), fmt), want)
+
+
+@pytest.fixture
+def loadtxt_dtypes(monkeypatch):
+    """The dtype of each np.loadtxt call made while the test runs."""
+    calls, real = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(np.dtype(kwargs["dtype"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def test_wide_missing_cells_are_read_in_one_pass(loadtxt_dtypes):
+    text = 'date,AAA,BBB\n2015-01-05,1,\n2015-01-06,NA,2\n2015-01-07, na ,""\n2015-01-08,2,3\n'
+    got = load_prices(io.StringIO(text), fmt="wide")
+    assert len(loadtxt_dtypes) == 1
+    assert_same_outcome(got, load_prices_oracle(text, "wide"))
+
+
+def test_text_columns_widen_only_to_their_own_cells(loadtxt_dtypes):
+    name = "ACME_HOLDINGS_PLC_ORD"  # 21 characters, more than the first guess of 16
+    rows = [f"2015-01-{j:02d},{asset},{j}" for j in range(5, 25) for asset in (name, "B")]
+    rows[3] += "," + "x" * 5000  # an extra trailing field, which no column reads
+    text = "date,asset,price\n" + "\n".join(rows) + "\n"
+    got = load_prices(io.StringIO(text))
+    assert got.assets == (name, "B")
+    widths = [{k: dtype[k].itemsize for k in ("date", "asset")} for dtype in loadtxt_dtypes]
+    assert widths == [{"date": 16, "asset": 16}, {"date": 16, "asset": 32}]
+
+
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=3, max_size=8))
+def test_17_digit_prices_read_back_bit_identical(fmt, values):
+    values = [x for x in EDGE_FLOATS if 0.0 < x < math.inf] + values
+    dates = [dt.date(2015, 1, 1) + dt.timedelta(days=j) for j in range(len(values))]
+    if fmt == "long":
+        text = "date,asset,price\n" + "".join(f"{t},AAA,{x:.17g}\n{t},BBB,1\n" for t, x in zip(dates, values))
+    else:
+        text = "date,AAA,BBB\n" + "".join(f"{t},{x:.17g},1\n" for t, x in zip(dates, values))
+    p = load_prices(io.StringIO(text), fmt=fmt)
+    assert p.prices[0].tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\uff11\uff12", "\u00a05", "5\u3000"])
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+def test_price_cells_are_ascii_decimal_floats(fmt, cell):
+    if fmt == "long":
+        text = f"date,asset,price\n2015-01-05,AAA,1\n2015-01-06,AAA,{cell}\n2015-01-07,AAA,2\n"
+    else:
+        text = f"date,AAA\n2015-01-05,1\n2015-01-06,{cell}\n2015-01-07,2\n"
+    with pytest.raises(ParseError, match="unparsable price") as err:
+        load_prices(io.StringIO(text), fmt=fmt)
+    assert err.value.line_number == 3
+    assert_same_outcome(outcome(load_prices, io.StringIO(text), fmt), outcome(load_prices_oracle, text, fmt))
+
+
+@pytest.mark.parametrize("row", ["\u3000", "\u00a0,\u00a0"])
+def test_row_of_non_ascii_whitespace_is_not_blank(row):
+    text = f"date,AAA\n2015-01-05,1\n{row}\n2015-01-06,1\n2015-01-07,2\n"
+    with pytest.raises(ParseError) as err:
+        load_prices(io.StringIO(text), fmt="wide")
+    assert err.value.line_number == 3
+    assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
+
+
+def test_nul_byte_is_a_parse_error():
+    with pytest.raises(ParseError, match="NUL byte") as err:
+        load_prices(io.BytesIO(b"date,asset,price\n2015-01-05,AAA,1\n2015-01-06,A\0,1\n"))
+    assert err.value.line_number == 3
 
 
 # --- calendar alignment
