@@ -17,7 +17,9 @@ variance 1, so every one of these numbers is a function of C alone:
 
 and they are computed from C, never from the return series. The reference
 level is a random-combination baseline: the same weight magnitudes, all
-positive, assigned to random disjoint asset subsets of the same sizes.
+positive, assigned to random disjoint asset subsets of the same sizes. Each
+baseline trial is one uniform ordering of the assets; its first n+ assets
+take the plus weights and the next n- the minus weights.
 """
 
 from __future__ import annotations
@@ -80,11 +82,14 @@ def random_baseline(
 ) -> BaselineStats:
     """Correlation of two randomly drawn, disjoint, positively weighted combinations.
 
-    Each trial draws as many distinct assets as there are weights, uniformly,
-    splits them into a group per weight multiset, assigns the weight
-    magnitudes (made positive) to the groups in random order, and records the
-    raw and Pearson correlation of the two combinations. ``seed`` may be an
-    int or a numpy SeedSequence.
+    Each trial is one uniform random ordering of the N assets: the first n+
+    assets take the plus weight magnitudes and the next n- take the minus
+    ones, both in their given order and made positive. A uniform ordering
+    makes the assets that meet each weight a uniform random ordered draw, so
+    no further shuffle of the weights is needed. The trial records the raw
+    and Pearson correlation of the two combinations. All trials come from
+    one ``Generator.permuted`` call. ``seed`` may be an int or a numpy
+    SeedSequence.
     """
     w_plus = np.abs(np.asarray(weights[0], dtype=float))
     w_minus = np.abs(np.asarray(weights[1], dtype=float))
@@ -101,10 +106,10 @@ def random_baseline(
     rng = np.random.default_rng(seed)
     a = np.zeros((trials, n))
     b = np.zeros((trials, n))
-    for k in range(trials):
-        picked = rng.choice(n, size=n_plus + n_minus, replace=False)
-        a[k, picked[:n_plus]] = rng.permutation(w_plus)
-        b[k, picked[n_plus:]] = rng.permutation(w_minus)
+    rows = np.arange(trials)[:, None]
+    order = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)
+    a[rows, order[:, :n_plus]] = w_plus
+    b[rows, order[:, n_plus:n_plus + n_minus]] = w_minus
     raw_samples, pearson_samples = _cross_correlation(c.values, a, b)
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),

@@ -100,12 +100,12 @@ def baseline_oracle(nr: NormalizedReturns, weights, trials, seed):
     Returns (raw_samples, pearson_samples).
     """
     w_plus, w_minus = (np.abs(np.asarray(w, dtype=float)) for w in weights)
-    rng = np.random.default_rng(seed)
+    n = nr.n_assets
+    order = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
     out = []
-    for _ in range(trials):
-        picked = rng.choice(nr.n_assets, size=w_plus.size + w_minus.size, replace=False)
-        a = combination_series(nr, rng.permutation(w_plus), picked[: w_plus.size])
-        b = combination_series(nr, rng.permutation(w_minus), picked[w_plus.size :])
+    for picked in order:
+        a = combination_series(nr, w_plus, picked[: w_plus.size])
+        b = combination_series(nr, w_minus, picked[w_plus.size : w_plus.size + w_minus.size])
         out.append(series_cross_correlation(a, b))
     raw, pearson = np.array(out).T
     return raw, pearson

@@ -1,8 +1,11 @@
 """Subsector cross-correlation, random baselines, and the mode scan."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
+from scipy import stats
 
 from eigensectors import anticorr
 from eigensectors import (
@@ -259,6 +262,85 @@ def test_baseline_centered_on_zero_for_noise():
         bl = random_baseline(c, (np.full(1, 0.4), np.full(1, 0.4)), trials=200, seed=k)
         assert abs(bl.pearson_mean) < 3.0 * bl.pearson_std / np.sqrt(bl.n_trials)
         assert abs(bl.raw_mean) < 3.0 * bl.raw_std / np.sqrt(bl.n_trials)
+
+
+def drawn_placements(c, weights, samples):
+    """Index of each raw sample in the list of ordered asset placements.
+
+    A placement lists the assets under each plus weight, then under each
+    minus weight. On a small C with distinct off-diagonal entries every
+    placement has its own raw value (checked), so the sample names it.
+    """
+    w_plus, w_minus = (np.asarray(w, dtype=float) for w in weights)
+    n_plus = w_plus.size
+    placements = list(itertools.permutations(range(c.n_assets), n_plus + w_minus.size))
+    expected = np.array(
+        [w_plus @ c.values[np.ix_(p[:n_plus], p[n_plus:])] @ w_minus for p in placements]
+    )
+    assert np.diff(np.sort(expected)).min() > 1e-9
+    index = np.abs(samples[:, None] - expected).argmin(axis=1)
+    assert np.abs(expected[index] - samples).max() <= ORACLE_TOL
+    return placements, index
+
+
+def test_baseline_draws_every_ordered_pair_alike():
+    c = correlation_matrix(noise_returns(5, 50, 8))
+    weights = ([0.6], [0.5, 0.2])
+    bl = random_baseline(c, weights, trials=6000, seed=SeedSequence([0, 2]))
+    placements, index = drawn_placements(c, weights, bl.raw_samples)
+    # each ordered (plus asset, first minus asset) pair, and each full placement
+    pair_ids = {pair: k for k, pair in enumerate(itertools.permutations(range(c.n_assets), 2))}
+    pairs = np.array([pair_ids[p[:2]] for p in placements])[index]
+    assert stats.chisquare(np.bincount(pairs, minlength=len(pair_ids))).pvalue > 1e-3
+    assert stats.chisquare(np.bincount(index, minlength=len(placements))).pvalue > 1e-3
+
+
+def test_baseline_weight_assignments_alike():
+    # two distinct plus weights: either one lands on the lower-index asset of
+    # the drawn pair equally often, as a shuffle of the weights would give
+    c = correlation_matrix(noise_returns(5, 50, 8))
+    weights = ([0.7, 0.3], [0.5])
+    bl = random_baseline(c, weights, trials=6000, seed=SeedSequence([0, 3]))
+    placements, index = drawn_placements(c, weights, bl.raw_samples)
+    heavy_first = np.array([p[0] < p[1] for p in placements])[index]
+    assert stats.chisquare([heavy_first.sum(), (~heavy_first).sum()]).pvalue > 1e-3
+    assert stats.chisquare(np.bincount(index, minlength=len(placements))).pvalue > 1e-3
+
+
+def test_baseline_stream_is_pinned():
+    # any change to the baseline draws changes these; log it when it does
+    c = correlation_matrix(noise_returns(8, 200, 5))
+    bl = random_baseline(c, ([0.5, 0.3], [0.4, 0.2]), trials=50, seed=SeedSequence([0, 1]))
+    assert bl.pearson_mean == pytest.approx(0.050982448534628896, rel=0.0, abs=1e-12)
+    assert bl.raw_mean == pytest.approx(0.013816242765899753, rel=0.0, abs=1e-12)
+
+
+def test_baseline_generator_calls_do_not_grow_with_trials(monkeypatch):
+    calls = []
+    make_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    c = correlation_matrix(noise_returns(8, 200, 5))
+    counts = []
+    for trials in (100, 1000):
+        calls.clear()
+        random_baseline(c, ([0.5, 0.3], [0.4]), trials=trials, seed=0)
+        counts.append(len(calls))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]
 
 
 def test_baseline_validation():
