@@ -38,14 +38,18 @@ MIN_REPORT_TRIALS = 100
 
 
 def _cross_correlation(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray
+    c: np.ndarray, plus, w_plus, minus, w_minus
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and Pearson co-movement for each row pair of weight arrays a, b.
+    """Raw and Pearson co-movement of the two weighted combinations at each placement.
 
-    Row k of ``a`` and ``b`` holds the full-length (N) weights of the two
-    combinations; their supports must be disjoint. The Pearson value is NaN
-    where var_plus * var_minus <= 0; the raw value is always defined.
+    Row k of ``plus`` and of ``minus`` lists the disjoint assets that take
+    ``w_plus`` and ``w_minus``, in order. The Pearson value is NaN where
+    var_plus * var_minus <= 0; the raw value is always defined.
     """
+    a = np.zeros((len(plus), len(c)))
+    b = np.zeros_like(a)
+    np.put_along_axis(a, np.asarray(plus), w_plus, axis=1)
+    np.put_along_axis(b, np.asarray(minus), w_minus, axis=1)
     ac = a @ c
     bc = b @ c
     raw = np.einsum("ij,ij->i", ac, b)
@@ -104,13 +108,10 @@ def random_baseline(
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
-    a = np.zeros((trials, n))
-    b = np.zeros((trials, n))
-    rows = np.arange(trials)[:, None]
     order = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)
-    a[rows, order[:, :n_plus]] = w_plus
-    b[rows, order[:, n_plus:n_plus + n_minus]] = w_minus
-    raw_samples, pearson_samples = _cross_correlation(c.values, a, b)
+    raw_samples, pearson_samples = _cross_correlation(
+        c.values, order[:, :n_plus], w_plus, order[:, n_plus:n_plus + n_minus], w_minus
+    )
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),
         pearson_std=float(pearson_samples.std()),
@@ -196,14 +197,12 @@ def mode_scan(
                 SkippedMode(alpha, f"empty {' and '.join(empty)} side at u_c={u_c:g}")
             )
             continue
-        w_plus = np.zeros((1, n))
-        w_minus = np.zeros((1, n))
-        w_plus[0, list(part.positive)] = part.positive_weights
-        w_minus[0, list(part.negative)] = part.negative_weights
-        (c_raw,), (c_pearson,) = _cross_correlation(c.values, w_plus, w_minus)
+        (c_raw,), (c_pearson,) = _cross_correlation(
+            c.values, [part.positive], part.positive_weights, [part.negative], part.negative_weights
+        )
         baseline = random_baseline(
             c,
-            weights=(np.abs(part.positive_weights), np.abs(part.negative_weights)),
+            weights=(part.positive_weights, part.negative_weights),
             trials=trials,
             seed=np.random.SeedSequence([seed, alpha]),
         )

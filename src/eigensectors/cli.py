@@ -24,6 +24,7 @@ from .exceptions import (
     ConfigurationError,
     DataError,
     EigensectorsError,
+    InsufficientDataError,
     NumericalError,
     ZeroVarianceError,
 )
@@ -63,22 +64,28 @@ def _analysis_input(args) -> tuple[cm.CorrelationMatrix, cm.EigenSpectrum, list[
     matrix = getattr(args, "matrix", None)  # analyze has no --matrix
     if matrix and args.input:
         raise ConfigurationError(f"{args.command} takes --input or --matrix, not both")
+    dropped: list[str] = []
     if matrix:
         c = cm.load_matrix(_existing(matrix, "matrix artifact"))
-        return c, cm.eigendecompose(c), []
-    if not args.input:
+    elif not args.input:
         raise ConfigurationError(f"{args.command} needs --input or --matrix")
-    panel = ts.load_prices(_existing(args.input, "input file"), fmt=args.format)
-    rm = ts.log_returns(ts.trim_to_common_range(ts.forward_fill(panel)), delta_t=args.delta_t)
-    try:
-        nr, dropped = ts.normalize_returns(rm), []
-    except ZeroVarianceError as exc:
-        if not args.drop_zero_variance:
-            raise
-        dropped = exc.assets
-        print(f"warning: dropping zero-variance assets: {', '.join(dropped)}", file=sys.stderr)
-        nr = ts.normalize_returns(ts.drop_assets(rm, dropped))
-    c = cm.correlation_matrix(nr)
+    else:
+        panel = ts.load_prices(_existing(args.input, "input file"), fmt=args.format)
+        rm = ts.log_returns(ts.trim_to_common_range(ts.forward_fill(panel)), delta_t=args.delta_t)
+        try:
+            nr = ts.normalize_returns(rm)
+        except ZeroVarianceError as exc:
+            if not args.drop_zero_variance:
+                raise
+            dropped = exc.assets
+            print(f"warning: dropping zero-variance assets: {', '.join(dropped)}", file=sys.stderr)
+            nr = ts.normalize_returns(ts.drop_assets(rm, dropped))
+        c = cm.correlation_matrix(nr)
+    if c.n_observations < c.n_assets:  # the noise band and a full-rank C need T >= N
+        raise InsufficientDataError(
+            f"N={c.n_assets} assets need at least as many return observations, "
+            f"got T={c.n_observations}"
+        )
     return c, cm.eigendecompose(c), dropped
 
 

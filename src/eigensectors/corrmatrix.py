@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns, _read_bytes
+from .timeseries import NormalizedReturns, _integer, _read_bytes
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -35,6 +35,8 @@ class CorrelationMatrix:
         self.assets = tuple(self.assets)
         self.values = np.asarray(self.values, dtype=float)
         n = len(self.assets)
+        if len(set(self.assets)) != n:
+            raise ValidationError("duplicate asset names in correlation matrix")
         if self.values.shape != (n, n):
             raise ValidationError(f"matrix shape {self.values.shape} != ({n}, {n})")
         if self.n_observations < 1:
@@ -204,8 +206,8 @@ def load_matrix(path) -> CorrelationMatrix:
     if not sidecar.exists():
         raise ValidationError(f"missing matrix sidecar {sidecar}")
     try:
-        n_observations = int(json.loads(sidecar.read_text())["n_observations"])
-    except (ValueError, TypeError, KeyError) as exc:
+        n_observations = _integer(json.loads(sidecar.read_text())["n_observations"])
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ValidationError(
             f"matrix sidecar {sidecar} lacks a valid n_observations: {exc!r}"
         ) from None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,10 @@ import numpy as np
 
 from .corrmatrix import CorrelationMatrix
 from .exceptions import ConfigurationError
-from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, normalize_returns
+from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _integer, normalize_returns
+
+# generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
+MAX_OBSERVATIONS = int(np.busday_count("2000-01-04", "9999-12-31"))
 
 
 @dataclass(frozen=True)
@@ -52,16 +56,16 @@ class MarketSpec:
     def __post_init__(self):
         if self.n_assets < 2:
             raise ConfigurationError("need at least 2 assets")
-        if self.n_observations < 3:
-            raise ConfigurationError("need at least 3 observations")
-        if self.market_strength < 0:
-            raise ConfigurationError("market_strength must be >= 0")
-        if self.noise_std <= 0:
-            raise ConfigurationError("noise_std must be > 0")
+        if not 3 <= self.n_observations <= MAX_OBSERVATIONS:
+            raise ConfigurationError(f"need 3 to {MAX_OBSERVATIONS} observations")
+        if not 0 <= self.market_strength < np.inf:  # NaN fails too
+            raise ConfigurationError("market_strength must be finite and >= 0")
+        if not 0 < self.noise_std < np.inf:
+            raise ConfigurationError("noise_std must be finite and > 0")
         seen: set[int] = set()
         for k, block in enumerate(self.blocks):
-            if block.loading <= 0:
-                raise ConfigurationError(f"block {k}: loading must be > 0")
+            if not 0 < block.loading < np.inf:
+                raise ConfigurationError(f"block {k}: loading must be finite and > 0")
             if not block.assets:
                 raise ConfigurationError(f"block {k}: empty asset set")
             idx = set(block.assets)
@@ -133,7 +137,10 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
     market_rng = np.random.default_rng(streams[0])
     noise_rng = np.random.default_rng(streams[1])
 
-    raw = np.zeros((n, t))
+    try:
+        raw = np.zeros((n, t))
+    except ValueError:  # numpy cannot even describe a grid this large
+        raise MemoryError(f"a {n} x {t} return grid does not fit in memory") from None
     if spec.market_strength > 0:
         raw += spec.market_strength * market_rng.standard_normal(t)[None, :]
     truth_blocks: list[PlantedBlock] = []
@@ -251,10 +258,10 @@ def spec_from_dict(cfg: dict) -> MarketSpec:
     try:
         blocks = tuple(
             BlockSpec(
-                assets=tuple(int(i) for i in b["assets"]),
+                assets=tuple(_integer(i) for i in b["assets"]),
                 loading=float(b["loading"]),
                 sign_pattern=(
-                    tuple(int(s) for s in b["sign_pattern"])
+                    tuple(_integer(s) for s in b["sign_pattern"])
                     if b.get("sign_pattern") is not None
                     else None
                 ),
@@ -263,28 +270,36 @@ def spec_from_dict(cfg: dict) -> MarketSpec:
             for b in cfg.get("blocks", ())
         )
         return MarketSpec(
-            n_assets=int(cfg["n_assets"]),
-            n_observations=int(cfg["n_observations"]),
+            n_assets=_integer(cfg["n_assets"]),
+            n_observations=_integer(cfg["n_observations"]),
             market_strength=float(cfg.get("market_strength", 0.0)),
             noise_std=float(cfg.get("noise_std", 1.0)),
             blocks=blocks,
         )
     except KeyError as exc:
         raise ConfigurationError(f"market config missing key: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad market config value: {exc}") from None
+
+
+def _finite(token: str) -> float:
+    """A JSON number that is finite; NaN, Infinity and literals such as 1e400 are not."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"market config numbers must be finite, got {token}")
+    return value
 
 
 def load_market_spec(path) -> tuple[MarketSpec, int]:
     """Read a MarketSpec and its seed (default 0) from a JSON configuration file."""
     try:
-        cfg = json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigurationError(f"market config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("market config must be a JSON object")
     try:
-        seed = int(cfg.get("seed", 0))
+        seed = _integer(cfg.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad market config value: {exc}") from None
     return spec_from_dict(cfg), seed

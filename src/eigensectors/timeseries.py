@@ -60,14 +60,11 @@ class PricePanel:
     """N assets x D dates price grid. NaN marks a missing cell.
 
     Dates are strictly increasing; present prices are strictly positive.
-    ``first_valid`` is filled in by forward_fill and maps each asset to the
-    date of its first observation (the start of its usable range).
     """
 
     assets: tuple[str, ...]
     dates: tuple[dt.date, ...]
     prices: np.ndarray
-    first_valid: dict[str, dt.date] | None = None
 
     def __post_init__(self):
         self.assets = tuple(self.assets)
@@ -128,9 +125,9 @@ class NormalizedReturns(ReturnMatrix):
         super().__post_init__()
         row_mean = self.values.mean(axis=1)
         row_std = self.values.std(axis=1)
-        if np.abs(row_mean).max(initial=0.0) > 1e-12:
+        if not np.abs(row_mean).max(initial=0.0) <= 1e-12:  # NaN fails too
             raise ValidationError("normalized rows must have mean 0 within 1e-12")
-        if np.abs(row_std - 1.0).max(initial=0.0) > 1e-12:
+        if not np.abs(row_std - 1.0).max(initial=0.0) <= 1e-12:
             raise ValidationError("normalized rows must have std 1 within 1e-12")
 
 
@@ -154,6 +151,14 @@ class ShiftRule:
         self.target = weekday_number(self.target)
         if self.source == self.target:
             raise ConfigurationError("shift rule with source == target weekday")
+
+
+def _integer(value) -> int:
+    """``int(value)``, but ValueError for a number with a fractional part."""
+    whole = int(value)
+    if not isinstance(value, str) and whole != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return whole
 
 
 def _read_bytes(source) -> bytes:
@@ -538,7 +543,6 @@ def align_calendar(panel: PricePanel, rules: Sequence[ShiftRule]) -> PricePanel:
         assets=panel.assets,
         dates=tuple(dt.date.fromordinal(int(o)) for o in days[observed]),
         prices=grid[:, observed],
-        first_valid=dict(panel.first_valid) if panel.first_valid else None,
     )
 
 
@@ -554,19 +558,18 @@ def _first_valid(panel: PricePanel) -> np.ndarray:
 def forward_fill(panel: PricePanel) -> PricePanel:
     """Fill each missing cell with the asset's most recent observed price.
 
-    Leading gaps (before the first observation) remain missing; the returned
-    panel records each asset's first valid date. Idempotent.
+    Leading gaps (before the first observation) remain missing; trim_to_common_range
+    cuts them. Idempotent.
 
     Raises InsufficientDataError for an asset with no observations at all.
     """
-    first = _first_valid(panel)
+    _first_valid(panel)
     last = np.where(np.isnan(panel.prices), 0, np.arange(panel.n_dates))
     np.maximum.accumulate(last, axis=1, out=last)  # index of the latest observation
     return PricePanel(
         assets=panel.assets,
         dates=panel.dates,
         prices=np.take_along_axis(panel.prices, last, axis=1),
-        first_valid={a: panel.dates[j] for a, j in zip(panel.assets, first)},
     )
 
 
@@ -588,7 +591,6 @@ def trim_to_common_range(panel: PricePanel) -> PricePanel:
         assets=panel.assets,
         dates=panel.dates[start:],
         prices=panel.prices[:, start:],
-        first_valid=panel.first_valid,
     )
 
 
@@ -634,4 +636,8 @@ def normalize_returns(rm: ReturnMatrix) -> NormalizedReturns:
     if bad:
         raise ZeroVarianceError(bad)
     values = (rm.values - means[:, None]) / stds[:, None]
+    # a steady drift far above the noise leaves the scaled mean off 0 by ~1e-9;
+    # only rows that miss the 1e-12 check are centred again, so others keep their bits
+    drift = values.mean(axis=1)
+    values -= np.where(np.abs(drift) > 1e-12, drift, 0.0)[:, None]
     return NormalizedReturns(assets=rm.assets, dates=rm.dates, values=values)

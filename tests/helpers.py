@@ -8,8 +8,10 @@ import math
 import numpy as np
 
 from eigensectors import (
+    BlockSpec,
     EigenSpectrum,
     InsufficientDataError,
+    MarketSpec,
     NormalizedReturns,
     ParseError,
     PricePanel,
@@ -29,6 +31,18 @@ FIXTURE_4X4 = np.array(
         [0.15, 0.39, 1.00, 0.95],
         [0.11, 0.34, 0.95, 1.00],
     ]
+)
+
+# The benchmark's paper_scan shape: 259 assets over 2632 returns, a market
+# factor and four sign-split blocks.
+PAPER_SCAN = MarketSpec(
+    n_assets=259,
+    n_observations=2632,
+    market_strength=0.5,
+    blocks=tuple(
+        BlockSpec(tuple(range(start, start + size)), 1.0, (1, -1) * (size // 2), f"SEC{k}")
+        for k, (start, size) in enumerate([(0, 30), (30, 24), (54, 18), (72, 12)])
+    ),
 )
 
 
@@ -94,23 +108,6 @@ def series_cross_correlation(a, b) -> tuple[float, float]:
     return raw, float(np.mean(ac * bc) / denom) if denom > 0.0 else float("nan")
 
 
-def baseline_oracle(nr: NormalizedReturns, weights, trials, seed):
-    """Series oracle for random_baseline: the same draws, evaluated on the series.
-
-    Returns (raw_samples, pearson_samples).
-    """
-    w_plus, w_minus = (np.abs(np.asarray(w, dtype=float)) for w in weights)
-    n = nr.n_assets
-    order = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
-    out = []
-    for picked in order:
-        a = combination_series(nr, w_plus, picked[: w_plus.size])
-        b = combination_series(nr, w_minus, picked[w_plus.size : w_plus.size + w_minus.size])
-        out.append(series_cross_correlation(a, b))
-    raw, pearson = np.array(out).T
-    return raw, pearson
-
-
 def spectrum_with_mode(u, n_observations=1000):
     """Spectrum whose mode 0 is the given vector; other columns are basis fill.
 
@@ -156,7 +153,7 @@ def _blank(row):
     return all(c.isascii() and not c.strip() for c in row)
 
 
-def _oracle_panel(obs, first_valid=None, asset_order=None):
+def _oracle_panel(obs, asset_order=None):
     assets = tuple(asset_order) if asset_order is not None else tuple(sorted(obs))
     dates = tuple(sorted({d for per_asset in obs.values() for d in per_asset}))
     index = {d: j for j, d in enumerate(dates)}
@@ -164,12 +161,7 @@ def _oracle_panel(obs, first_valid=None, asset_order=None):
     for i, asset in enumerate(assets):
         for date, price in obs[asset].items():
             grid[i, index[date]] = price
-    return PricePanel(
-        assets=assets,
-        dates=dates,
-        prices=grid,
-        first_valid=dict(first_valid) if first_valid else None,
-    )
+    return PricePanel(assets=assets, dates=dates, prices=grid)
 
 
 def load_prices_oracle(text, fmt="long"):
@@ -249,7 +241,7 @@ def align_calendar_oracle(panel, rules):
                 value = per_asset.pop(date)
                 if target not in per_asset:
                     per_asset[target] = value
-    return _oracle_panel(obs, panel.first_valid, asset_order=panel.assets)
+    return _oracle_panel(obs, asset_order=panel.assets)
 
 
 def first_valid_oracle(panel):
@@ -274,12 +266,7 @@ def forward_fill_oracle(panel):
                 row[j] = last
             else:
                 last = row[j]
-    return PricePanel(
-        assets=panel.assets,
-        dates=panel.dates,
-        prices=prices,
-        first_valid={a: panel.dates[j] for a, j in zip(panel.assets, firsts)},
-    )
+    return PricePanel(assets=panel.assets, dates=panel.dates, prices=prices)
 
 
 def trim_oracle(panel):
@@ -290,10 +277,7 @@ def trim_oracle(panel):
             f"common range has {panel.n_dates - start} dates, need at least 3"
         )
     return PricePanel(
-        assets=panel.assets,
-        dates=panel.dates[start:],
-        prices=panel.prices[:, start:],
-        first_valid=panel.first_valid,
+        assets=panel.assets, dates=panel.dates[start:], prices=panel.prices[:, start:]
     )
 
 

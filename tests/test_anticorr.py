@@ -19,6 +19,7 @@ from eigensectors import (
     correlation_matrix,
     eigendecompose,
     generate,
+    mean_offdiagonal,
     mode_scan,
     normalize_returns,
     random_baseline,
@@ -28,7 +29,7 @@ from eigensectors import (
 )
 from helpers import (
     FIXTURE_4X4,
-    baseline_oracle,
+    PAPER_SCAN,
     combination_series,
     noise_returns,
     returns,
@@ -136,14 +137,43 @@ def test_scan_matches_series_oracle(panel_name, u_c):
 @pytest.mark.parametrize("u_c", [0.15, 0.0])
 @pytest.mark.parametrize("panel_name", ["one_block", "noise"])
 def test_baseline_matches_series_oracle(panel_name, u_c):
+    # the evaluator behind every baseline trial, handed explicit placements
+    # drawn here, so the check holds for any draw the baseline makes
     nr = oracle_panel(panel_name)
     c, spec = matrix_and_spectrum(nr)
     part = select_components(spec, 1, u_c)
-    weights = (part.positive_weights, part.negative_weights)
-    bl = random_baseline(c, weights, trials=60, seed=SeedSequence([0, 1]))
-    raw, pearson = baseline_oracle(nr, weights, trials=60, seed=SeedSequence([0, 1]))
-    assert np.abs(bl.raw_samples - raw).max() <= ORACLE_TOL
-    assert np.abs(bl.pearson_samples - pearson).max() <= ORACLE_TOL
+    w_plus, w_minus = part.positive_weights, part.negative_weights
+    n_plus, k = w_plus.size, w_plus.size + w_minus.size
+    order = default_rng(9).permuted(np.tile(np.arange(c.n_assets), (60, 1)), axis=1)
+    plus, minus = order[:, :n_plus], order[:, n_plus:k]
+    raw, pearson = anticorr._cross_correlation(c.values, plus, w_plus, minus, w_minus)
+    scale = np.abs(w_plus).sum() * np.abs(w_minus).sum()
+    for p, m, got_raw, got_pearson in zip(plus, minus, raw, pearson):
+        cross = w_plus @ c.values[np.ix_(p, m)] @ w_minus
+        var_plus = w_plus @ c.values[np.ix_(p, p)] @ w_plus
+        var_minus = w_minus @ c.values[np.ix_(m, m)] @ w_minus
+        assert abs(got_raw - cross) <= 1e-12 * scale
+        assert abs(got_pearson - cross / np.sqrt(var_plus * var_minus)) <= 1e-12
+        want = series_cross_correlation(
+            combination_series(nr, w_plus, p), combination_series(nr, w_minus, m)
+        )
+        assert abs(got_raw - want[0]) <= ORACLE_TOL
+        assert abs(got_pearson - want[1]) <= ORACLE_TOL
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_baseline_mean_is_exact_at_paper_scale():
+    # a uniform draw makes every off-diagonal ordered pair equally likely, so
+    # E[raw] = (sum |w+|)(sum |w-|) * mean_offdiagonal(C) for any such draw;
+    # this checks the draw at paper scale, which the 5-asset chi-square tests do not reach
+    c, spec = matrix_and_spectrum(generate(PAPER_SCAN, seed=1)[0])
+    report = mode_scan(c, spec, 0.10, trials=1000, seed=1)
+    assert len(report.rows) > 200
+    level = mean_offdiagonal(c)
+    for row in report.rows:
+        part, bl = row.partition, row.baseline
+        exact = np.abs(part.positive_weights).sum() * np.abs(part.negative_weights).sum() * level
+        assert abs(bl.raw_mean - exact) <= 5.0 * bl.raw_std / np.sqrt(bl.n_trials)
 
 
 # ---------------------------------------------------------- cross product

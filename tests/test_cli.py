@@ -352,6 +352,35 @@ def test_non_utf8_metadata_is_a_data_error(market_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "short.csv", "--format", "wide"],
+        ["sectors", "--input", "short.csv", "--format", "wide"],
+        ["anticorr", "--input", "short.csv", "--format", "wide", "--trials", "100"],
+        ["sectors", "--matrix", "corr.csv"],
+        ["anticorr", "--matrix", "corr.csv", "--trials", "100"],
+    ],
+    ids=["analyze", "sectors", "anticorr", "sectors_matrix", "anticorr_matrix"],
+)
+def test_fewer_observations_than_assets_is_a_data_error(tmp_path, capsys, argv):
+    # 20 assets over 10 dates give T=9 returns: C is rank-deficient and Q < 1
+    prices = np.exp(np.cumsum(0.01 * np.random.default_rng(0).standard_normal((20, 10)), axis=1))
+    dates = [f"2015-01-{d:02d}" for d in range(5, 15)]
+    rows = [",".join([d, *map(repr, col)]) for d, col in zip(dates, prices.T.tolist())]
+    header = ",".join(["date", *(f"S{i:02d}" for i in range(20))])
+    (tmp_path / "short.csv").write_text("\n".join([header, *rows]) + "\n")
+    (tmp_path / "corr.csv").write_text("X,Y,Z\n1,0,0\n0,1,0\n0,0,1\n")
+    (tmp_path / "corr.meta.json").write_text('{"n_observations": 2}\n')
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    n, t = (3, 2) if "--matrix" in argv else (20, 9)
+    err = capsys.readouterr().err
+    assert err == f"error: N={n} assets need at least as many return observations, got T={t}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["sectors", "anticorr"])
 def test_stage_requires_a_source(tmp_path, capsys, stage):
     rc = main([stage, "--out-dir", str(tmp_path)])

@@ -129,6 +129,15 @@ def test_rejects_shape_mismatch():
         CorrelationMatrix(assets=("X", "Y", "Z"), values=np.eye(2), n_observations=10)
 
 
+def test_rejects_duplicate_names(tmp_path):
+    # a price file with duplicate columns is rejected; so is a matrix header
+    path = tmp_path / "corr.csv"
+    path.write_text("A,A\n1,0.5\n0.5,1\n")
+    path.with_suffix(".meta.json").write_text('{"n_observations": 50}\n')
+    with pytest.raises(ValidationError, match="duplicate asset names"):
+        load_matrix(path)
+
+
 # ------------------------------------------------------------- eigenstructure
 
 
@@ -261,7 +270,17 @@ def test_load_requires_sidecar(tmp_path):
         load_matrix(path)
 
 
-@pytest.mark.parametrize("sidecar", ["{not json", '{"n_assets": 3}', '{"n_observations": "many"}'])
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        "{not json",
+        '{"n_assets": 3}',
+        '{"n_observations": "many"}',
+        '{"n_observations": 1e400}',
+        '{"n_observations": 99.5}',
+        '{"n_observations": NaN}',
+    ],
+)
 def test_load_rejects_bad_sidecar(tmp_path, sidecar):
     c = correlation_matrix(noise_returns(3, 100, 12))
     path = tmp_path / "corr.csv"

@@ -31,7 +31,7 @@ from eigensectors import (
     select_components,
     write_panel_wide,
 )
-from eigensectors.synth import asset_names, spec_from_dict, truth_to_dict
+from eigensectors.synth import MAX_OBSERVATIONS, asset_names, spec_from_dict, truth_to_dict
 from helpers import EDGE_FLOATS, days, spectrum_of, write_panel_wide_oracle
 
 ONE_BLOCK = MarketSpec(
@@ -189,12 +189,21 @@ def test_spec_validation():
         dict(n_assets=5, n_observations=2),
         dict(n_assets=5, n_observations=100, market_strength=-0.1),
         dict(n_assets=5, n_observations=100, noise_std=0.0),
+        # NaN compares False, so a plain "< 0" check lets it through
+        dict(n_assets=5, n_observations=100, market_strength=float("nan")),
+        dict(n_assets=5, n_observations=100, market_strength=float("inf")),
+        dict(n_assets=5, n_observations=100, noise_std=float("nan")),
+        dict(n_assets=5, n_observations=100, noise_std=float("inf")),
+        # the weekday dates of the returns would run past 9999-12-31
+        dict(n_assets=5, n_observations=MAX_OBSERVATIONS + 1),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
             MarketSpec(**kwargs)
     bad_blocks = [
         BlockSpec(assets=(0, 1), loading=0.0),
+        BlockSpec(assets=(0, 1), loading=float("nan")),
+        BlockSpec(assets=(0, 1), loading=float("inf")),
         BlockSpec(assets=(), loading=1.0),
         BlockSpec(assets=(0, 0), loading=1.0),
         BlockSpec(assets=(0, 9), loading=1.0),
@@ -249,15 +258,47 @@ def test_spec_from_dict_errors():
         spec_from_dict({"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0]}]})
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"n_assets": 5, "n_observations": 1e400},  # JSON's 1e400 parses as inf
+        {"n_assets": 5.5, "n_observations": 100},
+        {"n_assets": 5, "n_observations": 100.5},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, 1.5], "loading": 1.0}]},
+        {"n_assets": 5, "n_observations": 100,
+         "blocks": [{"assets": [0, 1], "loading": 1.0, "sign_pattern": [1, -1.5]}]},
+    ],
+    ids=["infinite_count", "fractional_assets", "fractional_observations", "fractional_index",
+         "fractional_sign"],
+)
+def test_spec_from_dict_wants_whole_numbers(cfg):
+    with pytest.raises(ConfigurationError, match="bad market config value"):
+        spec_from_dict(cfg)
+    # an integral float still reads as its integer
+    assert spec_from_dict({"n_assets": 5.0, "n_observations": 100}) == MarketSpec(5, 100)
+
+
+def test_generate_too_large_a_grid_is_out_of_memory():
+    with pytest.raises(MemoryError, match="does not fit"):
+        generate(MarketSpec(n_assets=10**20, n_observations=5))
+
+
 def test_load_market_spec(tmp_path):
     path = tmp_path / "market.json"
     path.write_text(json.dumps({"n_assets": 4, "n_observations": 50}))
     assert load_market_spec(path) == (MarketSpec(4, 50), 0)
     path.write_text(json.dumps({"n_assets": 4, "n_observations": 50, "seed": 9}))
     assert load_market_spec(path) == (MarketSpec(4, 50), 9)
-    path.write_text(json.dumps({"n_assets": 4, "n_observations": 50, "seed": "x"}))
-    with pytest.raises(ConfigurationError, match="bad market config value"):
-        load_market_spec(path)
+    for seed in ('"x"', "2.5"):
+        path.write_text(f'{{"n_assets": 4, "n_observations": 50, "seed": {seed}}}')
+        with pytest.raises(ConfigurationError, match="bad market config value"):
+            load_market_spec(path)
+    # no number of the document may be non-finite, not even one that names a block
+    for field in ('"seed": 1e400', '"seed": NaN', '"market_strength": Infinity',
+                  '"blocks": [{"assets": [0], "loading": 1.0, "name": NaN}]'):
+        path.write_text(f'{{"n_assets": 4, "n_observations": 50, {field}}}')
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            load_market_spec(path)
     path.write_text("{not json")
     with pytest.raises(ConfigurationError, match="JSON"):
         load_market_spec(path)

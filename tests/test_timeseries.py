@@ -13,23 +13,28 @@ from eigensectors import (
     ConfigurationError,
     EigensectorsError,
     InsufficientDataError,
+    NormalizedReturns,
     ParseError,
     PricePanel,
     ShiftRule,
     ValidationError,
     ZeroVarianceError,
     align_calendar,
+    correlation_matrix,
     drop_assets,
     forward_fill,
+    generate,
     load_metadata,
     load_prices,
     log_returns,
     normalize_returns,
+    prices_from_returns,
     trim_to_common_range,
 )
 
 from helpers import (
     EDGE_FLOATS,
+    PAPER_SCAN,
     align_calendar_oracle,
     days,
     forward_fill_oracle,
@@ -289,7 +294,6 @@ def assert_same_outcome(got, want):
     assert got.assets == want.assets
     assert got.dates == want.dates
     assert np.array_equal(got.prices, want.prices, equal_nan=True)
-    assert got.first_valid == want.first_valid
 
 
 def quoted(text):
@@ -645,7 +649,6 @@ def test_align_calendar_matches_oracle(data):
         )
     )
     p = panel(grid, dates=days(d, start))
-    p.first_valid = data.draw(st.sampled_from([None, {"A0": p.dates[0]}]))
     sources = data.draw(st.lists(st.integers(0, 6), max_size=3, unique=True))
     rules = [
         ShiftRule(
@@ -682,12 +685,12 @@ def test_forward_fill_identity_when_complete():
     assert np.array_equal(q.prices, p.prices)
 
 
-def test_forward_fill_leading_gap_records_first_valid():
+def test_forward_fill_keeps_leading_gap():
     p = panel([[None, 5, 6], [7, 8, 9]])
     q = forward_fill(p)
     assert math.isnan(q.prices[0, 0])  # leading gap stays missing
-    assert q.first_valid["A0"] == q.dates[1]
-    assert q.first_valid["A1"] == q.dates[0]
+    assert list(q.prices[0, 1:]) == [5, 6]
+    assert list(q.prices[1]) == [7, 8, 9]
     with pytest.raises(InsufficientDataError):
         trim_to_common_range(q)  # only 2 common dates survive here
     wide = panel([[None, 5, 6, 7], [7, 8, 9, 10]])
@@ -709,7 +712,6 @@ def test_forward_fill_idempotent():
         once = forward_fill(p)
         twice = forward_fill(once)
         assert np.array_equal(once.prices, twice.prices, equal_nan=True)
-        assert once.first_valid == twice.first_valid
 
 
 def test_forward_fill_rejects_empty_asset():
@@ -803,6 +805,33 @@ def test_normalize_random_panels_unit_moments():
         nr = normalize_returns(returns(vals))
         assert np.abs(nr.values.mean(axis=1)).max() < 1e-12
         assert np.abs(nr.values.std(axis=1) - 1.0).max() < 1e-12
+
+
+def test_normalized_rows_reject_nan():
+    # NaN fails every comparison, so a "> 1e-12" check alone lets it through
+    unit = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2 / 3)
+    with pytest.raises(ValidationError, match="mean 0"):
+        NormalizedReturns(assets=("A", "B"), dates=days(3), values=[[np.nan] * 3, unit])
+
+
+def test_normalize_recentres_a_steady_drift():
+    # 0.01 per step plus 1e-9 noise: after scaling the tiny deviations up,
+    # the row means sit ~1e-9 off 0 until the rows are centred again
+    steps = 0.01 + 1e-9 * np.random.default_rng(0).standard_normal((3, 300))
+    rm = log_returns(panel(np.exp(np.cumsum(steps, axis=1)).tolist()))
+    nr = normalize_returns(rm)
+    assert np.abs(nr.values.mean(axis=1)).max() <= 1e-12
+    assert np.abs(nr.values.std(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_normalize_keeps_centred_rows_bit_identical():
+    # rows that pass the mean check are not centred again, so C keeps its bits
+    rm = log_returns(prices_from_returns(generate(PAPER_SCAN, seed=1)[0]))
+    means, stds = rm.values.mean(axis=1), rm.values.std(axis=1)
+    plain = NormalizedReturns(rm.assets, rm.dates, (rm.values - means[:, None]) / stds[:, None])
+    nr = normalize_returns(rm)
+    assert np.array_equal(nr.values, plain.values)
+    assert np.array_equal(correlation_matrix(nr).values, correlation_matrix(plain).values)
 
 
 def test_zero_variance_listing_and_drop():
