@@ -18,8 +18,15 @@ variance 1, so every one of these numbers is a function of C alone:
 and they are computed from C, never from the return series. The reference
 level is a random-combination baseline: the same weight magnitudes, all
 positive, assigned to random disjoint asset subsets of the same sizes. Each
-baseline trial is one uniform ordering of the assets; its first n+ assets
-take the plus weights and the next n- the minus weights.
+baseline trial is a uniform ordered draw of k = n+ + n- distinct assets; the
+first n+ take the plus weights and the next n- the minus weights.
+
+A trial needs only the k x k block of C on its assets. While k is small
+(k^2 <= _GATHER_RATIO * N^1.5) each trial's assets come from a partial
+Fisher-Yates shuffle over the first k positions, and the three quadratic
+forms from the blocks C[P, P], C[M, M] and C[P, M] gathered for chunks of
+trials of bounded size: O(k^2) work per trial. Nearer k = N (u_c = 0 gives
+k = N) a full shuffle per trial and two dense products with C cost less.
 """
 
 from __future__ import annotations
@@ -35,6 +42,24 @@ from .exceptions import ConfigurationError
 from .sectors import SubsectorPartition, select_components
 
 MIN_REPORT_TRIALS = 100
+# Route rule of the baseline. A gathered trial costs ~k^2 and a dense one
+# ~N^1.5 (the BLAS runs faster as N grows); the gather is used while
+# k^2 <= _GATHER_RATIO * N^1.5. At 100 trials on one CPU the two routes broke
+# even at k^2 / N^1.5 of 0.34-0.60 for N from 66 to 1000 (see CHANGES.md);
+# the low end is taken, so the gather is not the slower route at those N.
+_GATHER_RATIO = 0.35
+# Cells (8 bytes each) in one chunk of gathered trials: of the (chunk, N)
+# index array while they are drawn, of their gathered blocks while they are
+# evaluated.
+_CHUNK_CELLS = 1 << 17
+
+
+def _pearson(raw: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """raw / sqrt(denom), NaN where denom <= 0."""
+    pearson = np.full(raw.shape, np.nan)
+    ok = denom > 0.0
+    pearson[ok] = raw[ok] / np.sqrt(denom[ok])
+    return pearson
 
 
 def _cross_correlation(
@@ -44,7 +69,8 @@ def _cross_correlation(
 
     Row k of ``plus`` and of ``minus`` lists the disjoint assets that take
     ``w_plus`` and ``w_minus``, in order. The Pearson value is NaN where
-    var_plus * var_minus <= 0; the raw value is always defined.
+    var_plus * var_minus <= 0; the raw value is always defined. Dense: each
+    placement costs two N x N matrix-vector products.
     """
     a = np.zeros((len(plus), len(c)))
     b = np.zeros_like(a)
@@ -54,10 +80,50 @@ def _cross_correlation(
     bc = b @ c
     raw = np.einsum("ij,ij->i", ac, b)
     denom = np.einsum("ij,ij->i", ac, a) * np.einsum("ij,ij->i", bc, b)
-    pearson = np.full(raw.shape, np.nan)
-    ok = denom > 0.0
-    pearson[ok] = raw[ok] / np.sqrt(denom[ok])
-    return raw, pearson
+    return raw, _pearson(raw, denom)
+
+
+def _gathered_cross_correlation(
+    c: np.ndarray, plus: np.ndarray, w_plus, minus: np.ndarray, w_minus
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_cross_correlation`` from the blocks of C on each placement's own assets.
+
+    Each quadratic form w_R^T C[R, S] w_S is one gather of every placement's
+    |R| x |S| block and one dot product per placement with the flattened
+    outer product of the weights: O(k^2) per placement. The dot products are
+    one stacked ``matmul``, not a matrix-vector product over all placements,
+    whose bits can depend on how many placements it is given; this way a
+    placement's values do not. A ``c`` that is not C-contiguous is copied on
+    each call.
+    """
+    n = len(c)
+    cells = c.ravel()
+
+    def form(rows, cols, w_rows, w_cols):
+        block = cells.take((rows * n)[:, :, None] + cols[:, None, :])
+        return (block.reshape(len(rows), 1, -1) @ np.outer(w_rows, w_cols).ravel())[:, 0]
+
+    raw = form(plus, minus, w_plus, w_minus)
+    denom = form(plus, plus, w_plus, w_plus) * form(minus, minus, w_minus, w_minus)
+    return raw, _pearson(raw, denom)
+
+
+def _first_positions(targets: np.ndarray, n: int) -> np.ndarray:
+    """The first k positions of a partial Fisher-Yates shuffle of range(n), per trial.
+
+    Row t of ``targets`` holds trial t's swap targets, with targets[t, j] in
+    [j, n). Step j swaps positions j and targets[:, j] of every trial at once,
+    so the loop runs over the k positions, never over trials. Position j is
+    final after step j and never read again, so only its partner is written.
+    """
+    m, k = targets.shape
+    order = np.repeat(np.arange(n), m)  # position p of trial t at p * m + t
+    swap = targets.T * m + np.arange(m)
+    drawn = np.empty((k, m), dtype=order.dtype)
+    for j in range(k):
+        drawn[j] = order.take(swap[j])
+        order.put(swap[j], order[j * m:(j + 1) * m].copy())  # a view would copy all of order
+    return drawn.T
 
 
 @dataclass
@@ -86,32 +152,60 @@ def random_baseline(
 ) -> BaselineStats:
     """Correlation of two randomly drawn, disjoint, positively weighted combinations.
 
-    Each trial is one uniform random ordering of the N assets: the first n+
-    assets take the plus weight magnitudes and the next n- take the minus
-    ones, both in their given order and made positive. A uniform ordering
-    makes the assets that meet each weight a uniform random ordered draw, so
-    no further shuffle of the weights is needed. The trial records the raw
-    and Pearson correlation of the two combinations. All trials come from
-    one ``Generator.permuted`` call. ``seed`` may be an int or a numpy
-    SeedSequence.
+    Each trial draws k = n+ + n- distinct assets as a uniform ordered draw:
+    the first n+ take the plus weight magnitudes and the next n- the minus
+    ones, both in their given order and made positive. A uniform ordered draw
+    makes the assets that meet each weight uniform, so no shuffle of the
+    weights is needed. The trial records the raw and Pearson correlation of
+    the two combinations. ``seed`` may be an int or a numpy SeedSequence.
+
+    The route depends on (k, N) alone. While k^2 <= _GATHER_RATIO * N^1.5,
+    one ``Generator.integers`` call draws every trial's swap targets, k per
+    trial with target j in [j, N), for a partial Fisher-Yates shuffle over the
+    first k positions. Trials are then drawn, and evaluated on their gathered
+    blocks of C, in chunks of about _CHUNK_CELLS cells; as the targets are
+    drawn up front and each trial is evaluated on its own, the samples do not
+    depend on the chunk size. Above that k, one ``Generator.permuted`` call
+    orders all N assets of every trial and the dense evaluator runs.
     """
     w_plus = np.abs(np.asarray(weights[0], dtype=float))
     w_minus = np.abs(np.asarray(weights[1], dtype=float))
     n_plus, n_minus = w_plus.size, w_minus.size
     n = c.n_assets
+    k = n_plus + n_minus
     if n_plus < 1 or n_minus < 1:
         raise ConfigurationError(f"subset sizes must be >= 1, got ({n_plus}, {n_minus})")
-    if n_plus + n_minus > n:
+    if k > n:
         raise ConfigurationError(
             f"subset sizes {n_plus}+{n_minus} exceed the {n} available assets"
         )
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+    try:  # before any draw: a count no array can hold fails at once
+        raw_samples, pearson_samples = np.empty(trials), np.empty(trials)
+    except ValueError:
+        raise MemoryError(f"{trials} baseline trials do not fit in memory") from None
     rng = np.random.default_rng(seed)
-    order = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)
-    raw_samples, pearson_samples = _cross_correlation(
-        c.values, order[:, :n_plus], w_plus, order[:, n_plus:n_plus + n_minus], w_minus
-    )
+    if k * k > _GATHER_RATIO * n**1.5:
+        order = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)
+        raw_samples[:], pearson_samples[:] = _cross_correlation(
+            c.values, order[:, :n_plus], w_plus, order[:, n_plus:k], w_minus
+        )
+    else:
+        targets = rng.integers(np.arange(k), n, size=(trials, k))
+        step = max(1, _CHUNK_CELLS // n)
+        drawn = np.concatenate(
+            [_first_positions(targets[lo:lo + step], n) for lo in range(0, trials, step)]
+        )
+        values = np.ascontiguousarray(c.values)
+        step = max(1, _CHUNK_CELLS // (k * k))
+        for lo in range(0, trials, step):
+            chunk = drawn[lo:lo + step]
+            raw_samples[lo:lo + step], pearson_samples[lo:lo + step] = (
+                _gathered_cross_correlation(
+                    values, chunk[:, :n_plus], w_plus, chunk[:, n_plus:], w_minus
+                )
+            )
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),
         pearson_std=float(pearson_samples.std()),

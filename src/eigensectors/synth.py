@@ -26,6 +26,9 @@ from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _integer, n
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
 MAX_OBSERVATIONS = int(np.busday_count("2000-01-04", "9999-12-31"))
+# Largest market strength, noise scale or loading: the squares that standardize
+# a row of MAX_OBSERVATIONS raw returns stay far from float overflow
+MAX_SCALE = 1e100
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,14 @@ class MarketSpec:
             raise ConfigurationError("need at least 2 assets")
         if not 3 <= self.n_observations <= MAX_OBSERVATIONS:
             raise ConfigurationError(f"need 3 to {MAX_OBSERVATIONS} observations")
-        if not 0 <= self.market_strength < np.inf:  # NaN fails too
-            raise ConfigurationError("market_strength must be finite and >= 0")
-        if not 0 < self.noise_std < np.inf:
-            raise ConfigurationError("noise_std must be finite and > 0")
+        if not 0 <= self.market_strength <= MAX_SCALE:  # NaN fails too
+            raise ConfigurationError(f"market_strength must be >= 0 and <= {MAX_SCALE:g}")
+        if not 0 < self.noise_std <= MAX_SCALE:
+            raise ConfigurationError(f"noise_std must be > 0 and <= {MAX_SCALE:g}")
         seen: set[int] = set()
         for k, block in enumerate(self.blocks):
-            if not 0 < block.loading < np.inf:
-                raise ConfigurationError(f"block {k}: loading must be finite and > 0")
+            if not 0 < block.loading <= MAX_SCALE:
+                raise ConfigurationError(f"block {k}: loading must be > 0 and <= {MAX_SCALE:g}")
             if not block.assets:
                 raise ConfigurationError(f"block {k}: empty asset set")
             idx = set(block.assets)

@@ -161,6 +161,23 @@ def test_baseline_matches_series_oracle(panel_name, u_c):
         assert abs(got_pearson - want[1]) <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("n, k", [(40, 2), (40, 9), (40, 10), (40, 40), (259, 2), (259, 38)])
+def test_gathered_and_dense_evaluators_agree(n, k):
+    # k = 9 and 38 are the largest k on the gather route at N = 40 and 259;
+    # the two evaluators sum in different orders, so they agree to rounding
+    c = correlation_matrix(noise_returns(n, 4 * n, n + k)).values
+    rng = default_rng(k)
+    n_plus = k // 2
+    w_plus, w_minus = rng.uniform(-1.0, 1.0, n_plus), rng.uniform(-1.0, 1.0, k - n_plus)
+    order = rng.permuted(np.tile(np.arange(n), (30, 1)), axis=1)
+    plus, minus = order[:, :n_plus], order[:, n_plus:k]
+    dense = anticorr._cross_correlation(c, plus, w_plus, minus, w_minus)
+    gathered = anticorr._gathered_cross_correlation(c, plus, w_plus, minus, w_minus)
+    scale = np.abs(w_plus).sum() * np.abs(w_minus).sum()
+    assert np.abs(gathered[0] - dense[0]).max() <= 1e-12 * scale
+    assert np.abs(gathered[1] - dense[1]).max() <= 1e-12
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_baseline_mean_is_exact_at_paper_scale():
     # a uniform draw makes every off-diagonal ordered pair equally likely, so
@@ -313,36 +330,54 @@ def drawn_placements(c, weights, samples):
     return placements, index
 
 
-def test_baseline_draws_every_ordered_pair_alike():
+# _GATHER_RATIO values that force each baseline route whatever k and N are
+ROUTES = {"dense": 0.0, "gather": np.inf}
+
+
+def each_route(monkeypatch):
+    """Yield each route's name with the baseline forced onto that route."""
+    for name, ratio in ROUTES.items():
+        monkeypatch.setattr(anticorr, "_GATHER_RATIO", ratio)
+        yield name
+
+
+def test_baseline_draws_every_ordered_pair_alike(monkeypatch):
     c = correlation_matrix(noise_returns(5, 50, 8))
     weights = ([0.6], [0.5, 0.2])
-    bl = random_baseline(c, weights, trials=6000, seed=SeedSequence([0, 2]))
-    placements, index = drawn_placements(c, weights, bl.raw_samples)
-    # each ordered (plus asset, first minus asset) pair, and each full placement
-    pair_ids = {pair: k for k, pair in enumerate(itertools.permutations(range(c.n_assets), 2))}
-    pairs = np.array([pair_ids[p[:2]] for p in placements])[index]
-    assert stats.chisquare(np.bincount(pairs, minlength=len(pair_ids))).pvalue > 1e-3
-    assert stats.chisquare(np.bincount(index, minlength=len(placements))).pvalue > 1e-3
+    for route in each_route(monkeypatch):
+        bl = random_baseline(c, weights, trials=6000, seed=SeedSequence([0, 2]))
+        placements, index = drawn_placements(c, weights, bl.raw_samples)
+        # each ordered (plus asset, first minus asset) pair, and each full placement
+        pair_ids = {pair: k for k, pair in enumerate(itertools.permutations(range(c.n_assets), 2))}
+        pairs = np.array([pair_ids[p[:2]] for p in placements])[index]
+        assert stats.chisquare(np.bincount(pairs, minlength=len(pair_ids))).pvalue > 1e-3, route
+        assert stats.chisquare(np.bincount(index, minlength=len(placements))).pvalue > 1e-3, route
 
 
-def test_baseline_weight_assignments_alike():
+def test_baseline_weight_assignments_alike(monkeypatch):
     # two distinct plus weights: either one lands on the lower-index asset of
     # the drawn pair equally often, as a shuffle of the weights would give
     c = correlation_matrix(noise_returns(5, 50, 8))
     weights = ([0.7, 0.3], [0.5])
-    bl = random_baseline(c, weights, trials=6000, seed=SeedSequence([0, 3]))
-    placements, index = drawn_placements(c, weights, bl.raw_samples)
-    heavy_first = np.array([p[0] < p[1] for p in placements])[index]
-    assert stats.chisquare([heavy_first.sum(), (~heavy_first).sum()]).pvalue > 1e-3
-    assert stats.chisquare(np.bincount(index, minlength=len(placements))).pvalue > 1e-3
+    for route in each_route(monkeypatch):
+        bl = random_baseline(c, weights, trials=6000, seed=SeedSequence([0, 3]))
+        placements, index = drawn_placements(c, weights, bl.raw_samples)
+        heavy_first = np.array([p[0] < p[1] for p in placements])[index]
+        assert stats.chisquare([heavy_first.sum(), (~heavy_first).sum()]).pvalue > 1e-3, route
+        assert stats.chisquare(np.bincount(index, minlength=len(placements))).pvalue > 1e-3, route
 
 
-def test_baseline_stream_is_pinned():
+def test_baseline_stream_is_pinned(monkeypatch):
     # any change to the baseline draws changes these; log it when it does
+    pins = {
+        "dense": (0.050982448534628896, 0.013816242765899753),
+        "gather": (0.03794501706528317, 0.010145003692681969),
+    }
     c = correlation_matrix(noise_returns(8, 200, 5))
-    bl = random_baseline(c, ([0.5, 0.3], [0.4, 0.2]), trials=50, seed=SeedSequence([0, 1]))
-    assert bl.pearson_mean == pytest.approx(0.050982448534628896, rel=0.0, abs=1e-12)
-    assert bl.raw_mean == pytest.approx(0.013816242765899753, rel=0.0, abs=1e-12)
+    for route in each_route(monkeypatch):
+        bl = random_baseline(c, ([0.5, 0.3], [0.4, 0.2]), trials=50, seed=SeedSequence([0, 1]))
+        assert bl.pearson_mean == pytest.approx(pins[route][0], rel=0.0, abs=1e-12)
+        assert bl.raw_mean == pytest.approx(pins[route][1], rel=0.0, abs=1e-12)
 
 
 def test_baseline_generator_calls_do_not_grow_with_trials(monkeypatch):
@@ -371,6 +406,58 @@ def test_baseline_generator_calls_do_not_grow_with_trials(monkeypatch):
         counts.append(len(calls))
     assert counts[0] >= 1
     assert counts[0] == counts[1]
+
+
+def test_baseline_samples_do_not_depend_on_the_chunk_size(monkeypatch):
+    # the swap targets are drawn once up front and each placement has its own
+    # dot product, so chunks of 1, 4 or all 53 trials give the same bits
+    c = correlation_matrix(noise_returns(40, 200, 5))
+    weights = ([0.5, 0.3, 0.1], [0.4, 0.2])
+    assert 5 * 5 <= anticorr._GATHER_RATIO * 40**1.5  # the gather route
+    samples = []
+    for cells in (7, 100, 1 << 17):
+        monkeypatch.setattr(anticorr, "_CHUNK_CELLS", cells)
+        bl = random_baseline(c, weights, trials=53, seed=SeedSequence([0, 4]))
+        samples.append((bl.raw_samples, bl.pearson_samples))
+    for raw, pearson in samples[1:]:
+        assert np.array_equal(raw, samples[0][0])
+        assert np.array_equal(pearson, samples[0][1])
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """Names of the Generator methods random_baseline calls, in order."""
+    calls = []
+    make_rng = np.random.default_rng
+
+    class RecordingGenerator:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+    return calls
+
+
+def test_baseline_route_follows_the_cost_rule(generator_calls):
+    c = correlation_matrix(noise_returns(66, 200, 5))
+    # 66 assets: k = 13 is the largest k with k^2 <= 0.35 * 66^1.5
+    for k, draw in ((2, "integers"), (13, "integers"), (14, "permuted"), (66, "permuted")):
+        generator_calls.clear()
+        random_baseline(c, (np.full(k // 2, 0.1), np.full(k - k // 2, 0.2)), trials=10, seed=0)
+        assert generator_calls == [draw], k
+
+
+def test_baseline_too_many_trials_fails_before_drawing(generator_calls):
+    c = correlation_matrix(noise_returns(8, 200, 5))
+    generator_calls.clear()
+    for weights in (([0.5], [0.4]), ([0.5] * 4, [0.4] * 4)):  # the gather and the dense route
+        with pytest.raises(MemoryError, match="100000000000000000000 baseline trials"):
+            random_baseline(c, weights, trials=10**20, seed=0)
+    assert generator_calls == []
 
 
 def test_baseline_validation():

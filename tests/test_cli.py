@@ -560,6 +560,15 @@ def test_anticorr_out_of_memory_exits_3(market_dir, tmp_path, capsys):
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+def test_anticorr_trials_beyond_any_array_exit_3(market_dir, tmp_path, capsys):
+    # numpy cannot even describe a (10**20,) array; that too is out of memory
+    rc = main(["anticorr", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--u-c", "0.3", "--trials", str(10**20), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: 100000000000000000000 baseline trials do not fit in memory\n"
+
+
 def test_anticorr_report_json_is_report_to_dict(market_dir, tmp_path, capsys):
     args = ["--input", str(market_dir / "panel.csv"), "--format", "wide"]
     args += ["--out-dir", str(tmp_path)]

@@ -1,8 +1,8 @@
-"""Fuzz of the command line, in process: malformed configs, matrices and metadata.
+"""Fuzz of the command line, in process: malformed configs, matrices, metadata and prices.
 
 Every run must end in an exit code of 0-3 with no exception escaping, a
 failed run must say why in exactly one `error:` line, and no NaN or infinity
-may reach a synth, analyze or sectors artifact.
+may reach an artifact of any stage.
 """
 
 import io
@@ -128,7 +128,8 @@ def run_stages(root: Path, source: list[str], metadata: Path | None) -> None:
             assert_finite_artifacts(root / "analyze")
     if run(["sectors", *source, *meta, "--u-c", "0.3", "--out-dir", str(root / "sectors")]) == 0:
         assert_finite_artifacts(root / "sectors")
-    run(["anticorr", *source, "--u-c", "0.3", "--trials", "100", "--out-dir", str(root / "scan")])
+    if run(["anticorr", *source, "--u-c", "0.3", "--trials", "100", "--out-dir", str(root / "scan")]) == 0:
+        assert_finite_artifacts(root / "scan")
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,3 +208,66 @@ def test_metadata_fuzz(rows, raw):
         text = "\n".join(",".join(row) for row in rows).encode()
         (root / "meta.csv").write_bytes(raw + text)
         run_stages(root, ["--matrix", str(root / "corr.csv")], root / "meta.csv")
+
+
+# price cells that are missing, not a price, or not a usable one
+PRICE_CELLS = (
+    "", "NA", "nan", "-nan", "inf", "-inf", "1e400", "1e-400", "0", "-1.5", "x", "1,5", '"',
+    '"2.5"', " 7 ", "1_0", "\0", "é", "1e", "--1",
+)
+DATE_CELLS = ("", "2015-13-01", "2015-02-30", "x", "20150105", "2015-01-05", " 2015-01-06 ", '"')
+
+
+@st.composite
+def price_files(draw):
+    """(layout, bytes) of a small random-walk price panel with cells, rows or names spoiled."""
+    layout = draw(st.sampled_from(["wide", "long"]))
+    # hypothesis leans to small draws, so a spoiler is the largest value of
+    # its draw and most files reach the later stages
+    n = draw(st.integers(2, 5))
+    t = n + 3 + draw(st.integers(-3, 9))  # T < N now and then
+    names = list(NAMES[:n])
+    if draw(st.integers(0, 3)) == 3:  # repeated names
+        names = [draw(st.sampled_from(NAMES[:6])) for _ in range(n)]
+    dates = [f"2015-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(t)]
+    steps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 0.02, (t, n))
+    prices = [[repr(x) for x in row] for row in (100.0 * np.exp(np.cumsum(steps, axis=0))).tolist()]
+    if draw(st.integers(0, 5)) == 5:  # one asset that never moves
+        column = draw(st.integers(0, n - 1))
+        for row in prices:
+            row[column] = "5"
+    for _ in range(max(0, draw(st.integers(-3, 3)))):
+        i, j = draw(st.integers(0, t - 1)), draw(st.integers(0, n - 1))
+        prices[i][j] = draw(st.sampled_from(PRICE_CELLS))
+    if draw(st.integers(0, 3)) == 3:
+        dates[draw(st.integers(0, t - 1))] = draw(st.sampled_from(DATE_CELLS))
+    if layout == "wide":
+        rows = [["date", *names], *([d, *row] for d, row in zip(dates, prices))]
+    else:
+        rows = [["date", "asset", "price"]]
+        rows += [[d, name, p] for d, row in zip(dates, prices) for name, p in zip(names, row)]
+    edit = draw(st.integers(0, 9))
+    if edit == 9:  # a row cut short or run long
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], "9"]
+    elif edit == 8:  # rows out of order or repeated
+        i, j = draw(st.integers(1, len(rows) - 1)), draw(st.integers(1, len(rows) - 1))
+        rows[i] = rows[j] if draw(st.booleans()) else rows[i]
+        rows[i], rows[j] = rows[j], rows[i]
+    elif edit == 7:  # no header, or nothing but a header
+        rows = rows[1:] if draw(st.booleans()) else rows[:1]
+    text = "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+    if draw(st.integers(0, 4)) == 4:
+        text = draw(st.sampled_from(["\ufeff", "\udcff", "\0"])) + text
+    return layout, text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=80, deadline=None)
+@given(file=price_files(), delta_t=st.sampled_from(["1", "1", "2"]))
+def test_price_file_fuzz(file, delta_t):
+    layout, data = file
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        (root / "prices.csv").write_bytes(data)
+        source = ["--input", str(root / "prices.csv"), "--format", layout, "--delta-t", delta_t]
+        run_stages(root, source, None)

@@ -31,7 +31,7 @@ from eigensectors import (
     select_components,
     write_panel_wide,
 )
-from eigensectors.synth import MAX_OBSERVATIONS, asset_names, spec_from_dict, truth_to_dict
+from eigensectors.synth import MAX_OBSERVATIONS, MAX_SCALE, asset_names, spec_from_dict, truth_to_dict
 from helpers import EDGE_FLOATS, days, spectrum_of, write_panel_wide_oracle
 
 ONE_BLOCK = MarketSpec(
@@ -183,6 +183,20 @@ def test_empirical_matrix_converges_to_population():
 # ------------------------------------------------------------- configuration
 
 
+@pytest.mark.filterwarnings("error")
+def test_generate_at_the_largest_scales():
+    # every scale at MAX_SCALE: the rows standardize with no overflow
+    spec = MarketSpec(
+        n_assets=5,
+        n_observations=100,
+        market_strength=MAX_SCALE,
+        noise_std=MAX_SCALE,
+        blocks=(BlockSpec(assets=(0, 1), loading=MAX_SCALE, sign_pattern=(1, -1)),),
+    )
+    nr, _ = generate(spec, seed=0)
+    assert np.isfinite(nr.values).all()
+
+
 def test_spec_validation():
     bad = [
         dict(n_assets=1, n_observations=100),
@@ -194,16 +208,23 @@ def test_spec_validation():
         dict(n_assets=5, n_observations=100, market_strength=float("inf")),
         dict(n_assets=5, n_observations=100, noise_std=float("nan")),
         dict(n_assets=5, n_observations=100, noise_std=float("inf")),
+        # finite, but the squares that standardize the rows would overflow
+        dict(n_assets=5, n_observations=100, market_strength=1e160),
+        dict(n_assets=5, n_observations=100, market_strength=1e300),
+        dict(n_assets=5, n_observations=100, noise_std=1e300),
         # the weekday dates of the returns would run past 9999-12-31
         dict(n_assets=5, n_observations=MAX_OBSERVATIONS + 1),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
             MarketSpec(**kwargs)
+    with pytest.raises(ConfigurationError, match="market_strength must be >= 0 and <= 1e"):
+        MarketSpec(n_assets=5, n_observations=100, market_strength=1e160)
     bad_blocks = [
         BlockSpec(assets=(0, 1), loading=0.0),
         BlockSpec(assets=(0, 1), loading=float("nan")),
         BlockSpec(assets=(0, 1), loading=float("inf")),
+        BlockSpec(assets=(0, 1), loading=1e300),
         BlockSpec(assets=(), loading=1.0),
         BlockSpec(assets=(0, 0), loading=1.0),
         BlockSpec(assets=(0, 9), loading=1.0),
