@@ -40,6 +40,7 @@ import numpy as np
 from .corrmatrix import CorrelationMatrix, EigenSpectrum
 from .exceptions import ConfigurationError
 from .sectors import SubsectorPartition, select_components
+from .timeseries import _csv_line
 
 MIN_REPORT_TRIALS = 100
 # Route rule of the baseline. A gathered trial costs ~k^2 and a dense one
@@ -402,8 +403,6 @@ def write_scan_delimited(report: AnticorrReport, path) -> None:
     path = Path(path)
     lines = ["mode,c_raw,c_pearson,baseline_mean,baseline_std"]
     for row in report.rows:
-        lines.append(
-            f"{row.mode_index},{row.c_raw:.17g},{row.c_pearson:.17g},"
-            f"{row.baseline.pearson_mean:.17g},{row.baseline.pearson_std:.17g}"
-        )
+        values = (row.c_raw, row.c_pearson, row.baseline.pearson_mean, row.baseline.pearson_std)
+        lines.append(_csv_line([str(row.mode_index), *(f"{x:.17g}" for x in values)]))
     path.write_text("\n".join(lines) + "\n")

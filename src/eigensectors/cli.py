@@ -143,11 +143,11 @@ def cmd_sectors(args) -> int:
     out = _out_dir(args)
     lines = ["u_c,mode,eigenvalue,sign,anchor_asset,dominant,matched,total,members"]
     for r in rows:
-        lines.append(
-            f"{r.threshold:g},{r.mode_index},{r.eigenvalue:.17g},{r.sign},"
-            f"{r.anchor_asset},{r.report.dominant_category},"
-            f"{r.report.matched},{r.report.total},{';'.join(r.report.members)}"
-        )
+        lines.append(ts._csv_line([
+            f"{r.threshold:g}", str(r.mode_index), f"{r.eigenvalue:.17g}", r.sign,
+            r.anchor_asset, r.report.dominant_category,
+            str(r.report.matched), str(r.report.total), ";".join(r.report.members),
+        ]))
     (out / "sectors.csv").write_text("\n".join(lines) + "\n")
     _write_report(args, "sectors.json", {
         "thresholds": thresholds,
@@ -189,10 +189,10 @@ def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
     for row in report.rows:
         blocks = ac.block_averages(c, row.partition)
         averages = (blocks.within_positive, blocks.within_negative, blocks.between)
-        lines.append(
-            f"{u_c:g},{row.mode_index},{blocks.n_positive},{blocks.n_negative},"
-            + ",".join("" if x is None else f"{x:.17g}" for x in averages)
-        )
+        lines.append(ts._csv_line([
+            f"{u_c:g}", str(row.mode_index), str(blocks.n_positive), str(blocks.n_negative),
+            *("" if x is None else f"{x:.17g}" for x in averages),
+        ]))
     (out / f"block_averages_{tag}.csv").write_text("\n".join(lines) + "\n")
     print(
         f"anticorr u_c={u_c:g}: {len(report.rows)} modes scanned, "
@@ -223,7 +223,7 @@ def cmd_synth(args) -> int:
     synth.write_panel_wide(panel, out / "panel.csv")
     _write_json(out / "ground_truth.json", synth.truth_to_dict(truth, nr.assets))
     metadata = synth.metadata_from_truth(truth, nr.assets)
-    meta_lines = ["asset,category"] + [f"{a},{c}" for a, c in sorted(metadata.items())]
+    meta_lines = ["asset,category"] + [ts._csv_line(item) for item in sorted(metadata.items())]
     (out / "metadata.csv").write_text("\n".join(meta_lines) + "\n")
     _write_report(args, "synth_report.json", {
         "seed": seed,

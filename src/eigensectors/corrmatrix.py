@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns, _integer, _read_bytes
+from .timeseries import NormalizedReturns, _csv_faults, _csv_line, _integer, _read_bytes, _rows
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -165,7 +165,7 @@ def save_matrix(c: CorrelationMatrix, path) -> Path:
     path = Path(path)
     row = ",".join(["%.17g"] * c.n_assets) + "\n"
     body = "".join([row % tuple(r.tolist()) for r in c.values])
-    path.write_text(",".join(c.assets) + "\n" + body)
+    path.write_text(_csv_line(c.assets) + "\n" + body)
     sidecar = path.with_suffix(".meta.json")
     sidecar.write_text(
         json.dumps(
@@ -182,15 +182,19 @@ def load_matrix(path) -> CorrelationMatrix:
     """Read a matrix written by save_matrix (grid + sidecar).
 
     The grid is read as UTF-8 like a price file; LF, CRLF and CR all end a line.
+    The header is read as csv, so a quoted name may hold a comma or a line break.
     """
     path = Path(path)
-    lines = [line.decode() for line in _read_bytes(path).splitlines()]
-    if not lines:
+    data = _read_bytes(path)
+    if not data:
         raise ParseError("empty matrix file", 1)
-    assets = tuple(s.strip() for s in lines[0].split(","))
+    reader = _rows(data, ",")
+    with _csv_faults(reader):
+        assets = tuple(s.strip() for s in next(reader))
     n = len(assets)
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    lines = [line.decode() for line in data.splitlines()]
+    for line_no, line in enumerate(lines[reader.line_num :], start=reader.line_num + 1):
         if not line.strip():
             continue
         cells = line.split(",")

@@ -22,12 +22,13 @@ import numpy as np
 
 from .corrmatrix import CorrelationMatrix
 from .exceptions import ConfigurationError
-from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _integer, normalize_returns
+from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, normalize_returns
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
 MAX_OBSERVATIONS = int(np.busday_count("2000-01-04", "9999-12-31"))
 # Largest market strength, noise scale or loading: the squares that standardize
-# a row of MAX_OBSERVATIONS raw returns stay far from float overflow
+# a row of MAX_OBSERVATIONS raw returns stay far from float overflow. The noise
+# scale is at least 1 / MAX_SCALE, so the squares of pure noise do not underflow.
 MAX_SCALE = 1e100
 
 
@@ -63,8 +64,8 @@ class MarketSpec:
             raise ConfigurationError(f"need 3 to {MAX_OBSERVATIONS} observations")
         if not 0 <= self.market_strength <= MAX_SCALE:  # NaN fails too
             raise ConfigurationError(f"market_strength must be >= 0 and <= {MAX_SCALE:g}")
-        if not 0 < self.noise_std <= MAX_SCALE:
-            raise ConfigurationError(f"noise_std must be > 0 and <= {MAX_SCALE:g}")
+        if not 1 / MAX_SCALE <= self.noise_std <= MAX_SCALE:
+            raise ConfigurationError(f"noise_std must be >= {1 / MAX_SCALE:g} and <= {MAX_SCALE:g}")
         seen: set[int] = set()
         for k, block in enumerate(self.blocks):
             if not 0 < block.loading <= MAX_SCALE:
@@ -225,7 +226,7 @@ def write_panel_wide(panel: PricePanel, path) -> None:
     row = "%s" + ",%.17g" * panel.n_assets + "\n"
     body = "".join([row % (d.isoformat(), *p.tolist()) for d, p in zip(panel.dates, panel.prices.T)])
     with Path(path).open("w") as out:
-        out.write("date," + ",".join(panel.assets) + "\n")
+        out.write(_csv_line(("date", *panel.assets)) + "\n")
         out.write(body.replace(",nan", ","))  # dates are ISO and '%.17g' writes only NaN as 'nan'
 
 

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -190,6 +190,12 @@ def _rows(data: bytes, delimiter: str):
     return csv.reader(lines, delimiter=delimiter)
 
 
+def _csv_line(cells: Iterable[str]) -> str:
+    """cells joined by commas so that _rows reads them back: a cell holding a comma,
+    a quote, CR or LF is quoted, with its quotes doubled; any other keeps its text."""
+    return ",".join('"%s"' % c.replace('"', '""') if any(s in c for s in ',"\r\n') else c for c in cells)
+
+
 @contextmanager
 def _csv_faults(reader):
     """A row that csv rejects (a cell over its field size limit) becomes a ParseError at its line.
@@ -207,78 +213,23 @@ def _delimiter(data: bytes) -> str:
     return "\t" if b"\t" in re.match(rb"[^\r\n]*", data)[0] else ","
 
 
-# The characters that str.strip() removes from ASCII text, line ends aside. A price
-# cell, missing marker included, must be ASCII, so this is all the padding it can have.
-_PAD = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 _FIELD_LIMIT = csv.field_size_limit()
-
-
-def _body_patterns(delim: str) -> dict[str, tuple[tuple[re.Pattern, ...], re.Pattern]]:
-    """The byte patterns that turn a price file's body into what np.loadtxt reads as csv does.
-
-    Maps each layout to (hints, cleanup). cleanup matches, after a line end or
-    a delimiter (the lead): a row of blank cells, a quoted cell to step over,
-    or nothing after a lone CR; the wide layout's also matches a cell, not the
-    first of its row, that is empty or NA. cleanup changes nothing in a body
-    where no hint is found. re scans fast only for a pattern that begins with
-    one literal byte, as each hint does, so cleanup runs only where a hint
-    finds work.
-    """
-    d = re.escape(delim).encode()
-    pad_byte = b"[%s]" % re.escape(_PAD.replace(delim, "")).encode()
-    pad = pad_byte + b"*"
-    quoted_pad = b"[%s]*" % re.escape(_PAD + "\r\n").encode()
-    # csv reads an unclosed quote to the end of the input
-    blank = rb'(?:"%s(?:"|\Z)%s|%s)' % (quoted_pad, pad, pad)
-    missing = rb'(?:"%s(?:[Nn][Aa])?%s(?:"|\Z)%s|%s(?:[Nn][Aa])?%s)' % (
-        quoted_pad, quoted_pad, pad, pad, pad
-    )
-    hints = (
-        re.compile(rb"\r(?!\n)"),  # a lone CR
-        re.compile(rb'\n(?:%s[%s"]|%s+(?:[\r\n]|\Z))' % (pad, d, pad_byte)),  # where a blank row may start
-    )
-    # after a delimiter, what may start an empty, NA or quoted cell
-    gap = re.compile(rb'%s(?:[%s\r\n"Nn]|%s|\Z)' % (d, d, pad_byte))
-
-    def cleanup(cells: bytes) -> re.Pattern:
-        return re.compile(
-            rb"(?P<lead>\r(?!\n)|\r\n|\n|%s)(?:(?![0-9])(?:" % d  # no cell matched here starts with a digit
-            + rb"(?P<blank>(?<=[\r\n])%s(?:%s%s)*(?=[\r\n]|\Z))" % (blank, d, blank)
-            + cells
-            + rb'|(?P<quoted>"(?:[^"]|"")*(?:"|\Z))'
-            + rb")|(?<=\r))"
-        )
-
-    wide_cells = rb"|(?P<missing>(?<=%s)%s(?=[%s\r\n]|\Z))" % (d, missing, d)
-    return {"long": (hints, cleanup(b"")), "wide": ((*hints, gap), cleanup(wide_cells))}
-
-
-_BODY_PATTERNS = {delim: _body_patterns(delim) for delim in (",", "\t")}
 _SIGNED_NAN = (re.compile(rb"\+[Nn][Aa][Nn]"), re.compile(rb"-[Nn][Aa][Nn]"))
 
 
-def _cleaned(m: re.Match) -> bytes:
-    lead, found = m["lead"], m.lastgroup
-    if found == "quoted":  # the cell stays as it is
-        return (b"\n" if lead == b"\r" else lead) + m["quoted"]
-    if found == "missing":
-        return lead + b"nan"
-    return b"\n"  # a blank row, kept as an empty line, or a lone CR
+def _with_nan(body: bytes, delim: str) -> bytes:
+    """body with each empty or bare NA cell that a delimiter leads written as nan.
 
-
-def _body(data: bytes, header_lines: int, delim: str, fmt: str) -> bytes:
-    """The rows after the header, as np.loadtxt must see them to read what csv reads.
-
-    Starts at the line end that closes the header. Outside quoted cells, rows
-    of blank cells become empty lines, a lone CR becomes LF and, in the wide
-    layout, an empty or NA cell becomes nan.
+    These are the missing cells that pandas, Excel and R write. A date cell
+    leads its row, so it stays as it is; a quoted cell that is rewritten still
+    holds a delimiter, so it stays a cell that no float or date reads.
     """
-    line_ends = re.finditer(rb"\r\n|\r|\n", data)
-    header_end = next(islice(line_ends, header_lines - 1, None), None)
-    body = data[header_end.start() :] if header_end else b""
-    hints, cleanup = _BODY_PATTERNS[delim][fmt]
-    if any(hint.search(body) for hint in hints):
-        body = cleanup.sub(_cleaned, body)
+    d = delim.encode()
+    body += b"\n"  # the last cell ends at a line end, like every other
+    for cell in (b"", b"NA"):
+        # one pass rewrites every other cell of a run, as neighbours share a delimiter
+        for end in (d, d, b"\r", b"\n"):
+            body = body.replace(d + cell + end, d + b"nan" + end)
     return body
 
 
@@ -373,9 +324,12 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         if len(set(header[1:])) != len(header) - 1:
             raise ValidationError("duplicate asset columns in wide header")
         cols = [0]
-    # Any ValueError below means some row is bad; the row-by-row check finds the first.
+    # Any ValueError below means some row is bad, or np.loadtxt does not read it as csv
+    # does; the reference reader then reads the file one row at a time.
     try:
-        body = _body(data, reader.line_num, delim, fmt)
+        line_ends = re.finditer(rb"\r\n|\r|\n", data)
+        header_end = next(islice(line_ends, reader.line_num - 1, None), None)
+        body = data[header_end.end() :] if header_end else b""
         if fmt == "long":
             table = _table(body, delim, [("date", None), ("asset", None), ("price", float)], cols)
             assets, a = _index(table["asset"], _text)
@@ -386,20 +340,32 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         else:
             if any(p.search(body) for p in _SIGNED_NAN):  # loadtxt reads it as NaN; csv's reading rejects it
                 raise ValueError("signed NaN")
-            table = _table(body, delim, [("date", None), ("price", (float, (len(header) - 1,)))])
+            fields = [("date", None), ("price", (float, (len(header) - 1,)))]
+            try:
+                table = _table(body, delim, fields)
+            except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
+                table = _table(_with_nan(body, delim), delim, fields)
             assets, a = _index(np.array(header[1:]), str)
             dates, d = _index(table["date"], _date)
             row, col = np.nonzero(~np.isnan(table["price"]))
             a, d, values = a[col], d[row], table["price"][row, col]
         if not ((values > 0.0) & (values < np.inf)).all():
             raise ValueError("price not finite and positive")
-        grid = np.full((len(assets), len(dates)), np.nan)
-        grid[a, d] = values
-        present = ~np.isnan(grid)
-        if np.count_nonzero(present) != values.size:
-            raise ValueError("duplicate observation")
+        return _panel(assets, a, dates, d, values)
     except ValueError:
-        _raise_first_fault(data, delim, fmt, header, cols)
+        return _panel(*_read_rows(data, delim, fmt, header, cols))
+
+
+def _panel(assets: list, a: np.ndarray, dates: list, d: np.ndarray, values: np.ndarray) -> PricePanel:
+    """The panel where asset assets[a[k]] is priced values[k] on date dates[d[k]].
+
+    ValueError for an (asset, date) pair given twice. Assets and dates with no price are left out.
+    """
+    grid = np.full((len(assets), len(dates)), np.nan)
+    grid[a, d] = values
+    present = ~np.isnan(grid)
+    if np.count_nonzero(present) != values.size:
+        raise ValueError("duplicate observation")
     observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
     return PricePanel(
         assets=tuple(compress(assets, observed_assets)),
@@ -441,9 +407,12 @@ def _price(cell: str) -> float:
         return math.nan
 
 
-def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
-    """Check the rows one at a time and raise the error of the first bad one."""
-    seen: set[tuple[str, dt.date]] = set()
+def _read_rows(data, delim, fmt, header, cols):
+    """The observations of a price file, read one csv row at a time: the reference reader.
+
+    Returns _panel's arguments. Raises the error of the first bad row.
+    """
+    observed: dict[tuple[str, dt.date], float] = {}  # (asset, date) -> price
     rows = _rows(data, delim)
     with _csv_faults(rows):
         next(rows)  # the header
@@ -475,10 +444,12 @@ def _raise_first_fault(data, delim, fmt, header, cols) -> NoReturn:
                     raise ParseError(f"unparsable price {shown!r}", line_no)
                 if price <= 0.0:
                     raise ValidationError(f"non-positive price {price!r} for asset {asset!r} on {date}")
-                if (asset, date) in seen:
+                if (asset, date) in observed:
                     raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
-                seen.add((asset, date))
-    raise AssertionError("the vectorized pass rejected rows that the row check accepts")
+                observed[asset, date] = price
+    assets, a = _index(np.array([asset for asset, _ in observed], dtype=str), str)
+    dates, d = _index(np.array([date.toordinal() for _, date in observed], dtype=np.int64), dt.date.fromordinal)
+    return assets, a, dates, d, np.array(list(observed.values()), dtype=float)
 
 
 def load_metadata(source) -> dict[str, str]:

@@ -5,6 +5,7 @@ failed run must say why in exactly one `error:` line, and no NaN or infinity
 may reach an artifact of any stage.
 """
 
+import csv
 import io
 import json
 import tempfile
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigensectors import PricePanel, load_matrix, load_metadata, load_prices, write_panel_wide
 from eigensectors.cli import main
 
 # JSON values that are wrong where a number belongs; 1e400 parses as infinity
@@ -271,3 +273,55 @@ def test_price_file_fuzz(file, delta_t):
         (root / "prices.csv").write_bytes(data)
         source = ["--input", str(root / "prices.csv"), "--format", layout, "--delta-t", delta_t]
         run_stages(root, source, None)
+
+
+# names and categories that a delimited artifact must quote; ends are stripped on
+# reading, so a line break stands inside a name
+QUOTED_NAMES = ("X,Y", 'Q"R', "L\nM", "C\rR", "Energy, Oil", '"q"', "Oil, Gas & Consumable Fuels", "é,è")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(QUOTED_NAMES + NAMES[:6]), min_size=4, max_size=8, unique=True),
+    categories=st.lists(st.sampled_from(QUOTED_NAMES), min_size=2, max_size=2),
+    seed=st.integers(0, 5),
+)
+def test_quoted_names_round_trip(names, categories, seed):
+    n = len(names)
+    config = {
+        "n_assets": n, "n_observations": 8 * n, "noise_std": 0.5, "seed": seed,
+        "blocks": [{"assets": list(range(n)), "loading": 2.0, "sign_pattern": [(-1) ** i for i in range(n)],
+                    "name": categories[0]}],
+    }
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        (root / "market.json").write_text(json.dumps(config))
+        assert run(["synth", "--config", str(root / "market.json"), "--out-dir", str(root / "synth")]) == 0
+        planted = json.loads((root / "synth" / "ground_truth.json").read_text())["blocks"][0]
+        assert load_metadata(root / "synth" / "metadata.csv") == dict.fromkeys(planted["assets"], categories[0])
+
+        synthetic = load_prices(root / "synth" / "panel.csv", fmt="wide")
+        write_panel_wide(PricePanel(names, synthetic.dates, synthetic.prices), root / "prices.csv")
+        with (root / "meta.csv").open("w", newline="") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(
+                [("asset", "category"), *((name, categories[i % 2]) for i, name in enumerate(names))]
+            )
+        prices = ["--input", str(root / "prices.csv"), "--format", "wide"]
+        matrix = ["--matrix", str(root / "analyze" / "corr_matrix.csv")]
+        assert run(["analyze", *prices, "--out-dir", str(root / "analyze")]) == 0
+        assert load_matrix(root / "analyze" / "corr_matrix.csv").assets == tuple(sorted(names))
+        for route, source in (("input", prices), ("matrix", matrix)):
+            out = str(root / route)
+            assert run(["sectors", *source, "--metadata", str(root / "meta.csv"), "--u-c", "0.1", "--out-dir", out]) == 0
+            assert run(["anticorr", *source, "--u-c", "0.1", "--trials", "100", "--out-dir", out]) == 0
+        for artifact in sorted((root / "input").iterdir()):
+            twin = root / "matrix" / artifact.name
+            if artifact.suffix == ".json":  # the same report, but for the config echo that names the route
+                want, got = (json.loads(p.read_text()) for p in (artifact, twin))
+                assert {**want, "config": None} == {**got, "config": None}, artifact.name
+            else:
+                assert artifact.read_bytes() == twin.read_bytes(), artifact.name
+        with (root / "matrix" / "sectors.csv").open(newline="") as table:
+            rows = list(csv.reader(table))
+        assert len(rows) > 1 and {len(row) for row in rows} == {9}
+        assert {row[4] for row in rows[1:]} <= set(names)  # the anchor assets

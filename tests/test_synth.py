@@ -212,6 +212,9 @@ def test_spec_validation():
         dict(n_assets=5, n_observations=100, market_strength=1e160),
         dict(n_assets=5, n_observations=100, market_strength=1e300),
         dict(n_assets=5, n_observations=100, noise_std=1e300),
+        # positive, but the squares of the noise would underflow
+        dict(n_assets=5, n_observations=100, noise_std=1e-160),
+        dict(n_assets=5, n_observations=100, noise_std=1e-300),
         # the weekday dates of the returns would run past 9999-12-31
         dict(n_assets=5, n_observations=MAX_OBSERVATIONS + 1),
     ]
@@ -220,6 +223,9 @@ def test_spec_validation():
             MarketSpec(**kwargs)
     with pytest.raises(ConfigurationError, match="market_strength must be >= 0 and <= 1e"):
         MarketSpec(n_assets=5, n_observations=100, market_strength=1e160)
+    with pytest.raises(ConfigurationError, match=r"noise_std must be >= 1e-100 and <= 1e\+100"):
+        MarketSpec(n_assets=5, n_observations=100, noise_std=1e-300)
+    generate(MarketSpec(n_assets=5, n_observations=50, noise_std=1 / MAX_SCALE))  # the smallest noise runs
     bad_blocks = [
         BlockSpec(assets=(0, 1), loading=0.0),
         BlockSpec(assets=(0, 1), loading=float("nan")),

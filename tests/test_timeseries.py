@@ -3,12 +3,15 @@ import datetime as dt
 import io
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eigensectors.timeseries as ts
 from eigensectors import (
     ConfigurationError,
     EigensectorsError,
@@ -472,7 +475,7 @@ def test_metadata_fault_after_quoted_line_break_names_its_physical_line():
     assert err.value.line_number == 4
 
 
-# np.loadtxt reads what csv reads only when its body is prepared; one case per trap.
+# Files that np.loadtxt reads otherwise than csv does, or not at all; one case per trap.
 LOADTXT_TRAPS = {
     "cr_line_ends": ("wide", "date,AAA,BBB\r2015-01-05,1,2\r2015-01-06,,3\r2015-01-07,2,NA\r"),
     "whitespace_lines": ("long", "date,asset,price\n  \n2015-01-05,AAA,1\n\t\n2015-01-06,AAA,2\n , , \n"
@@ -518,11 +521,51 @@ def loadtxt_dtypes(monkeypatch):
     return calls
 
 
-def test_wide_missing_cells_are_read_in_one_pass(loadtxt_dtypes):
-    text = 'date,AAA,BBB\n2015-01-05,1,\n2015-01-06,NA,2\n2015-01-07, na ,""\n2015-01-08,2,3\n'
+@pytest.fixture
+def no_row_pass(monkeypatch):
+    """Fail the test if the loader falls back to reading the file one csv row at a time."""
+
+    def fail(*args):
+        pytest.fail("the file was read one csv row at a time")
+
+    monkeypatch.setattr(ts, "_read_rows", fail)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("delim", [",", "\t"])
+def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, no_row_pass, delim, end):
+    rows = [["date", "AAA", "BBB", "CCC"], ["2015-01-05", "1", "", ""], ["2015-01-06", "NA", "2", "NA"],
+            ["2015-01-07", "", "NA", ""], ["2015-01-08", "2", "3", "4"], ["2015-01-09", "NA", "NA", ""]]
+    text = end.join(delim.join(r) for r in rows)  # the last cell is empty, with no line end after it
     got = load_prices(io.StringIO(text), fmt="wide")
+    assert len(loadtxt_dtypes) == 2  # the file as written, then with its missing cells as nan
+    assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "wide"))
+
+
+def regex_calls(fn, *args):
+    """fn(*args), and the name of each method of a compiled regex that it called."""
+    calls, outer = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), re.Pattern):
+            calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(outer)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_regular_long_file_is_one_loadtxt_pass_and_no_regex_search(loadtxt_dtypes, no_row_pass, end):
+    rows = [f"2015-01-{j:02d},{asset},{j}.5" for j in range(5, 25) for asset in ("AAA", "BBB")]
+    text = end.join(["date,asset,price", *rows]) + end
+    got, calls = regex_calls(load_prices, io.BytesIO(text.encode()))
     assert len(loadtxt_dtypes) == 1
-    assert_same_outcome(got, load_prices_oracle(text, "wide"))
+    # match is anchored to the header line; finditer stops at the header's line end
+    assert calls and set(calls) <= {"match", "finditer"}
+    assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "long"))
 
 
 def test_text_columns_widen_only_to_their_own_cells(loadtxt_dtypes):
