@@ -146,7 +146,7 @@ def cmd_sectors(args) -> int:
         lines.append(ts._csv_line([
             f"{r.threshold:g}", str(r.mode_index), f"{r.eigenvalue:.17g}", r.sign,
             r.anchor_asset, r.report.dominant_category,
-            str(r.report.matched), str(r.report.total), ";".join(r.report.members),
+            str(r.report.matched), str(r.report.total), ts._csv_line(r.report.members, ";"),
         ]))
     (out / "sectors.csv").write_text("\n".join(lines) + "\n")
     _write_report(args, "sectors.json", {

@@ -190,10 +190,11 @@ def _rows(data: bytes, delimiter: str):
     return csv.reader(lines, delimiter=delimiter)
 
 
-def _csv_line(cells: Iterable[str]) -> str:
-    """cells joined by commas so that _rows reads them back: a cell holding a comma,
+def _csv_line(cells: Iterable[str], delimiter: str = ",") -> str:
+    """cells joined by delimiter so that csv reads them back: a cell holding the delimiter,
     a quote, CR or LF is quoted, with its quotes doubled; any other keeps its text."""
-    return ",".join('"%s"' % c.replace('"', '""') if any(s in c for s in ',"\r\n') else c for c in cells)
+    quoted = delimiter + '"\r\n'
+    return delimiter.join('"%s"' % c.replace('"', '""') if any(s in c for s in quoted) else c for c in cells)
 
 
 @contextmanager
@@ -226,48 +227,53 @@ def _with_nan(body: bytes, delim: str) -> bytes:
     """
     d = delim.encode()
     body += b"\n"  # the last cell ends at a line end, like every other
-    for cell in (b"", b"NA"):
+    ends = (d, d, b"\r", b"\n") if b"\r" in body else (d, d, b"\n")
+    for cell in (b"", b"NA") if b"NA" in body else (b"",):
         # one pass rewrites every other cell of a run, as neighbours share a delimiter
-        for end in (d, d, b"\r", b"\n"):
+        for end in ends:
             body = body.replace(d + cell + end, d + b"nan" + end)
     return body
 
 
-def _over_field_limit(body: bytes, delim: str) -> bool:
-    """True when an unquoted cell of body has more characters than csv's field size limit.
+def _over_field_limit(body: bytes, start: int, delim: str) -> bool:
+    """True when an unquoted cell of body[start:] has more characters than csv's field size limit.
 
     Such a cell covers a whole aligned block of half the limit, so only blocks
-    with no delimiter or line end are looked at more closely.
+    with no delimiter or line end are looked at more closely. body[start - 1]
+    is a line end, when start > 0.
     """
     stops = (delim.encode(), b"\n", b"\r")
     half = _FIELD_LIMIT // 2
-    for s in range(0, len(body), half):
+    for s in range(start, len(body), half):
         if any(body.find(c, s, s + half) >= 0 for c in stops):
             continue
-        start = max(body.rfind(c, 0, s) for c in stops) + 1
+        begin = max(body.rfind(c, 0, s) for c in stops) + 1
         ends = [e for e in (body.find(c, s) for c in stops) if e >= 0]
-        cell = body[start : min(ends, default=len(body))].decode()
+        cell = body[begin : min(ends, default=len(body))].decode()
         if len(cell) - cell.count('"') > _FIELD_LIMIT:  # quotes aside, a lower bound on its length
             return True
     return False
 
 
-def _table(body: bytes, delim: str, fields: Sequence[tuple], usecols=None) -> dict[str, np.ndarray]:
-    """The columns of one np.loadtxt pass over body with csv's quoting, a row per line.
+def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols=None) -> dict[str, np.ndarray]:
+    """The columns of one np.loadtxt pass over body[start:] with csv's quoting, a row per line.
 
     fields are (name, dtype) pairs; a dtype of None is a text column, read as
-    bytes and returned at the width of its longest cell. ValueError for any
-    row that loadtxt rejects and for a cell over csv's field size limit.
+    bytes and returned at the width of its longest cell, or at 1, 2, 4 or 8
+    bytes when that is at most 8. ValueError for any row that loadtxt rejects
+    and for a cell over csv's field size limit.
     """
-    if _over_field_limit(body, delim):
+    if _over_field_limit(body, start, delim):
         raise ValueError("cell over the field size limit")
     width = {name: 16 for name, kind in fields if kind is None}
     while True:
         dtype = [(name, f"S{width[name]}" if kind is None else kind) for name, kind in fields]
+        rows = io.BytesIO(body)  # shares body's bytes; no copy
+        rows.seek(start)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(
-                io.BytesIO(body), dtype=dtype, delimiter=delim, comments=None,
+                rows, dtype=dtype, delimiter=delim, comments=None,
                 quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
             )
         longest = {name: int(np.char.str_len(table[name]).max(initial=1)) for name in width}
@@ -284,11 +290,9 @@ def _table(body: bytes, delim: str, fields: Sequence[tuple], usecols=None) -> di
         cells = table[name][np.char.str_len(table[name]) > _FIELD_LIMIT] if n > _FIELD_LIMIT else []
         if any(len(cell.decode()) > _FIELD_LIMIT for cell in cells):
             raise ValueError("cell over the field size limit")
-    # the narrowest text columns sort fastest in _index
-    return {
-        name: table[name].astype(f"S{longest[name]}") if name in longest else table[name]
-        for name, _ in fields
-    }
+    # the narrowest text columns are compared fastest in _index, and 1 to 8 bytes as one integer
+    narrow = {name: n if n > 8 else 1 << (n - 1).bit_length() for name, n in longest.items()}
+    return {name: table[name].astype(f"S{narrow[name]}") if name in narrow else table[name] for name, _ in fields}
 
 
 def load_prices(source, fmt: str = "long") -> PricePanel:
@@ -329,25 +333,27 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     try:
         line_ends = re.finditer(rb"\r\n|\r|\n", data)
         header_end = next(islice(line_ends, reader.line_num - 1, None), None)
-        body = data[header_end.end() :] if header_end else b""
+        start = header_end.end() if header_end else len(data)
         if fmt == "long":
-            table = _table(body, delim, [("date", None), ("asset", None), ("price", float)], cols)
+            table = _table(data, start, delim, [("date", None), ("asset", None), ("price", float)], cols)
             assets, a = _index(table["asset"], _text)
             if "" in assets:
                 raise ValueError("empty asset identifier")
             dates, d = _index(table["date"], _date)
             values = table["price"]
         else:
-            if any(p.search(body) for p in _SIGNED_NAN):  # loadtxt reads it as NaN; csv's reading rejects it
-                raise ValueError("signed NaN")
             fields = [("date", None), ("price", (float, (len(header) - 1,)))]
             try:
-                table = _table(body, delim, fields)
+                table = _table(data, start, delim, fields)
             except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
-                table = _table(_with_nan(body, delim), delim, fields)
+                table = _table(_with_nan(data[start:], delim), 0, delim, fields)
+            missing = np.isnan(table["price"])
+            # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
+            if missing.any() and any(p.search(data, start) for p in _SIGNED_NAN):
+                raise ValueError("signed NaN")
             assets, a = _index(np.array(header[1:]), str)
             dates, d = _index(table["date"], _date)
-            row, col = np.nonzero(~np.isnan(table["price"]))
+            row, col = np.nonzero(~missing)
             a, d, values = a[col], d[row], table["price"][row, col]
         if not ((values > 0.0) & (values < np.inf)).all():
             raise ValueError("price not finite and positive")
@@ -389,14 +395,18 @@ def _date(cell: bytes) -> dt.date:
 def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     """The sorted distinct key(text) over a text column, and each text's position among them.
 
-    Runs of one text are sorted once: a long file lists each date, or each asset, in a run.
+    Only the first text of each run is looked up: a long file lists each date, or each
+    asset, in a run. Bytes of width 1, 2, 4 or 8 are compared as one unsigned integer.
     """
-    starts = np.flatnonzero(np.concatenate(([texts.size > 0], texts[1:] != texts[:-1])))
-    distinct, inverse = np.unique(texts[starts], return_inverse=True)
-    keys = list(map(key, distinct.tolist()))
+    width = texts.itemsize if texts.dtype.kind == "S" else 0
+    cells = texts.view(f"u{width}") if width in (1, 2, 4, 8) else texts
+    starts = np.flatnonzero(np.concatenate(([cells.size > 0], cells[1:] != cells[:-1])))
+    heads = cells[starts]
+    distinct = np.unique(heads)  # sorted as cells, not as keys: `where` orders the keys
+    keys = list(map(key, distinct.view(texts.dtype).tolist()))
     where = {k: j for j, k in enumerate(sorted(set(keys)))}
-    runs = np.diff(np.append(starts, texts.size))
-    return list(where), np.repeat(np.array([where[k] for k in keys], np.intp)[inverse], runs)
+    position = np.array([where[k] for k in keys], np.intp)[np.searchsorted(distinct, heads)]
+    return list(where), np.repeat(position, np.diff(np.append(starts, texts.size)))
 
 
 def _price(cell: str) -> float:

@@ -1,6 +1,8 @@
 """End-to-end command-line runs, in process, against synthetic panels."""
 
 import argparse
+import csv
+import io
 import json
 import math
 
@@ -310,6 +312,27 @@ def test_sectors_recovers_planted_split(market_dir, tmp_path, capsys):
     assert csv_lines[0] == "u_c,mode,eigenvalue,sign,anchor_asset,dominant,matched,total,members"
     assert len(csv_lines) == 3
     assert csv_lines[1].split(",")[3] == "+"
+
+
+def test_sectors_csv_members_read_back_with_their_delimiter(market_dir, tmp_path, capsys):
+    names = {"A000": "A;0", "A001": 'A"1', "A002": "A,2", "A003": "A\r\n3", "A004": "A;;4"}
+    rows = list(csv.reader(io.StringIO((market_dir / "panel.csv").read_text(), newline="")))
+    rows[0] = [names.get(c, c) for c in rows[0]]
+    panel = tmp_path / "panel.csv"
+    with panel.open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    out = tmp_path / "sectors"
+    assert main(["sectors", "--input", str(panel), "--format", "wide", "--u-c", "0.3",
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "sectors.json").read_text())
+    with (out / "sectors.csv").open(newline="") as f:
+        table = list(csv.DictReader(f))
+    assert len(table) == len(report["rows"]) == 2
+    for line, row in zip(table, report["rows"]):
+        members = next(csv.reader(io.StringIO(line["members"], newline=""), delimiter=";"))
+        assert members == row["members"]
+    assert {m for row in report["rows"] for m in row["members"]} >= set(names.values())
 
 
 def test_sectors_matrix_reuse_matches_input_route(market_dir, tmp_path, capsys):

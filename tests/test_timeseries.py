@@ -579,6 +579,110 @@ def test_text_columns_widen_only_to_their_own_cells(loadtxt_dtypes):
     assert widths == [{"date": 16, "asset": 16}, {"date": 16, "asset": 32}]
 
 
+def index_by_sorting(texts, key):
+    """_index's result by a sort of every text."""
+    distinct, inverse = np.unique(texts, return_inverse=True)
+    keys = [key(t) for t in distinct.tolist()]
+    ordered = sorted(set(keys))
+    return ordered, np.array([ordered.index(k) for k in keys], np.intp)[inverse.ravel()]
+
+
+def assert_same_index(texts, key):
+    got, want = ts._index(texts, key), index_by_sorting(texts, key)
+    assert got[0] == want[0]
+    assert got[1].dtype == np.intp and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_index_of_bytes_matches_a_sort(width):
+    rng = np.random.default_rng(width)
+    pool = ["".join(rng.choice(list("AZ09 ."), rng.integers(1, width + 1))) for _ in range(40)]
+    pool += ["A", " A", "A "][: width]  # padded twins share a key
+    scattered = rng.choice(pool, 500)
+    runs = np.repeat(rng.choice(pool, 60), rng.integers(1, 6, 60))
+    for texts in (scattered, runs, np.sort(scattered)):
+        cells = np.array([t.encode() for t in texts], dtype=f"S{width}")
+        assert_same_index(cells, ts._text)
+        assert_same_index(cells[::3], ts._text)  # a strided column
+    assert_same_index(np.array([], dtype=f"S{width}"), ts._text)
+
+
+def test_index_of_str_and_int64_matches_a_sort():
+    rng = np.random.default_rng(0)
+    names = rng.choice(["AAA", "B", "été", "Z" * 20, "a"], 300)
+    assert_same_index(np.array(names, dtype=str), str)
+    days = rng.integers(735000, 735030, 300)
+    assert_same_index(np.array(np.sort(days), dtype=np.int64), dt.date.fromordinal)
+    assert_same_index(np.array(days, dtype=np.int64), dt.date.fromordinal)
+    assert_same_index(np.array([], dtype=str), str)
+    assert_same_index(np.array([], dtype=np.int64), dt.date.fromordinal)
+
+
+@pytest.mark.parametrize("order", ["date", "asset"])
+def test_long_file_of_names_one_to_nine_bytes_wide_matches_oracle(order):
+    names = ["B", "Q9", "ACE", "A.BC", "XYZ12", "LONG_6", "SEVEN77", "EIGHT_88", "NINE_9999"]
+    dates = [dt.date(2015, 1, 1) + dt.timedelta(days=j) for j in range(12)]
+    cells = [(t, name, f"{1 + i + j / 8:g}") for j, t in enumerate(dates) for i, name in enumerate(names)
+             if (i + j) % 5]  # every fifth cell is missing
+    if order == "asset":
+        cells.sort(key=lambda cell: cell[1])
+    text = "date,asset,price\n" + "".join(f"{t},{name},{price}\n" for t, name, price in cells)
+    got = load_prices(io.StringIO(text))
+    assert got.assets == tuple(sorted(names))
+    assert_same_outcome(got, load_prices_oracle(text, "long"))
+
+
+def test_long_load_numbers_texts_without_an_inverse_sort(monkeypatch):
+    calls, real = [], np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    rows = [f"2015-01-{j:02d},{asset},{j}" for j in range(5, 25) for asset in ("AAA", "BBBBBBBBBB")]
+    load_prices(io.StringIO("date,asset,price\n" + "\n".join(rows) + "\n"))
+    assert calls and not any(kwargs.get("return_inverse") for kwargs in calls)
+
+
+def test_clean_wide_file_makes_no_signed_nan_search():
+    text = "date,AAA,BBB\n" + "".join(f"2015-01-{j:02d},{j}.5,{j}\n" for j in range(5, 25))
+    got, calls = regex_calls(load_prices, io.BytesIO(text.encode()), "wide")
+    assert "search" not in calls
+    assert_same_outcome(got, load_prices_oracle(text, "wide"))
+
+
+@pytest.mark.parametrize("cell", ["-nan", "+NaN", '"-nan"', " -NAN "])
+def test_signed_nan_is_the_csv_readers_fault(cell):
+    text = f"date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,,3\n2015-01-07,{cell},2\n2015-01-08,1,3\n"
+    with pytest.raises(ParseError, match="unparsable price") as err:
+        load_prices(io.StringIO(text), fmt="wide")
+    assert err.value.line_number == 4
+    assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
+
+
+def with_nan_in_every_pass(body, delim):
+    """_with_nan with no pass skipped."""
+    d = delim.encode()
+    body += b"\n"
+    for cell in (b"", b"NA"):
+        for end in (d, d, b"\r", b"\n"):
+            body = body.replace(d + cell + end, d + b"nan" + end)
+    return body
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+def test_with_nan_skips_only_passes_that_change_nothing(delim):
+    rows = [["2015-01-05", "1", "", ""], ["2015-01-06", "NA", "2", "NA"], ["2015-01-07", "", "NA", ""],
+            ["2015-01-08", "2", "3", "4"], ["2015-01-09", "NA", "NA", ""]]
+    for kept in (rows, [[c.replace("NA", "") for c in r] for r in rows]):  # with and without NA cells
+        lf = "\n".join(delim.join(r) for r in kept).encode()
+        crlf = lf.replace(b"\n", b"\r\n")
+        assert ts._with_nan(lf, delim) == with_nan_in_every_pass(lf, delim)
+        assert ts._with_nan(crlf, delim) == with_nan_in_every_pass(crlf, delim)
+        assert ts._with_nan(crlf, delim).replace(b"\r", b"") == ts._with_nan(lf, delim)
+
+
 @pytest.mark.parametrize("fmt", ["long", "wide"])
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=3, max_size=8))
