@@ -12,7 +12,6 @@ exact population correlation matrix is available analytically as an oracle.
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import math
 from dataclasses import dataclass
@@ -117,17 +116,6 @@ def asset_names(n: int) -> tuple[str, ...]:
     return tuple(f"A{i:0{width}d}" for i in range(n))
 
 
-def _weekday_run(count: int) -> list[dt.date]:
-    """Consecutive weekdays (Mon-Fri), starting on Monday 2000-01-03."""
-    out = []
-    d = dt.date(2000, 1, 3)
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += dt.timedelta(days=1)
-    return out
-
-
 def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, GroundTruth]:
     """Draw one market. Deterministic per (spec, seed): SeedSequence(seed)
     spawns 2 + len(blocks) substreams consumed in a fixed order -- 0 the
@@ -164,7 +152,7 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
         )
     raw += spec.noise_std * noise_rng.standard_normal((n, t))
 
-    dates = tuple(_weekday_run(t + 1)[1:])
+    dates = np.busday_offset("2000-01-04", np.arange(t)).tolist()  # the weekdays from Tuesday 2000-01-04
     nr = normalize_returns(ReturnMatrix(asset_names(n), dates, raw))
     return nr, GroundTruth(
         blocks=truth_blocks,
@@ -210,10 +198,7 @@ def prices_from_returns(nr: NormalizedReturns) -> PricePanel:
     """
     log_prices = np.cumsum(0.02 * nr.values, axis=1)
     prices = 100.0 * np.exp(np.hstack([np.zeros((nr.n_assets, 1)), log_prices]))
-    first = nr.dates[0]
-    prev = first - dt.timedelta(days=1)
-    while prev.weekday() >= 5:
-        prev -= dt.timedelta(days=1)
+    prev = np.busday_offset(nr.dates[0], -1, roll="forward").item()  # the latest weekday before it
     return PricePanel(
         assets=nr.assets,
         dates=(prev,) + nr.dates,

@@ -216,6 +216,8 @@ def _delimiter(data: bytes) -> str:
 
 _FIELD_LIMIT = csv.field_size_limit()
 _SIGNED_NAN = (re.compile(rb"\+[Nn][Aa][Nn]"), re.compile(rb"-[Nn][Aa][Nn]"))
+# two runs of bytes that are not blank to loadtxt's float parse, which strips \x1c-\x1f too
+_TWO_RUNS = re.compile(rb"[^\s\x1c-\x1f][\s\x1c-\x1f]+[^\s\x1c-\x1f]")
 
 
 def _with_nan(body: bytes, delim: str) -> bytes:
@@ -236,21 +238,19 @@ def _with_nan(body: bytes, delim: str) -> bytes:
 
 
 def _over_field_limit(body: bytes, start: int, delim: str) -> bool:
-    """True when an unquoted cell of body[start:] has more characters than csv's field size limit.
+    """True when a cell of body[start:] may have more characters than csv's field size limit.
 
-    Such a cell covers a whole aligned block of half the limit, so only blocks
-    with no delimiter or line end are looked at more closely. body[start - 1]
-    is a line end, when start > 0.
+    Such a cell covers a whole aligned block of half the limit. Line ends are no
+    stop, as a quoted cell can span them. A block with no delimiter is suspect. A
+    cell whose every block holds one is quoted, and then it fails loadtxt's float
+    parse or fills a text field of _FIELD_LIMIT bytes in _table. With tab as the
+    delimiter, a price padded around a tab still reads as a float, but a block
+    inside it holds at most one run of non-blank bytes, so such a block is suspect too.
     """
-    stops = (delim.encode(), b"\n", b"\r")
+    d = delim.encode()
     half = _FIELD_LIMIT // 2
-    for s in range(start, len(body), half):
-        if any(body.find(c, s, s + half) >= 0 for c in stops):
-            continue
-        begin = max(body.rfind(c, 0, s) for c in stops) + 1
-        ends = [e for e in (body.find(c, s) for c in stops) if e >= 0]
-        cell = body[begin : min(ends, default=len(body))].decode()
-        if len(cell) - cell.count('"') > _FIELD_LIMIT:  # quotes aside, a lower bound on its length
+    for s in range(start, len(body) - half + 1, half):  # a short last block never counts
+        if body.find(d, s, s + half) < 0 or (delim == "\t" and not _TWO_RUNS.search(body, s, s + half)):
             return True
     return False
 
@@ -261,7 +261,7 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
     fields are (name, dtype) pairs; a dtype of None is a text column, read as
     bytes and returned at the width of its longest cell, or at 1, 2, 4 or 8
     bytes when that is at most 8. ValueError for any row that loadtxt rejects
-    and for a cell over csv's field size limit.
+    and for a cell that may be over csv's field size limit, which csv then judges.
     """
     if _over_field_limit(body, start, delim):
         raise ValueError("cell over the field size limit")
@@ -281,15 +281,11 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
         if not cut:
             break
         # a cell fills its field, so it may have been cut: read again with that field twice as wide
-        if any(width[name] > 4 * _FIELD_LIMIT for name in cut):  # more bytes than csv's limit of characters
+        if any(width[name] >= _FIELD_LIMIT for name in cut):  # it may be over csv's limit
             raise ValueError("cell over the field size limit")
         del table
         for name in cut:
-            width[name] = min(2 * width[name], 4 * _FIELD_LIMIT + 1)
-    for name, n in longest.items():  # a quoted cell may hold delimiters: count its characters
-        cells = table[name][np.char.str_len(table[name]) > _FIELD_LIMIT] if n > _FIELD_LIMIT else []
-        if any(len(cell.decode()) > _FIELD_LIMIT for cell in cells):
-            raise ValueError("cell over the field size limit")
+            width[name] *= 2
     # the narrowest text columns are compared fastest in _index, and 1 to 8 bytes as one integer
     narrow = {name: n if n > 8 else 1 << (n - 1).bit_length() for name, n in longest.items()}
     return {name: table[name].astype(f"S{narrow[name]}") if name in narrow else table[name] for name, _ in fields}

@@ -16,6 +16,7 @@ from eigensectors import (
     BlockSpec,
     ConfigurationError,
     MarketSpec,
+    NormalizedReturns,
     PricePanel,
     correlation_matrix,
     eigendecompose,
@@ -62,6 +63,28 @@ def test_generate_shapes_names_dates():
     assert nr.dates[0] == dt.date(2000, 1, 4)
     assert np.abs(nr.values.mean(axis=1)).max() < 1e-12
     assert np.abs(nr.values.std(axis=1) - 1.0).max() < 1e-12
+
+
+def test_generate_dates_skip_the_weekend():
+    nr, _ = generate(MarketSpec(n_assets=3, n_observations=6), seed=0)
+    # Tuesday 2000-01-04 to Friday 2000-01-07, then Monday 2000-01-10
+    assert nr.dates == tuple(dt.date(2000, 1, d) for d in (4, 5, 6, 7, 10, 11))
+
+
+@pytest.mark.parametrize(
+    ("first", "before"),
+    [
+        (dt.date(2000, 1, 10), dt.date(2000, 1, 7)),  # Monday: the Friday before
+        (dt.date(2000, 1, 11), dt.date(2000, 1, 10)),  # Tuesday: the Monday before
+        (dt.date(2000, 1, 8), dt.date(2000, 1, 7)),  # Saturday: that Friday
+        (dt.date(2000, 1, 9), dt.date(2000, 1, 7)),  # Sunday: that Friday
+    ],
+    ids=["mon", "tue", "sat", "sun"],
+)
+def test_prices_start_on_the_weekday_before_the_first_return(first, before):
+    dates = (first,) + tuple(first + dt.timedelta(days=j) for j in (3, 4))
+    nr = NormalizedReturns(("A", "B"), dates, np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) * 1.5**0.5)
+    assert prices_from_returns(nr).dates == (before,) + dates
 
 
 def test_generate_is_deterministic():

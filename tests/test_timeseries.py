@@ -1,4 +1,5 @@
 import codecs
+import csv
 import datetime as dt
 import io
 import itertools
@@ -216,6 +217,49 @@ def test_load_metadata_oversized_cell_is_a_parse_error():
     with pytest.raises(ParseError, match="field larger than field limit") as err:
         load_metadata(io.StringIO(f"asset,category\nAAA,Tech\nBBB,{BIG}\n"))
     assert err.value.line_number == 3
+
+
+LIMIT_WIDE = [["date", "AAA", "BBB"], ["2015-01-05", "1", "2"], ["2015-01-06", "1", "2"], ["2015-01-07", "3", "2"],
+              ["2015-01-08", "1", "3"]]
+LIMIT_LONG = [["date", "asset", "price"], ["2015-01-05", "AAA", "1"], ["2015-01-06", "AAA", "2"],
+              ["2015-01-07", "BBB", "3"], ["2015-01-08", "BBB", "4"]]
+# column -> (layout, rows, the index of the column whose cell in row 3 is padded)
+LIMIT_FILES = {
+    "wide_price": ("wide", LIMIT_WIDE, 1),
+    "long_price": ("long", LIMIT_LONG, 2),
+    "long_asset": ("long", LIMIT_LONG, 1),
+    "long_date": ("long", LIMIT_LONG, 0),
+}
+
+
+@pytest.mark.parametrize("style", ["unquoted", "quoted", "quoted_lf", "quoted_tab", "quoted_commas"])
+@pytest.mark.parametrize("column", sorted(LIMIT_FILES))
+@pytest.mark.parametrize("length", [65535, 65536, 131071, 131072, 131073])
+def test_cell_at_the_field_size_limit_matches_oracle(length, column, style):
+    """A cell of length characters, its text padded (around a line break or a tab when so
+    styled, or with every other character a comma), reads as the oracle reads it; where
+    csv's limit rejects it, as a ParseError."""
+    fmt, rows, col = LIMIT_FILES[column]
+    rows = [list(row) for row in rows]
+    text = rows[3][col]
+    pad = length - len(text)
+    if style == "quoted_commas":  # a comma in every block: only _table's field width can tell
+        cell = (", " * pad)[:pad] + text
+    else:  # the tab style pads with \x1c, which str.strip and loadtxt's float parse drop too
+        inner, fill = {"quoted_lf": ("\n", " "), "quoted_tab": ("\t", "\x1c")}.get(style, (" ", " "))
+        cell = fill * (pad // 2) + inner + fill * (pad - 1 - pad // 2) + text
+    rows[3][col] = cell if style == "unquoted" else quoted(cell)
+    delim = "\t" if style == "quoted_tab" else ","
+    file = "".join(delim.join(row) + "\n" for row in rows)
+    try:
+        want = outcome(load_prices_oracle, file, fmt)
+    except csv.Error as exc:
+        assert length > ts._FIELD_LIMIT and "field larger than field limit" in str(exc)
+        with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)"):
+            load_prices(io.StringIO(file), fmt)
+        return
+    assert length <= ts._FIELD_LIMIT
+    assert_same_outcome(outcome(load_prices, io.StringIO(file), fmt), want)
 
 
 def test_load_utf8_names():
@@ -577,6 +621,16 @@ def test_text_columns_widen_only_to_their_own_cells(loadtxt_dtypes):
     assert got.assets == (name, "B")
     widths = [{k: dtype[k].itemsize for k in ("date", "asset")} for dtype in loadtxt_dtypes]
     assert widths == [{"date": 16, "asset": 16}, {"date": 16, "asset": 32}]
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+def test_regular_file_with_a_short_last_block_is_read_by_loadtxt(no_row_pass, delim):
+    # 3275 rows of 20 bytes, then a row whose price runs past the first block of 65536 bytes,
+    # so the short block after it holds no delimiter
+    rows = [f"2015-01-{5 + i % 3:02d},A{i // 3:05d},1" for i in range(3275)]
+    rows.append("2015-01-08,A00000,1." + "0" * 100)
+    text = "".join(delim.join(row.split(",")) + "\n" for row in ["date,asset,price", *rows])
+    assert_same_outcome(load_prices(io.StringIO(text)), load_prices_oracle(text, "long"))
 
 
 def index_by_sorting(texts, key):
