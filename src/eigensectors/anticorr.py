@@ -32,15 +32,14 @@ k = N) a full shuffle per trial and two dense products with C cost less.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corrmatrix import CorrelationMatrix, EigenSpectrum
+from .corrmatrix import CorrelationMatrix, EigenSpectrum, _mean_offdiagonal
 from .exceptions import ConfigurationError
 from .sectors import SubsectorPartition, select_components
-from .timeseries import _csv_line
+from .timeseries import _write_table
 
 MIN_REPORT_TRIALS = 100
 # Route rule of the baseline. A gathered trial costs ~k^2 and a dense one
@@ -262,8 +261,10 @@ def mode_scan(
 ) -> AnticorrReport:
     """Scan every mode with both subsectors populated at the given u_c.
 
-    Rows come back ordered by mode index ascending; modes with an empty side
-    are listed under ``skipped``. The market mode (0) is excluded by default.
+    Rows come back ordered by mode index ascending. A mode with an empty side,
+    or with an undefined observed or baseline Pearson value (a side whose
+    variance rounds to <= 0), is listed under ``skipped`` with its reason.
+    The market mode (0) is excluded by default.
     Per-mode baseline streams derive deterministically from (seed, mode).
     """
     if spec.assets != c.assets:
@@ -301,6 +302,12 @@ def mode_scan(
             trials=trials,
             seed=np.random.SeedSequence([seed, alpha]),
         )
+        undefined = int(np.isnan(baseline.pearson_samples).sum())
+        if np.isnan(c_pearson) or undefined:
+            observed = "observed and " if np.isnan(c_pearson) else ""
+            reason = f"undefined Pearson correlation ({observed}{undefined} of {trials} baseline trials)"
+            skipped.append(SkippedMode(alpha, f"{reason} at u_c={u_c:g}"))
+            continue
         rows.append(
             ModeScanRow(
                 mode_index=alpha,
@@ -350,11 +357,7 @@ def block_averages(c: CorrelationMatrix, partition: SubsectorPartition) -> Block
     neg = list(partition.negative)
 
     def within(idx: list[int]) -> float | None:
-        if len(idx) < 2:
-            return None
-        sub = c.values[np.ix_(idx, idx)]
-        m = len(idx)
-        return float((sub.sum() - np.trace(sub)) / (m * (m - 1)))
+        return _mean_offdiagonal(c.values[np.ix_(idx, idx)]) if len(idx) > 1 else None
 
     between = None
     if pos and neg:
@@ -400,9 +403,7 @@ def report_to_dict(report: AnticorrReport) -> dict:
 
 def write_scan_delimited(report: AnticorrReport, path) -> None:
     """Plot-ready file: mode, C raw, C pearson, baseline mean, baseline std."""
-    path = Path(path)
-    lines = ["mode,c_raw,c_pearson,baseline_mean,baseline_std"]
-    for row in report.rows:
-        values = (row.c_raw, row.c_pearson, row.baseline.pearson_mean, row.baseline.pearson_std)
-        lines.append(_csv_line([str(row.mode_index), *(f"{x:.17g}" for x in values)]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_table(path, [
+        ("mode", "c_raw", "c_pearson", "baseline_mean", "baseline_std"),
+        *((r.mode_index, r.c_raw, r.c_pearson, r.baseline.pearson_mean, r.baseline.pearson_std) for r in report.rows),
+    ])

@@ -9,7 +9,6 @@ error, 2 data error, 3 numerical error or out of memory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -36,14 +35,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _write_report(args, name: str, report: dict) -> None:
     """Write a stage report with every parsed option echoed under "config"."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_json(Path(args.out_dir) / name, {**report, "config": config})
+    ts._write_json(Path(args.out_dir) / name, {**report, "config": config})
 
 
 def _existing(path: str, what: str) -> Path:
@@ -141,14 +136,11 @@ def cmd_sectors(args) -> int:
     )
     thresholds = list(map(sec._threshold, thresholds))  # all checked by now; -0 becomes 0
     out = _out_dir(args)
-    lines = ["u_c,mode,eigenvalue,sign,anchor_asset,dominant,matched,total,members"]
-    for r in rows:
-        lines.append(ts._csv_line([
-            f"{r.threshold:g}", str(r.mode_index), f"{r.eigenvalue:.17g}", r.sign,
-            r.anchor_asset, r.report.dominant_category,
-            str(r.report.matched), str(r.report.total), ts._csv_line(r.report.members, ";"),
-        ]))
-    (out / "sectors.csv").write_text("\n".join(lines) + "\n")
+    ts._write_table(out / "sectors.csv", [
+        ("u_c", "mode", "eigenvalue", "sign", "anchor_asset", "dominant", "matched", "total", "members"),
+        *((f"{r.threshold:g}", r.mode_index, r.eigenvalue, r.sign, r.anchor_asset, r.report.dominant_category,
+           r.report.matched, r.report.total, ts._csv_line(r.report.members, ";")) for r in rows),
+    ])
     _write_report(args, "sectors.json", {
         "thresholds": thresholds,
         "rows": [
@@ -185,15 +177,12 @@ def _run_scan(args, c, spec, u_c: float, out: Path) -> None:
     _write_report(args, f"anticorr_{tag}.json", ac.report_to_dict(report))
     ac.write_scan_delimited(report, out / f"anticorr_scan_{tag}.csv")
 
-    lines = ["u_c,mode,n_positive,n_negative,within_positive,within_negative,between"]
-    for row in report.rows:
-        blocks = ac.block_averages(c, row.partition)
-        averages = (blocks.within_positive, blocks.within_negative, blocks.between)
-        lines.append(ts._csv_line([
-            f"{u_c:g}", str(row.mode_index), str(blocks.n_positive), str(blocks.n_negative),
-            *("" if x is None else f"{x:.17g}" for x in averages),
-        ]))
-    (out / f"block_averages_{tag}.csv").write_text("\n".join(lines) + "\n")
+    blocks = [(row.mode_index, ac.block_averages(c, row.partition)) for row in report.rows]
+    ts._write_table(out / f"block_averages_{tag}.csv", [
+        ("u_c", "mode", "n_positive", "n_negative", "within_positive", "within_negative", "between"),
+        *((f"{u_c:g}", mode, b.n_positive, b.n_negative, b.within_positive, b.within_negative, b.between)
+          for mode, b in blocks),
+    ])
     print(
         f"anticorr u_c={u_c:g}: {len(report.rows)} modes scanned, "
         f"{len(report.skipped)} skipped, trials={report.trials}"
@@ -221,10 +210,9 @@ def cmd_synth(args) -> int:
     panel = synth.prices_from_returns(nr)
     out = _out_dir(args)
     synth.write_panel_wide(panel, out / "panel.csv")
-    _write_json(out / "ground_truth.json", synth.truth_to_dict(truth, nr.assets))
+    ts._write_json(out / "ground_truth.json", synth.truth_to_dict(truth, nr.assets))
     metadata = synth.metadata_from_truth(truth, nr.assets)
-    meta_lines = ["asset,category"] + [ts._csv_line(item) for item in sorted(metadata.items())]
-    (out / "metadata.csv").write_text("\n".join(meta_lines) + "\n")
+    ts._write_table(out / "metadata.csv", [("asset", "category"), *sorted(metadata.items())])
     _write_report(args, "synth_report.json", {
         "seed": seed,
         "n_assets": market.n_assets,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns, _csv_faults, _csv_line, _integer, _read_bytes, _rows
+from .timeseries import NormalizedReturns, _csv_line, _integer, _read_bytes, _rows, _write_json
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -93,19 +93,27 @@ class EigenSpectrum:
         return int(np.argmax(np.abs(self.vector(alpha))))
 
 
-def correlation_matrix(nr: NormalizedReturns) -> CorrelationMatrix:
-    """C = (1/T) r r^T over normalized rows, symmetrized, unit diagonal set."""
-    t = nr.n_observations
-    c = (nr.values @ nr.values.T) / t
+def _correlation(assets, c: np.ndarray, n_observations: int) -> CorrelationMatrix:
+    """The CorrelationMatrix of c made symmetric, with its diagonal set to exactly 1."""
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(assets=nr.assets, values=c, n_observations=t)
+    return CorrelationMatrix(assets=assets, values=c, n_observations=n_observations)
+
+
+def correlation_matrix(nr: NormalizedReturns) -> CorrelationMatrix:
+    """C = (1/T) r r^T over normalized rows, symmetrized, unit diagonal set."""
+    return _correlation(nr.assets, (nr.values @ nr.values.T) / nr.n_observations, nr.n_observations)
+
+
+def _mean_offdiagonal(values: np.ndarray) -> float:
+    """Average over the m(m-1) off-diagonal entries of an m x m block, m >= 2."""
+    m = len(values)
+    return float((values.sum() - np.trace(values)) / (m * (m - 1)))
 
 
 def mean_offdiagonal(c: CorrelationMatrix) -> float:
     """Average correlation over the N(N-1) off-diagonal entries."""
-    n = c.n_assets
-    return float((c.values.sum() - np.trace(c.values)) / (n * (n - 1)))
+    return _mean_offdiagonal(c.values)
 
 
 def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
@@ -167,14 +175,7 @@ def save_matrix(c: CorrelationMatrix, path) -> Path:
     body = "".join([row % tuple(r.tolist()) for r in c.values])
     path.write_text(_csv_line(c.assets) + "\n" + body)
     sidecar = path.with_suffix(".meta.json")
-    sidecar.write_text(
-        json.dumps(
-            {"n_assets": c.n_assets, "n_observations": c.n_observations},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    _write_json(sidecar, {"n_assets": c.n_assets, "n_observations": c.n_observations})
     return sidecar
 
 
@@ -188,8 +189,7 @@ def load_matrix(path) -> CorrelationMatrix:
     data = _read_bytes(path)
     if not data:
         raise ParseError("empty matrix file", 1)
-    reader = _rows(data, ",")
-    with _csv_faults(reader):
+    with _rows(data, ",") as reader:
         assets = tuple(s.strip() for s in next(reader))
     n = len(assets)
     rows = []

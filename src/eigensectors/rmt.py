@@ -44,15 +44,11 @@ def mp_density(lam, q: float):
     Accepts a scalar or array; returns the same shape.
     """
     law = mp_bounds(q)
-    lam_arr = np.asarray(lam, dtype=float)
-    scalar = lam_arr.ndim == 0
-    lam_arr = np.atleast_1d(lam_arr)
-    out = np.zeros_like(lam_arr)
-    inside = (lam_arr > 0.0) & (lam_arr >= law.lambda_min) & (lam_arr <= law.lambda_max)
-    x = lam_arr[inside]
+    lam = np.asarray(lam, dtype=float)
+    inside = (lam > 0.0) & (lam >= law.lambda_min) & (lam <= law.lambda_max)
+    x = np.where(inside, lam, law.lambda_max)  # outside, a point of the support stands in
     prod = (law.lambda_max - x) * (x - law.lambda_min)
-    out[inside] = (law.q / (2.0 * np.pi)) * np.sqrt(np.clip(prod, 0.0, None)) / x
-    return float(out[0]) if scalar else out
+    return np.where(inside, (law.q / (2.0 * np.pi)) * np.sqrt(np.clip(prod, 0.0, None)) / x, 0.0)[()]
 
 
 def mp_cdf(lam, q: float):
@@ -66,10 +62,7 @@ def mp_cdf(lam, q: float):
     dens = mp_density(grid, q)
     cume = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))))
     cume /= cume[-1]
-    lam_arr = np.asarray(lam, dtype=float)
-    scalar = lam_arr.ndim == 0
-    out = np.interp(np.atleast_1d(lam_arr), grid, cume, left=0.0, right=1.0)
-    return float(out[0]) if scalar else out
+    return np.interp(np.asarray(lam, dtype=float), grid, cume, left=0.0, right=1.0)
 
 
 @dataclass

@@ -96,12 +96,8 @@ def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorP
             f"1/sqrt(N)={scale:.4f}; subsectors will pick up noise components",
             stacklevel=2,
         )
-    if u_c == 0.0:
-        pos = np.flatnonzero(u > 0.0)
-        neg = np.flatnonzero(u < 0.0)
-    else:
-        pos = np.flatnonzero(u >= u_c)
-        neg = np.flatnonzero(u <= -u_c)
+    pos = np.flatnonzero((u >= u_c) & (u > 0.0))  # at u_c = 0 a zero component joins neither side
+    neg = np.flatnonzero((u <= -u_c) & (u < 0.0))
     return SubsectorPartition(
         assets=spec.assets,
         positive=tuple(int(i) for i in pos),

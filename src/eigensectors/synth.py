@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmatrix import CorrelationMatrix
+from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
 from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, normalize_returns
 
@@ -178,14 +178,7 @@ def population_correlation(spec: MarketSpec) -> CorrelationMatrix:
         cov += np.outer(signed, signed)
     cov[np.diag_indices(n)] += spec.noise_std**2
     d = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(d, d)
-    corr = (corr + corr.T) / 2.0
-    np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(
-        assets=asset_names(n),
-        values=corr,
-        n_observations=spec.n_observations,
-    )
+    return _correlation(asset_names(n), cov / np.outer(d, d), spec.n_observations)
 
 
 def prices_from_returns(nr: NormalizedReturns) -> PricePanel:

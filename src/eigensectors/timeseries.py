@@ -12,6 +12,7 @@ import codecs
 import csv
 import datetime as dt
 import io
+import json
 import math
 import re
 import warnings
@@ -184,10 +185,19 @@ def _read_bytes(source) -> bytes:
     return data
 
 
+@contextmanager
 def _rows(data: bytes, delimiter: str):
-    """csv rows of UTF-8 data; LF, CRLF and CR all end a line."""
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    return csv.reader(lines, delimiter=delimiter)
+    """A csv reader of UTF-8 data; LF, CRLF and CR all end a line.
+
+    Inside the context a row that csv rejects (a cell over its field size limit)
+    is a ParseError at its line. A context rather than a generator over the
+    reader, so the row loop pays nothing per row.
+    """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), delimiter=delimiter)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
 
 
 def _csv_line(cells: Iterable[str], delimiter: str = ",") -> str:
@@ -197,16 +207,18 @@ def _csv_line(cells: Iterable[str], delimiter: str = ",") -> str:
     return delimiter.join('"%s"' % c.replace('"', '""') if any(s in c for s in quoted) else c for c in cells)
 
 
-@contextmanager
-def _csv_faults(reader):
-    """A row that csv rejects (a cell over its field size limit) becomes a ParseError at its line.
+def _write_table(path, rows: Iterable[Iterable]) -> None:
+    """Write each row as one _csv_line, ended by LF: a float cell as %.17g, None as empty, any other as str."""
 
-    A context rather than a generator over the reader, so the row loop pays nothing per row.
-    """
-    try:
-        yield
-    except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
+    def cell(x) -> str:
+        return "" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    Path(path).write_text("".join(_csv_line(map(cell, row)) + "\n" for row in rows))
+
+
+def _write_json(path, obj) -> None:
+    """Write obj as JSON, keys sorted, indented by 2, ended by LF."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _delimiter(data: bytes) -> str:
@@ -296,7 +308,8 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
 
     fmt="long": one observation per row with date, asset and price columns.
     fmt="wide": first column is the date, remaining headers are asset names;
-    empty or NA cells mark missing observations. The delimiter is sniffed from
+    empty or NA cells mark missing observations, and a column with no price is
+    left out with a warning that names it. The delimiter is sniffed from
     the header (comma vs tab). Price cells are ASCII decimal floats.
 
     Raises ParseError (with a 1-based line number) for malformed rows and
@@ -308,8 +321,7 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     if not data:
         raise ParseError("empty input", 1)
     delim = _delimiter(data)
-    reader = _rows(data, delim)
-    with _csv_faults(reader):
+    with _rows(data, delim) as reader:
         header = [h.strip() for h in next(reader)]
     if fmt == "long":
         try:
@@ -361,7 +373,8 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
 def _panel(assets: list, a: np.ndarray, dates: list, d: np.ndarray, values: np.ndarray) -> PricePanel:
     """The panel where asset assets[a[k]] is priced values[k] on date dates[d[k]].
 
-    ValueError for an (asset, date) pair given twice. Assets and dates with no price are left out.
+    ValueError for an (asset, date) pair given twice. Assets and dates with no price are
+    left out, and one warning names the assets.
     """
     grid = np.full((len(assets), len(dates)), np.nan)
     grid[a, d] = values
@@ -369,6 +382,9 @@ def _panel(assets: list, a: np.ndarray, dates: list, d: np.ndarray, values: np.n
     if np.count_nonzero(present) != values.size:
         raise ValueError("duplicate observation")
     observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
+    if not observed_assets.all():
+        unpriced = ", ".join(compress(assets, ~observed_assets))
+        warnings.warn(f"assets with no price left out: {unpriced}", stacklevel=3)
     return PricePanel(
         assets=tuple(compress(assets, observed_assets)),
         dates=tuple(compress(dates, observed_dates)),
@@ -419,8 +435,7 @@ def _read_rows(data, delim, fmt, header, cols):
     Returns _panel's arguments. Raises the error of the first bad row.
     """
     observed: dict[tuple[str, dt.date], float] = {}  # (asset, date) -> price
-    rows = _rows(data, delim)
-    with _csv_faults(rows):
+    with _rows(data, delim) as rows:
         next(rows)  # the header
         for row in rows:
             if all(c.isascii() and not c.strip() for c in row):
@@ -453,9 +468,11 @@ def _read_rows(data, delim, fmt, header, cols):
                 if (asset, date) in observed:
                     raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
                 observed[asset, date] = price
-    assets, a = _index(np.array([asset for asset, _ in observed], dtype=str), str)
+    names = [asset for asset, _ in observed]
+    columns = header[1:] if fmt == "wide" else []  # so that _panel names a wide column with no price
+    assets, a = _index(np.array(names + columns, dtype=str), str)
     dates, d = _index(np.array([date.toordinal() for _, date in observed], dtype=np.int64), dt.date.fromordinal)
-    return assets, a, dates, d, np.array(list(observed.values()), dtype=float)
+    return assets, a[: len(names)], dates, d, np.array(list(observed.values()), dtype=float)
 
 
 def load_metadata(source) -> dict[str, str]:
@@ -467,8 +484,7 @@ def load_metadata(source) -> dict[str, str]:
     if not data:
         return {}
     mapping: dict[str, str] = {}
-    rows = _rows(data, _delimiter(data))
-    with _csv_faults(rows):
+    with _rows(data, _delimiter(data)) as rows:
         for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue

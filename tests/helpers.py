@@ -46,6 +46,19 @@ PAPER_SCAN = MarketSpec(
 )
 
 
+# Assets 0-2 load one factor so strongly that they correlate at +-1 to the last bit: a
+# combination of two of them can have a variance <= 0 by rounding, which leaves its
+# Pearson correlation undefined. A synth config that test_synth_config_fuzz found.
+DEGENERATE_CONFIG = {
+    "n_assets": 6,
+    "n_observations": 6,
+    "market_strength": 1.0,
+    "noise_std": 1.0,
+    "seed": 1,
+    "blocks": [{"assets": [0, 1, 2], "loading": 260891283.0, "sign_pattern": [1, 1, -1], "name": "A"}],
+}
+
+
 def days(count, start=dt.date(2015, 1, 5)):
     return tuple(start + dt.timedelta(days=i) for i in range(count))
 

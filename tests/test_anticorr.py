@@ -509,6 +509,28 @@ def test_scan_market_mode_opt_in_lists_skip():
     assert "negative" in report.skipped[0].reason
 
 
+def test_scan_skips_a_mode_with_undefined_pearson():
+    # C[1, 2] = -1, so the sum of assets 1 and 2 has variance 0: a placement of both on
+    # one side, the observed one of mode 1 too, has an undefined Pearson value
+    c = CorrelationMatrix(("A", "B", "C"), np.array([[1.0, 0, 0], [0, 1, -1], [0, -1, 1]]), n_observations=10)
+    vectors = np.column_stack([np.ones(3) / np.sqrt(3), [2 / np.sqrt(6), -1 / np.sqrt(6), -1 / np.sqrt(6)],
+                               [0.0, 1 / np.sqrt(2), -1 / np.sqrt(2)]])
+    spec = EigenSpectrum(c.assets, np.array([1.5, 1.0, 0.5]), vectors, n_observations=10)
+    report = mode_scan(c, spec, 0.0, trials=300, seed=4)
+    assert [r.mode_index for r in report.rows] == [2]
+    assert not np.isnan(report.rows[0].baseline.pearson_samples).any()
+    part = select_components(spec, 1, 0.0)
+    samples = random_baseline(
+        c, (part.positive_weights, part.negative_weights), trials=300, seed=SeedSequence([4, 1])
+    ).pearson_samples
+    undefined = int(np.isnan(samples).sum())
+    assert 0 < undefined < 300
+    assert [(s.mode_index, s.reason) for s in report.skipped] == [
+        (1, f"undefined Pearson correlation (observed and {undefined} of 300 baseline trials) at u_c=0")
+    ]
+    assert "nan" not in str(report_to_dict(report)).lower()
+
+
 def test_scan_flags_planted_mode_and_decay():
     nr, _ = generate(ONE_BLOCK, seed=0)
     report = mode_scan(*matrix_and_spectrum(nr), 0.15, trials=300, seed=0)

@@ -5,12 +5,15 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eigensectors import eigendecompose, load_matrix, mode_scan, mp_bounds, report_to_dict
 from eigensectors.cli import build_parser, main
+
+from helpers import DEGENERATE_CONFIG
 
 MARKET_CONFIG = {
     "n_assets": 12,
@@ -495,6 +498,17 @@ def test_library_notice_is_one_warning_line(tmp_path, capsys):
     )
 
 
+def test_wide_asset_with_no_price_is_one_warning_line(tmp_path, capsys):
+    panel = tmp_path / "p.csv"
+    rows = [f"2015-01-{5 + i:02d},{100 + i},,{50 + i * i}" for i in range(6)]
+    panel.write_text("date,AAA,BBB,CCC\n" + "\n".join(rows) + "\n")
+    rc = main(["analyze", "--input", str(panel), "--format", "wide", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: assets with no price left out: BBB\n"
+    report = json.loads((tmp_path / "out" / "analysis_report.json").read_text())
+    assert report["n_assets"] == 2
+
+
 def test_sectors_reads_negative_zero_threshold_as_zero(market_dir, tmp_path, capsys):
     rc = main(["sectors", "--input", str(market_dir / "panel.csv"), "--format", "wide",
                "--u-c", "-0", "--out-dir", str(tmp_path)])
@@ -574,6 +588,29 @@ def test_anticorr_scans_each_distinct_threshold_once(market_dir, tmp_path, capsy
     assert scans == [f"anticorr u_c={tag}" for tag in tags]
     files = sorted(path.name for path in tmp_path.glob("anticorr_uc*.json"))
     assert files == sorted(f"anticorr_uc{tag.replace('.', 'p')}.json" for tag in tags)
+
+
+@pytest.mark.parametrize(("flags", "tag"), [(["--u-c", "0.3"], "uc0p3"), ([], "uc0p1")], ids=["0.3", "default"])
+def test_anticorr_skips_a_mode_with_undefined_pearson(tmp_path, capsys, flags, tag):
+    def reject(token):
+        raise AssertionError(f"{token} in {path}")
+
+    cfg = tmp_path / "market.json"
+    cfg.write_text(json.dumps(DEGENERATE_CONFIG))
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "scan"
+    rc = main(["anticorr", "--input", str(tmp_path / "panel.csv"), "--format", "wide", *flags,
+               "--trials", "100", "--out-dir", str(out)])
+    assert rc == 0
+    report = json.loads((out / f"anticorr_{tag}.json").read_text())
+    assert 1 not in [m["mode"] for m in report["modes"]]
+    reason = {s["mode"]: s["reason"] for s in report["skipped"]}[1]
+    assert re.fullmatch(rf"undefined Pearson correlation \(\d+ of 100 baseline trials\) at u_c={tag[2:].replace('p', '.')}", reason)
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=reject)
+        else:
+            assert "nan" not in path.read_text().lower(), path
 
 
 def test_anticorr_out_of_memory_exits_3(market_dir, tmp_path, capsys):

@@ -13,11 +13,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensectors import PricePanel, load_matrix, load_metadata, load_prices, write_panel_wide
 from eigensectors.cli import main
+
+from helpers import DEGENERATE_CONFIG
 
 # JSON values that are wrong where a number belongs; 1e400 parses as infinity
 # and the big integers describe grids no machine holds
@@ -136,6 +138,7 @@ def run_stages(root: Path, source: list[str], metadata: Path | None) -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(config=market_configs())
+@example(config=json.dumps(DEGENERATE_CONFIG))  # C at +-1 to the last bit: undefined Pearson values
 def test_synth_config_fuzz(config):
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)

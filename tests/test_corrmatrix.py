@@ -337,6 +337,17 @@ def test_load_skips_utf8_byte_order_mark(tmp_path):
     assert load_matrix(path).assets == c.assets
 
 
+@pytest.mark.parametrize("name", ["Y" * 131_073, '"Y,' + "Y" * 200_000 + '"'], ids=["bare", "quoted"])
+def test_load_oversized_header_cell_is_a_parse_error(tmp_path, name):
+    # over csv's default field size limit of 131072 characters
+    path = tmp_path / "corr.csv"
+    path.write_text(f"X,{name}\n1.0,0.5\n0.5,1.0\n")
+    path.with_suffix(".meta.json").write_text('{"n_assets": 2, "n_observations": 9}\n')
+    with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)") as err:
+        load_matrix(path)
+    assert err.value.line_number == 1
+
+
 def test_load_rejects_missing_rows(tmp_path):
     path = tmp_path / "corr.csv"
     path.write_text("X,Y\n1.0,0.5\n")

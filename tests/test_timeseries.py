@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,23 @@ def test_load_wide_with_missing_cells():
     assert p.assets == ("AAA", "BBB")
     assert np.isnan(p.prices)[0, 1]
     assert p.prices[1, 1] == 21.0
+
+
+@pytest.mark.parametrize("route", ["loadtxt", "csv"])
+def test_wide_assets_with_no_price_are_named_in_one_warning(monkeypatch, route):
+    def fail(*args):  # a ValueError sends the file on to the csv route, any other ends the test
+        raise (ValueError if route == "csv" else AssertionError)(f"the file was not read by {route}")
+
+    monkeypatch.setattr(ts, "_read_rows" if route == "loadtxt" else "_table", fail)
+    text = "date,A,B,C,D\n2015-01-05,1,,2,\n2015-01-06,2,,3,NA\n2015-01-07,3,NA,1,\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = load_prices(io.StringIO(text), fmt="wide")
+        assert load_prices(io.StringIO(text.replace("NA,1,", "NA,1,4")), fmt="wide").assets == ("A", "C", "D")
+        assert load_prices(io.StringIO(text.replace(",,", ",5,")), fmt="wide").assets == ("A", "B", "C")
+    assert p.assets == ("A", "C")
+    assert p.prices.tolist() == [[1.0, 2.0, 3.0], [2.0, 3.0, 1.0]]
+    assert [str(w.message) for w in caught] == [f"assets with no price left out: {x}" for x in ("B, D", "B", "D")]
 
 
 @pytest.mark.parametrize("header", ["date,AAA,,CCC", "date,AAA, ,CCC", "date\tAAA\t\tCCC"])
