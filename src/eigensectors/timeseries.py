@@ -14,7 +14,9 @@ import datetime as dt
 import io
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -185,6 +187,15 @@ def _read_bytes(source) -> bytes:
     return data
 
 
+def _file_state(source) -> tuple | None:
+    """The device, inode, size and modification time of a path to a regular file; None for any other source."""
+    try:
+        st = os.stat(source) if isinstance(source, (str, Path)) else None
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns) if st and stat.S_ISREG(st.st_mode) else None
+
+
 @contextmanager
 def _rows(data: bytes, delimiter: str):
     """A csv reader of UTF-8 data; LF, CRLF and CR all end a line.
@@ -228,8 +239,8 @@ def _delimiter(data: bytes) -> str:
 
 _FIELD_LIMIT = csv.field_size_limit()
 _SIGNED_NAN = (re.compile(rb"\+[Nn][Aa][Nn]"), re.compile(rb"-[Nn][Aa][Nn]"))
-# two runs of bytes that are not blank to loadtxt's float parse, which strips \x1c-\x1f too
-_TWO_RUNS = re.compile(rb"[^\s\x1c-\x1f][\s\x1c-\x1f]+[^\s\x1c-\x1f]")
+# the suffixes that numpy's datasource decompresses when np.loadtxt opens a path
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _with_nan(body: bytes, delim: str) -> bytes:
@@ -252,42 +263,72 @@ def _with_nan(body: bytes, delim: str) -> bytes:
 def _over_field_limit(body: bytes, start: int, delim: str) -> bool:
     """True when a cell of body[start:] may have more characters than csv's field size limit.
 
-    Such a cell covers a whole aligned block of half the limit. Line ends are no
-    stop, as a quoted cell can span them. A block with no delimiter is suspect. A
-    cell whose every block holds one is quoted, and then it fails loadtxt's float
-    parse or fills a text field of _FIELD_LIMIT bytes in _table. With tab as the
-    delimiter, a price padded around a tab still reads as a float, but a block
-    inside it holds at most one run of non-blank bytes, so such a block is suspect too.
+    loadtxt fails such a cell only at times in a column it reads, and never in one it
+    does not, so csv judges it. An unquoted cell holds no delimiter, and one over the
+    limit covers a whole aligned block of half the limit with none; a short last block
+    never counts. A quoted cell runs from a quote that opens a cell to a quote that ends
+    one, doubled quotes within; one longer than the limit in bytes is suspect. Line ends
+    stop neither test, as a quoted cell can span them. A quote anywhere else, which csv
+    keeps as text, leaves the quoting unknown, and then every cell is suspect.
     """
     d = delim.encode()
     half = _FIELD_LIMIT // 2
-    for s in range(start, len(body) - half + 1, half):  # a short last block never counts
-        if body.find(d, s, s + half) < 0 or (delim == "\t" and not _TWO_RUNS.search(body, s, s + half)):
-            return True
-    return False
+    if any(body.find(d, s, s + half) < 0 for s in range(start, len(body) - half + 1, half)):
+        return True
+    if body.find(b'"', start) < 0:
+        return False
+    text = np.frombuffer(body, np.uint8)
+    quotes = np.flatnonzero(text[start:] == ord('"')) + start
+    opening = quotes[0::2]
+    closing = np.append(quotes[1::2], len(body))[: opening.size]  # an unclosed quote runs to the end
+    bounds = np.zeros(256, bool)
+    bounds[[ord(d), ord("\n"), ord("\r"), ord('"')]] = True  # a doubled quote both ends and opens
+    # the byte before each opening quote and after each closing one; the body starts and ends a line
+    before = np.where(opening > 0, text[opening - 1], ord("\n"))
+    after = np.where(closing + 1 < len(body), text[np.minimum(closing + 1, len(body) - 1)], ord("\n"))
+    if not (bounds[before].all() and bounds[after].all()):
+        return True
+    joined = closing[:-1] + 1 == opening[1:]  # a doubled quote: the cell goes on
+    first, last = opening[np.append(True, ~joined)], closing[np.append(~joined, True)]
+    return bool((last - first - 1 > _FIELD_LIMIT).any())
 
 
-def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols=None) -> dict[str, np.ndarray]:
-    """The columns of one np.loadtxt pass over body[start:] with csv's quoting, a row per line.
+def _table(
+    body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols=None, file=None
+) -> dict[str, np.ndarray]:
+    """The columns of np.loadtxt's reading of body[start:] with csv's quoting, a row per line.
 
     fields are (name, dtype) pairs; a dtype of None is a text column, read as
     bytes and returned at the width of its longest cell, or at 1, 2, 4 or 8
     bytes when that is at most 8. ValueError for any row that loadtxt rejects
     and for a cell that may be over csv's field size limit, which csv then judges.
+
+    file, when given, is (path, lines, state): the regular file whose text past its
+    first lines physical lines is body[start:], and its _file_state when body was
+    read. loadtxt then reads the file itself, in large chunks, where from memory it
+    takes a line object per row. A pass after which the file's state is not that one
+    ends in a ParseError, whatever loadtxt made of it, so no table mixes two versions.
     """
     if _over_field_limit(body, start, delim):
         raise ValueError("cell over the field size limit")
     width = {name: 16 for name, kind in fields if kind is None}
     while True:
         dtype = [(name, f"S{width[name]}" if kind is None else kind) for name, kind in fields]
-        rows = io.BytesIO(body)  # shares body's bytes; no copy
-        rows.seek(start)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(
-                rows, dtype=dtype, delimiter=delim, comments=None,
-                quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
-            )
+        if file:
+            rows, skip = file[:2]
+        else:
+            rows, skip = io.BytesIO(body), 0  # shares body's bytes; no copy
+            rows.seek(start)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    rows, dtype=dtype, delimiter=delim, comments=None, skiprows=skip,
+                    quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
+                )
+        finally:
+            if file and _file_state(file[0]) != file[2]:
+                raise ParseError(f"{file[0]} changed while it was read")
         longest = {name: int(np.char.str_len(table[name]).max(initial=1)) for name in width}
         cut = [name for name in width if longest[name] == width[name]]
         if not cut:
@@ -312,17 +353,33 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     left out with a warning that names it. The delimiter is sniffed from
     the header (comma vs tab). Price cells are ASCII decimal floats.
 
-    Raises ParseError (with a 1-based line number) for malformed rows and
-    ValidationError for non-positive prices or duplicate observations.
+    The path of a regular file is read twice: whole, for the header, the checks
+    and the csv reference reader, then by np.loadtxt from disk in large chunks.
+    Any other source, such as a file object or a pipe, a file holding a CR, and a
+    file whose suffix numpy decompresses (.gz, .bz2, .xz, .lzma) are read by
+    np.loadtxt from memory, a line at a time.
+
+    Raises ParseError (with a 1-based line number) for malformed rows, and without
+    one for a file that changed between its two reads; ValidationError for
+    non-positive prices or duplicate observations.
     """
     if fmt not in ("long", "wide"):
         raise ConfigurationError(f"unknown format {fmt!r}, expected 'long' or 'wide'")
+    state = _file_state(source)  # before the read, so that a change made during it shows
     data = _read_bytes(source)
     if not data:
         raise ParseError("empty input", 1)
     delim = _delimiter(data)
     with _rows(data, delim) as reader:
         header = [h.strip() for h in next(reader)]
+    # loadtxt is handed a regular file's path where numpy reads the file as _read_bytes did:
+    # numpy opens a path in text mode, which reads a CR as LF, and by its suffix, which may
+    # decompress it. Path's form of the name has no "//", which numpy would take for a URL.
+    file = None
+    if state:
+        path = os.fspath(Path(source))
+        if not path.endswith(_DECOMPRESSED) and b"\r" not in data:
+            file = (path, reader.line_num, state)  # the header's physical lines, which numpy skips
     if fmt == "long":
         try:
             cols = [header.index(c) for c in ("date", "asset", "price")]
@@ -343,7 +400,7 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         header_end = next(islice(line_ends, reader.line_num - 1, None), None)
         start = header_end.end() if header_end else len(data)
         if fmt == "long":
-            table = _table(data, start, delim, [("date", None), ("asset", None), ("price", float)], cols)
+            table = _table(data, start, delim, [("date", None), ("asset", None), ("price", float)], cols, file)
             assets, a = _index(table["asset"], _text)
             if "" in assets:
                 raise ValueError("empty asset identifier")
@@ -352,7 +409,7 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         else:
             fields = [("date", None), ("price", (float, (len(header) - 1,)))]
             try:
-                table = _table(data, start, delim, fields)
+                table = _table(data, start, delim, fields, None, file)
             except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
                 table = _table(_with_nan(data[start:], delim), 0, delim, fields)
             missing = np.isnan(table["price"])

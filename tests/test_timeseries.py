@@ -4,9 +4,13 @@ import datetime as dt
 import io
 import itertools
 import math
+import os
 import re
 import sys
+import tempfile
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,10 +431,15 @@ def as_text(header, rows, delim):
 
 
 def check_against_oracle(text, fmt):
+    """The loader reads text as the oracle does from memory, and from a file, with each line end."""
     want = outcome(load_prices_oracle, text, fmt)
-    for end in ("\r\n", "\r"):  # the oracle splits on LF only; the loader takes any line end
-        twin = io.BytesIO(text.replace("\n", end).encode())
-        assert_same_outcome(outcome(load_prices, twin, fmt), want)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        for end in ("\n", "\r\n", "\r"):  # the oracle splits on LF only; the loader takes any line end
+            path.write_bytes(text.replace("\n", end).encode())
+            assert_same_outcome(outcome(load_prices, path, fmt), want)
+            if end != "\n":
+                assert_same_outcome(outcome(load_prices, io.BytesIO(path.read_bytes()), fmt), want)
     got = outcome(load_prices, io.StringIO(text), fmt)
     assert_same_outcome(got, want)
     if isinstance(want, Exception):
@@ -649,6 +658,153 @@ def test_regular_file_with_a_short_last_block_is_read_by_loadtxt(no_row_pass, de
     rows.append("2015-01-08,A00000,1." + "0" * 100)
     text = "".join(delim.join(row.split(",")) + "\n" for row in ["date,asset,price", *rows])
     assert_same_outcome(load_prices(io.StringIO(text)), load_prices_oracle(text, "long"))
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """The source handed to each np.loadtxt call made while the test runs, with its skiprows."""
+    calls, real = [], np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        calls.append((fname, kwargs.get("skiprows", 0)))
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+LONG_ROWS = "".join(f"2015-01-{j:02d},{asset},{j}.5\n" for j in range(5, 25) for asset in ("AAA", "BBB"))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_regular_file_is_handed_to_loadtxt_by_path_unless_it_holds_a_cr(tmp_path, loadtxt_sources, end):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(("date,asset,price\n" + LONG_ROWS).replace("\n", end).encode())
+    got = load_prices(path)
+    if end == "\n":
+        assert loadtxt_sources == [(os.fspath(path), 1)]
+    else:  # text mode would read each CR as LF
+        assert [type(source) for source, _ in loadtxt_sources] == [io.BytesIO]
+    assert_same_outcome(got, load_prices(io.BytesIO(path.read_bytes())))
+
+
+def test_plain_text_file_with_a_compressed_suffix_is_read_from_memory(tmp_path, loadtxt_sources):
+    path = tmp_path / "prices.csv.gz"  # numpy would open it with gzip
+    path.write_text("date,asset,price\n" + LONG_ROWS)
+    got = load_prices(path)
+    assert [type(source) for source, _ in loadtxt_sources] == [io.BytesIO]
+    assert_same_outcome(got, load_prices(io.StringIO(path.read_text())))
+
+
+@pytest.mark.parametrize(
+    ("fmt", "text", "header_lines"),
+    [
+        ("long", 'date,asset,price,"note\nspanning\nlines"\n' + LONG_ROWS.replace("\n", ",x\n"), 3),
+        ("wide", 'date,"AA\nA",BBB\n' + "".join(f"2015-01-{j:02d},{j},1.5\n" for j in range(5, 25)), 2),
+    ],
+    ids=["long", "wide"],
+)
+def test_file_with_a_byte_order_mark_and_a_multi_line_header_skips_its_physical_lines(
+    tmp_path, loadtxt_sources, fmt, text, header_lines
+):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    got = load_prices(path, fmt)
+    assert loadtxt_sources == [(os.fspath(path), header_lines)]
+    assert_same_outcome(got, load_prices(io.BytesIO(path.read_bytes()), fmt))
+    assert_same_outcome(got, load_prices_oracle(text, fmt))
+
+
+def pipe_path(tmp_path, kind):
+    """A path that reads from a pipe, and the raw file descriptor to close afterwards, if any."""
+    if kind == "named_pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        path = tmp_path / "prices.csv"
+        os.mkfifo(path)
+        return path, lambda: os.open(path, os.O_WRONLY), None
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd on this platform")
+    read_end, write_end = os.pipe()  # as a shell's process substitution <(...) hands one over
+    return Path(f"/dev/fd/{read_end}"), lambda: write_end, read_end
+
+
+@pytest.mark.parametrize("kind", ["named_pipe", "process_substitution"])
+def test_pipe_is_read_once(tmp_path, kind):
+    days = [dt.date(2010, 1, 1) + dt.timedelta(days=j) for j in range(4000)]
+    text = "date,asset,price\n" + "".join(f"{t},{a},{t.day}.5\n" for t in days for a in ("A", "B"))
+    assert len(text) > 65536  # more than a pipe buffer holds
+    path, open_writer, read_end = pipe_path(tmp_path, kind)
+
+    def write():
+        with os.fdopen(open_writer(), "w") as pipe:
+            pipe.write(text)
+
+    result = {}
+    writer = threading.Thread(target=write, daemon=True)
+    reader = threading.Thread(target=lambda: result.update(got=outcome(load_prices, path, "long")), daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=20)
+    blocked = reader.is_alive()
+    if blocked and kind == "named_pipe":  # a second open waits for a writer: let it see one that writes nothing
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(timeout=20)
+    writer.join(timeout=20)
+    if read_end is not None:
+        os.close(read_end)
+    assert not blocked, "the loader opened the pipe a second time"
+    assert_same_outcome(result["got"], load_prices(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("change", ["grown", "replaced", "touched"])
+def test_file_that_changes_before_loadtxt_reads_it_is_a_parse_error(tmp_path, monkeypatch, change):
+    path = tmp_path / "prices.csv"
+    text = "date,asset,price\n" + LONG_ROWS
+    path.write_text(text)
+    real = np.loadtxt
+
+    def rewrite_then_load(fname, *args, **kwargs):
+        if change == "grown":
+            path.write_text(text + "2015-01-26,AAA,9\n")
+        elif change == "replaced":  # the same bytes in a new file moved over the old one
+            (tmp_path / "new.csv").write_text(text)
+            os.replace(tmp_path / "new.csv", path)
+        else:
+            os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", rewrite_then_load)
+    with pytest.raises(ParseError, match="changed while it was read") as err:
+        load_prices(path)
+    assert "\n" not in str(err.value)
+
+
+# cells of 140000 characters or more with a delimiter in every block, as csv reads them
+OVER_LIMIT_CELLS = {
+    "commas": "x," * 70_000,
+    "line_break_every_64k": "\n".join(("x," * 70_000)[i : i + 65536] for i in range(0, 140_000, 65536)),
+    "doubled_quotes": ("x," * 500 + '""') * 140,  # each doubled quote is one character
+}
+
+
+@pytest.mark.parametrize("stray_quote", [False, True], ids=["quoted", "stray_quote"])
+@pytest.mark.parametrize("style", sorted(OVER_LIMIT_CELLS))
+def test_quoted_cell_over_the_field_limit_in_an_unread_column_is_a_parse_error(tmp_path, style, stray_quote):
+    cell = OVER_LIMIT_CELLS[style]
+    first = '2015-01-05,A"A,1\n' if stray_quote else "2015-01-05,AAA,1\n"  # csv keeps a quote inside a cell
+    text = "date,asset,price\n" + first + f'2015-01-06,AAA,2\n2015-01-07,BBB,3,"{cell}"\n2015-01-08,BBB,4\n'
+    with pytest.raises(csv.Error, match=r"field larger than field limit \(131072\)"):
+        load_prices_oracle(text, "long")
+    path = tmp_path / "prices.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)") as err:
+        load_prices(io.StringIO(text))
+    assert_same_outcome(outcome(load_prices, path, "long"), err.value)
+    if style == "commas":  # a CR would lengthen a cell with line breaks, so only this one is read at every line end
+        assert err.value.line_number == 4
+        # the same file with the cell at the limit loads as csv reads it
+        check_against_oracle(text.replace(cell, cell[: ts._FIELD_LIMIT]), "long")
 
 
 def index_by_sorting(texts, key):
