@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns, _csv_line, _integer, _read_bytes, _rows, _write_json
+from .timeseries import NormalizedReturns, _csv_line, _integer, _read_bytes, _rows, _write_grid, _write_json
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -171,9 +171,7 @@ def save_matrix(c: CorrelationMatrix, path) -> Path:
     written with 17 significant digits so the round trip is exact.
     """
     path = Path(path)
-    row = ",".join(["%.17g"] * c.n_assets) + "\n"
-    body = "".join([row % tuple(r.tolist()) for r in c.values])
-    path.write_text(_csv_line(c.assets) + "\n" + body)
+    _write_grid(path, _csv_line(c.assets), c.values)
     sidecar = path.with_suffix(".meta.json")
     _write_json(sidecar, {"n_assets": c.n_assets, "n_observations": c.n_observations})
     return sidecar
@@ -210,7 +208,7 @@ def load_matrix(path) -> CorrelationMatrix:
     if not sidecar.exists():
         raise ValidationError(f"missing matrix sidecar {sidecar}")
     try:
-        n_observations = _integer(json.loads(sidecar.read_text())["n_observations"])
+        n_observations = _integer(json.loads(sidecar.read_text(encoding="utf-8"))["n_observations"])
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ValidationError(
             f"matrix sidecar {sidecar} lacks a valid n_observations: {exc!r}"

@@ -21,7 +21,9 @@ import numpy as np
 
 from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
-from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, normalize_returns
+from .timeseries import (
+    NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, _write_grid, normalize_returns,
+)
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
 MAX_OBSERVATIONS = int(np.busday_count("2000-01-04", "9999-12-31"))
@@ -201,11 +203,8 @@ def prices_from_returns(nr: NormalizedReturns) -> PricePanel:
 
 def write_panel_wide(panel: PricePanel, path) -> None:
     """Export a panel in the wide delimited layout load_prices understands; NaN is an empty cell."""
-    row = "%s" + ",%.17g" * panel.n_assets + "\n"
-    body = "".join([row % (d.isoformat(), *p.tolist()) for d, p in zip(panel.dates, panel.prices.T)])
-    with Path(path).open("w") as out:
-        out.write(_csv_line(("date", *panel.assets)) + "\n")
-        out.write(body.replace(",nan", ","))  # dates are ISO and '%.17g' writes only NaN as 'nan'
+    _write_grid(path, _csv_line(("date", *panel.assets)), panel.prices.T, [d.isoformat() for d in panel.dates],
+                nan="")
 
 
 def truth_to_dict(truth: GroundTruth, assets: tuple[str, ...]) -> dict:
@@ -275,7 +274,7 @@ def _finite(token: str) -> float:
 def load_market_spec(path) -> tuple[MarketSpec, int]:
     """Read a MarketSpec and its seed (default 0) from a JSON configuration file."""
     try:
-        cfg = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigurationError(f"market config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):

@@ -224,12 +224,114 @@ def _write_table(path, rows: Iterable[Iterable]) -> None:
     def cell(x) -> str:
         return "" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
 
-    Path(path).write_text("".join(_csv_line(map(cell, row)) + "\n" for row in rows))
+    Path(path).write_text("".join(_csv_line(map(cell, row)) + "\n" for row in rows), encoding="utf-8")
+
+
+def _split(v):
+    """Dekker's split of v into hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # each an exact double
+_POW10_HI, _POW10_LO = _split(_POW10)
+_CELL = 25  # the longest '%.17g' text, '-2.2250738585072014e-308', and its separator
+_GRID_CHUNK = 1 << 14  # cells per chunk; larger chunks spend their time in fresh pages
+
+
+def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str, ends: bool) -> bytes:
+    """The text of _write_grid for a block of cells, each row led by its label (of at most
+    24 bytes) if labels are given and ended by LF if the block ends the grid's rows, else by
+    a comma.
+
+    A cell with 1e-4 <= |x| < 1e17 is fixed notation. With E its decimal exponent and
+    k = 16 - E in [0, 20], 10**k is an exact double, so Dekker's TwoProduct gives
+    |x| * 10**k == p + err exactly. p >= 1e16 > 2**53 is an even integer, so
+    D = p + rint(err) is that product rounded half to even: the 17 digits of '%.17g'.
+    The cells of one (k, sign) group share a layout, laid out by slicing after a stable
+    sort. Every other cell, and one whose E log10 misjudged, takes Python's '%.17g'.
+    """
+    n_rows, n_cols = values.shape
+    x = values.ravel()
+    with np.errstate(all="ignore"):  # zeros, NaN, inf and huge cells warn here; they take Python's route
+        a = np.abs(x)
+        k = np.fmax(np.fmin(16 - np.floor(np.log10(a)), 20), 0).astype(np.intp)  # 16 - E, held to [0, 20]
+        p = a * _POW10[k]
+        (ah, al), bh, bl = _split(a), _POW10_HI[k], _POW10_LO[k]
+        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # 1e16 <= p + err < 1e17: x is in the fixed range and E is right (a double p < 1e17
+    # is at most 1e17 - 16 and |err| <= 8, so D has 17 digits); NaN and inf fail too
+    fixed = ((p > 1e16) | (p == 1e16) & (err >= 0)) & (p < 1e17)
+    group = np.where(fixed, 2 * k + (x < 0), 42).astype(np.int8)  # 42: Python's route
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(43)).tolist() + [x.size]
+    n_fixed = starts[42]
+    d = d[order[:n_fixed]]
+    v = np.stack([d // 10**8, d % 10**8]).astype(np.uint32)  # the first 9 digits and the last 8
+    digits = np.full((21, n_fixed), 48, np.uint8)  # ASCII ('0' is 48), one row per digit, 4 zeros first
+    for j in range(8, 0, -1):
+        q = v // 10
+        digits[4 + j :: 8] = v - q * 10 + 48
+        v = q
+    digits[4] = v[0] + 48
+    nonzero = (digits[4:] != 48) * np.arange(17, dtype=np.uint8)[:, None]
+    last = nonzero.max(axis=0, initial=0).astype(np.intp)  # the last nonzero digit
+    text = np.zeros((_CELL, x.size), np.uint8)  # one column per cell, in sorted order
+    length = np.empty(x.size, np.intp)
+    for g in np.flatnonzero(np.diff(starts[:43])).tolist():  # each (k, sign) group that has cells
+        lo, hi, e, s = starts[g], starts[g + 1], 16 - g // 2, g % 2
+        # the integer part is the digits up to the unit's, or one zero; the fraction follows the '.'
+        i, j = 4 + min(e, 0), 5 + e
+        text[0, lo:hi] = ord("-")  # the sign, which the digits overwrite when x > 0
+        t = text[s:, lo:hi]
+        t[: j - i] = digits[i:j, lo:hi]
+        t[j - i] = ord(".")
+        t[j - i + 1 : 22 - i] = digits[j:, lo:hi]
+        z = last[lo:hi]  # the fraction keeps its digits up to the last nonzero one
+        length[lo:hi] = s + j - i + np.where(z > e, z - e + 1, 0)
+    rest = [nan if y != y else "%.17g" % y for y in x[order[n_fixed:]].tolist()]
+    if rest:
+        text[:-1, n_fixed:] = np.array(rest, f"S{_CELL - 1}").view(np.uint8).reshape(-1, _CELL - 1).T
+        length[n_fixed:] = [len(r) for r in rest]
+    inv = np.empty_like(order)
+    inv[order] = np.arange(x.size)
+    names = np.array([name.encode() for name in labels], "S")
+    lead = int(names.size > 0)
+    slots = np.zeros((n_rows, lead + n_cols, _CELL), np.uint8)  # each cell's text and separator
+    lengths = np.empty(slots.shape[:2], np.intp)
+    if lead:
+        slots[:, 0, : names.itemsize] = names.view(np.uint8).reshape(n_rows, -1)
+        lengths[:, 0] = np.char.str_len(names)
+    # every index is in range; mode="clip" lets take write into the slots unbuffered
+    np.take(text.T, inv.reshape(n_rows, n_cols), axis=0, out=slots[:, lead:], mode="clip")
+    lengths[:, lead:] = length[inv].reshape(n_rows, n_cols)
+    slots.reshape(-1, _CELL)[np.arange(lengths.size), lengths.ravel()] = ord(",")
+    slots[np.arange(n_rows), -1, lengths[:, -1]] = ord("\n" if ends else ",")
+    return slots[(np.arange(_CELL) <= np.arange(_CELL)[:, None]).take(lengths, axis=0)].tobytes()
+
+
+def _write_grid(path, header: str, values: np.ndarray, labels: Sequence[str] = (), nan: str = "nan") -> None:
+    """Write header, then one line per row of values: its label, if labels are given, and
+    its cells, comma-separated, each as Python's '%.17g' writes it and NaN as nan.
+
+    UTF-8, each line ended by LF. The cells go in blocks of whole rows, or of one row's
+    columns, of at most _GRID_CHUNK cells, so the memory used does not grow with the grid.
+    """
+    n_rows, n_cols = values.shape
+    rows, cols = max(1, _GRID_CHUNK // max(n_cols, 1)), max(1, min(n_cols, _GRID_CHUNK))
+    with Path(path).open("wb") as out:
+        out.write(f"{header}\n".encode())
+        for r in range(0, n_rows, rows):
+            for c in range(0, max(n_cols, 1), cols):
+                names = labels[r : r + rows] if c == 0 else ()
+                out.write(_grid_lines(values[r : r + rows, c : c + cols], names, nan, c + cols >= n_cols))
 
 
 def _write_json(path, obj) -> None:
     """Write obj as JSON, keys sorted, indented by 2, ended by LF."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _delimiter(data: bytes) -> str:

@@ -5,13 +5,19 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigensectors import eigendecompose, load_matrix, mode_scan, mp_bounds, report_to_dict
+from eigensectors import PricePanel, eigendecompose, load_matrix, load_prices, mode_scan, mp_bounds, report_to_dict
 from eigensectors.cli import build_parser, main
+from eigensectors.synth import write_panel_wide
 
 from helpers import DEGENERATE_CONFIG
 
@@ -761,3 +767,50 @@ def test_config_echo_names_every_option(market_dir, tmp_path, capsys, stage, fla
     config = json.loads((tmp_path / report).read_text())["config"]
     assert set(config) == keys
     assert config["command"] == stage
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+UNICODE_NAMES = ["Zürich", "Σ1", "Ωmega", "café, bar", "B", "C", "D", "E"]
+
+
+def _cli(argv, cwd, env):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from eigensectors.cli import main; sys.exit(main())", *argv],
+        cwd=cwd, env={**env, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert b"Traceback" not in done.stderr
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    """Every stage reads and writes UTF-8, so an ASCII locale changes no byte of any artifact."""
+    config = {**MARKET_CONFIG, "n_assets": 8, "blocks": [
+        {"assets": [0, 1, 2], "loading": 2.0, "sign_pattern": [1, 1, -1], "name": "Zürich"},
+        {"assets": [3, 4, 5], "loading": 2.0, "sign_pattern": [1, -1, 1], "name": "Σ1"},
+    ]}
+    runs = {"default": tmp_path / "default", "ascii": tmp_path / "ascii"}
+    for name, root in runs.items():
+        root.mkdir()
+        (root / "market.json").write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        env = {**os.environ, **ASCII_LOCALE} if name == "ascii" else dict(os.environ)
+        _cli(["synth", "--config", "market.json", "--out-dir", "synth"], root, env)
+        if name == "default":
+            synthetic = load_prices(root / "synth" / "panel.csv", fmt="wide")
+            write_panel_wide(PricePanel(UNICODE_NAMES, synthetic.dates, synthetic.prices), tmp_path / "prices.csv")
+            with (tmp_path / "meta.csv").open("w", newline="", encoding="utf-8") as out:
+                csv.writer(out).writerows([("asset", "category"), *zip(UNICODE_NAMES, ["Zürich", "Σ1"] * 4)])
+        shutil.copy(tmp_path / "prices.csv", root)
+        shutil.copy(tmp_path / "meta.csv", root)
+        matrix = ["--matrix", "analyze/corr_matrix.csv"]
+        _cli(["analyze", "--input", "prices.csv", "--format", "wide", "--out-dir", "analyze"], root, env)
+        _cli(["sectors", *matrix, "--metadata", "meta.csv", "--u-c", "0.3", "--out-dir", "sectors"], root, env)
+        _cli(["anticorr", *matrix, "--u-c", "0.3", "--trials", "100", "--out-dir", "anticorr"], root, env)
+    files = sorted(p.relative_to(runs["default"]) for p in runs["default"].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(runs["ascii"]) for p in runs["ascii"].rglob("*") if p.is_file())
+    for path in files:
+        assert (runs["default"] / path).read_bytes() == (runs["ascii"] / path).read_bytes(), path
+    assert "Zürich" in (runs["ascii"] / "synth" / "metadata.csv").read_text(encoding="utf-8")
+    header = (runs["ascii"] / "analyze" / "corr_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert "Σ1" in header and "Zürich" in header
+    assert "Σ1" in (runs["ascii"] / "sectors" / "sectors.csv").read_text(encoding="utf-8")

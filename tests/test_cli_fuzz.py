@@ -113,7 +113,7 @@ def assert_finite_artifacts(out: Path):
         raise AssertionError(f"{token} in a JSON artifact under {out}")
 
     for path in out.iterdir():
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         if path.suffix == ".json":
             json.loads(text, parse_constant=reject)
         else:
@@ -305,7 +305,7 @@ def test_quoted_names_round_trip(names, categories, seed):
 
         synthetic = load_prices(root / "synth" / "panel.csv", fmt="wide")
         write_panel_wide(PricePanel(names, synthetic.dates, synthetic.prices), root / "prices.csv")
-        with (root / "meta.csv").open("w", newline="") as out:
+        with (root / "meta.csv").open("w", newline="", encoding="utf-8") as out:
             csv.writer(out, quoting=csv.QUOTE_ALL).writerows(
                 [("asset", "category"), *((name, categories[i % 2]) for i, name in enumerate(names))]
             )
@@ -324,7 +324,7 @@ def test_quoted_names_round_trip(names, categories, seed):
                 assert {**want, "config": None} == {**got, "config": None}, artifact.name
             else:
                 assert artifact.read_bytes() == twin.read_bytes(), artifact.name
-        with (root / "matrix" / "sectors.csv").open(newline="") as table:
+        with (root / "matrix" / "sectors.csv").open(newline="", encoding="utf-8") as table:
             rows = list(csv.reader(table))
         assert len(rows) > 1 and {len(row) for row in rows} == {9}
         assert {row[4] for row in rows[1:]} <= set(names)  # the anchor assets
