@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
     c, spec, dropped = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
     out = _out_dir(args)
-    cm.save_matrix(c, out / "corr_matrix.csv")
+    sidecar = cm.save_matrix(c, out / "corr_matrix.csv")
     _write_report(args, "analysis_report.json", {
         "n_assets": c.n_assets,
         "n_observations": c.n_observations,
@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
             for i, v, r in zip(sig.indices, sig.eigenvalues, sig.ratios)
         ],
         "dropped_assets": dropped,
-        "artifacts": {"matrix": "corr_matrix.csv", "sidecar": "corr_matrix.meta.json"},
+        "artifacts": {"matrix": "corr_matrix.csv", "sidecar": sidecar.name},
     })
     print(
         f"analyze: N={c.n_assets} T={c.n_observations} "
@@ -302,7 +302,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        # library notices print as one line, like the CLI's own warnings
+        # library notices print as one line, like the CLI's own warnings, whatever the caller's filters
+        warnings.simplefilter("default", UserWarning)
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.func(args)

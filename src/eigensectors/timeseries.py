@@ -400,10 +400,10 @@ def _table(
 ) -> dict[str, np.ndarray]:
     """The columns of np.loadtxt's reading of body[start:] with csv's quoting, a row per line.
 
-    fields are (name, dtype) pairs; a dtype of None is a text column, read as
-    bytes and returned at the width of its longest cell, or at 1, 2, 4 or 8
-    bytes when that is at most 8. ValueError for any row that loadtxt rejects
-    and for a cell that may be over csv's field size limit, which csv then judges.
+    fields are (name, dtype) pairs. A bytes column is returned at the width of its
+    longest cell, or at 1, 2, 4 or 8 bytes when that is at most 8. ValueError for any
+    row that loadtxt rejects, for a bytes cell that fills its field, which loadtxt may
+    have cut, and for a cell that may be over csv's field size limit, which csv then judges.
 
     file, when given, is (path, lines, state): the regular file whose text past its
     first lines physical lines is body[start:], and its _file_state when body was
@@ -413,34 +413,25 @@ def _table(
     """
     if _over_field_limit(body, start, delim):
         raise ValueError("cell over the field size limit")
-    width = {name: 16 for name, kind in fields if kind is None}
-    while True:
-        dtype = [(name, f"S{width[name]}" if kind is None else kind) for name, kind in fields]
-        if file:
-            rows, skip = file[:2]
-        else:
-            rows, skip = io.BytesIO(body), 0  # shares body's bytes; no copy
-            rows.seek(start)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    rows, dtype=dtype, delimiter=delim, comments=None, skiprows=skip,
-                    quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
-                )
-        finally:
-            if file and _file_state(file[0]) != file[2]:
-                raise ParseError(f"{file[0]} changed while it was read")
-        longest = {name: int(np.char.str_len(table[name]).max(initial=1)) for name in width}
-        cut = [name for name in width if longest[name] == width[name]]
-        if not cut:
-            break
-        # a cell fills its field, so it may have been cut: read again with that field twice as wide
-        if any(width[name] >= _FIELD_LIMIT for name in cut):  # it may be over csv's limit
-            raise ValueError("cell over the field size limit")
-        del table
-        for name in cut:
-            width[name] *= 2
+    if file:
+        rows, skip = file[:2]
+    else:
+        rows, skip = io.BytesIO(body), 0  # shares body's bytes; no copy
+        rows.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                rows, dtype=fields, delimiter=delim, comments=None, skiprows=skip,
+                quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
+            )
+    finally:
+        if file and _file_state(file[0]) != file[2]:
+            raise ParseError(f"{file[0]} changed while it was read")
+    text = [name for name, _ in fields if table[name].dtype.kind == "S"]
+    longest = {name: int(np.char.str_len(table[name]).max(initial=1)) for name in text}
+    if any(longest[name] == table[name].itemsize for name in text):
+        raise ValueError("text cell that may have been cut")
     # the narrowest text columns are compared fastest in _index, and 1 to 8 bytes as one integer
     narrow = {name: n if n > 8 else 1 << (n - 1).bit_length() for name, n in longest.items()}
     return {name: table[name].astype(f"S{narrow[name]}") if name in narrow else table[name] for name, _ in fields}
@@ -502,14 +493,14 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         header_end = next(islice(line_ends, reader.line_num - 1, None), None)
         start = header_end.end() if header_end else len(data)
         if fmt == "long":
-            table = _table(data, start, delim, [("date", None), ("asset", None), ("price", float)], cols, file)
+            table = _table(data, start, delim, [("date", "S16"), ("asset", "S16"), ("price", float)], cols, file)
             assets, a = _index(table["asset"], _text)
             if "" in assets:
                 raise ValueError("empty asset identifier")
             dates, d = _index(table["date"], _date)
             values = table["price"]
         else:
-            fields = [("date", None), ("price", (float, (len(header) - 1,)))]
+            fields = [("date", "S16"), ("price", (float, (len(header) - 1,)))]
             try:
                 table = _table(data, start, delim, fields, None, file)
             except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
@@ -518,15 +509,16 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
             # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
             if missing.any() and any(p.search(data, start) for p in _SIGNED_NAN):
                 raise ValueError("signed NaN")
-            assets, a = _index(np.array(header[1:]), str)
+            assets, a = _number(header[1:])
             dates, d = _index(table["date"], _date)
             row, col = np.nonzero(~missing)
             a, d, values = a[col], d[row], table["price"][row, col]
         if not ((values > 0.0) & (values < np.inf)).all():
             raise ValueError("price not finite and positive")
         return _panel(assets, a, dates, d, values)
-    except ValueError:
-        return _panel(*_read_rows(data, delim, fmt, header, cols))
+    except ValueError:  # the error, and the table its traceback holds, are freed before csv reads
+        pass
+    return _panel(*_read_rows(data, delim, fmt, header, cols))
 
 
 def _panel(assets: list, a: np.ndarray, dates: list, d: np.ndarray, values: np.ndarray) -> PricePanel:
@@ -567,10 +559,9 @@ def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     """The sorted distinct key(text) over a text column, and each text's position among them.
 
     Only the first text of each run is looked up: a long file lists each date, or each
-    asset, in a run. Bytes of width 1, 2, 4 or 8 are compared as one unsigned integer.
+    asset, in a run. A cell of 1, 2, 4 or 8 bytes is compared as one unsigned integer.
     """
-    width = texts.itemsize if texts.dtype.kind == "S" else 0
-    cells = texts.view(f"u{width}") if width in (1, 2, 4, 8) else texts
+    cells = texts.view(f"u{texts.itemsize}") if texts.itemsize in (1, 2, 4, 8) else texts
     starts = np.flatnonzero(np.concatenate(([cells.size > 0], cells[1:] != cells[:-1])))
     heads = cells[starts]
     distinct = np.unique(heads)  # sorted as cells, not as keys: `where` orders the keys
@@ -578,6 +569,12 @@ def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     where = {k: j for j, k in enumerate(sorted(set(keys)))}
     position = np.array([where[k] for k in keys], np.intp)[np.searchsorted(distinct, heads)]
     return list(where), np.repeat(position, np.diff(np.append(starts, texts.size)))
+
+
+def _number(keys: Sequence) -> tuple[list, np.ndarray]:
+    """The sorted distinct keys, and each key's position among them."""
+    where = {key: j for j, key in enumerate(sorted(set(keys)))}
+    return list(where), np.array([where[key] for key in keys], np.intp)
 
 
 def _price(cell: str) -> float:
@@ -593,7 +590,8 @@ def _read_rows(data, delim, fmt, header, cols):
 
     Returns _panel's arguments. Raises the error of the first bad row.
     """
-    observed: dict[tuple[str, dt.date], float] = {}  # (asset, date) -> price
+    # asset -> date -> price; every wide column is listed, so that _panel names one with no price
+    observed: dict[str, dict[dt.date, float]] = {asset: {} for asset in header[1:]} if fmt == "wide" else {}
     with _rows(data, delim) as rows:
         next(rows)  # the header
         for row in rows:
@@ -624,14 +622,14 @@ def _read_rows(data, delim, fmt, header, cols):
                     raise ParseError(f"unparsable price {shown!r}", line_no)
                 if price <= 0.0:
                     raise ValidationError(f"non-positive price {price!r} for asset {asset!r} on {date}")
-                if (asset, date) in observed:
+                prices = observed.setdefault(asset, {})
+                if date in prices:
                     raise ValidationError(f"duplicate observation for asset {asset!r} on {date}")
-                observed[asset, date] = price
-    names = [asset for asset, _ in observed]
-    columns = header[1:] if fmt == "wide" else []  # so that _panel names a wide column with no price
-    assets, a = _index(np.array(names + columns, dtype=str), str)
-    dates, d = _index(np.array([date.toordinal() for _, date in observed], dtype=np.int64), dt.date.fromordinal)
-    return assets, a[: len(names)], dates, d, np.array(list(observed.values()), dtype=float)
+                prices[date] = price
+    assets, a = _number(list(observed))
+    dates, d = _number([date for prices in observed.values() for date in prices])
+    values = np.array([price for prices in observed.values() for price in prices.values()], dtype=float)
+    return assets, np.repeat(a, [len(prices) for prices in observed.values()]), dates, d, values
 
 
 def load_metadata(source) -> dict[str, str]:

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import io
 import math
+import warnings
 
 import numpy as np
 
@@ -233,6 +234,9 @@ def load_prices_oracle(text, fmt="long"):
                 if raw.isascii() and cell.upper() in ("", "NA", "NAN"):
                     continue
                 record(asset, date, _oracle_price(raw, line_no, cell))
+        unpriced = sorted(set(asset_names) - set(obs))
+        if unpriced:
+            warnings.warn(f"assets with no price left out: {', '.join(unpriced)}")
     return _oracle_panel(obs)
 
 

@@ -773,14 +773,15 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 UNICODE_NAMES = ["Zürich", "Σ1", "Ωmega", "café, bar", "B", "C", "D", "E"]
 
 
-def _cli(argv, cwd, env):
+def _cli(argv, cwd, env, code=0):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from eigensectors.cli import main; sys.exit(main())", *argv],
         cwd=cwd, env={**env, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
     )
-    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.returncode == code, done.stderr.decode(errors="replace")
     assert b"Traceback" not in done.stderr
+    return done
 
 
 def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
@@ -814,3 +815,15 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
     header = (runs["ascii"] / "analyze" / "corr_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
     assert "Σ1" in header and "Zürich" in header
     assert "Σ1" in (runs["ascii"] / "sectors" / "sectors.csv").read_text(encoding="utf-8")
+
+
+def test_error_line_escapes_a_non_ascii_name_under_an_ascii_locale(tmp_path):
+    """stderr takes the locale's encoding, where Python escapes what it cannot encode."""
+    rows = "".join(f"2015-01-{5 + i:02d},{100 + i},7,{50 + i * i}\n" for i in range(6))
+    (tmp_path / "prices.csv").write_text("date,AAA,Zürich,CCC\n" + rows, encoding="utf-8")
+    argv = ["analyze", "--input", "prices.csv", "--format", "wide", "--out-dir", "out"]
+    done = _cli(argv, tmp_path, {**os.environ, **ASCII_LOCALE}, code=2)
+    assert done.stderr.decode("ascii").splitlines() == [
+        "error: zero-variance return series for: Z\\xfcrich. "
+        "Drop these assets (CLI: --drop-zero-variance) or fix the input."
+    ]

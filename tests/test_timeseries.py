@@ -9,6 +9,7 @@ import re
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -343,17 +344,26 @@ def test_panel_rejects_unordered_dates_naming_first_pair():
 MISSING_CELLS = ["", " ", "NA", "na", " NA ", "nan", "NaN", '""', '"NA"', '"\n"']
 PRICE_FORMATS = ["{!r}", "{:.4f}", " {!r} ", "{:g}", "\x0b{!r}\t", '"{!r}"', '"{!r}\n"']
 DATE_FORMATS = ["{}", " {} ", '"{}"', '"\n{}"']
-LONG_NAME = "Z" * 300  # wider than the first guess at a text column's width
+LONG_NAME = "Z" * 300  # wider than a text column's 16-byte field
 
 
 def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except EigensectorsError as exc:
-        return exc
+    """fn(*args), or the EigensectorsError it raises, and the text of each warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except EigensectorsError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
 
 
 def assert_same_outcome(got, want):
+    """got and want are the same panel or error, and give the same warnings. Each is an
+    outcome or a bare panel or error, which gave none."""
+    got, got_warnings = got if isinstance(got, tuple) else (got, [])
+    want, want_warnings = want if isinstance(want, tuple) else (want, [])
+    assert got_warnings == want_warnings
     if isinstance(want, Exception):
         assert type(got) is type(want), got
         assert str(got) == str(want)
@@ -442,12 +452,12 @@ def check_against_oracle(text, fmt):
                 assert_same_outcome(outcome(load_prices, io.BytesIO(path.read_bytes()), fmt), want)
     got = outcome(load_prices, io.StringIO(text), fmt)
     assert_same_outcome(got, want)
-    if isinstance(want, Exception):
+    if isinstance(want[0], Exception):
         return
     for step, oracle in ((forward_fill, forward_fill_oracle), (trim_to_common_range, trim_oracle)):
-        want, got = outcome(oracle, want), outcome(step, got)
+        want, got = outcome(oracle, want[0]), outcome(step, got[0])
         assert_same_outcome(got, want)
-        if isinstance(want, Exception):
+        if isinstance(want[0], Exception):
             return
 
 
@@ -522,7 +532,7 @@ def test_first_fault_in_file_order_wins(fmt, first, second):
     text = faulty_text(header, rows, ",", fmt, [(first, 2), (second, 5)])
     got = outcome(load_prices, io.StringIO(text), fmt)
     assert_same_outcome(got, outcome(load_prices_oracle, text, fmt))
-    assert FAULT_MESSAGES[first] in str(got)
+    assert FAULT_MESSAGES[first] in str(got[0])
 
 
 @pytest.mark.parametrize(
@@ -639,15 +649,72 @@ def test_regular_long_file_is_one_loadtxt_pass_and_no_regex_search(loadtxt_dtype
     assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "long"))
 
 
-def test_text_columns_widen_only_to_their_own_cells(loadtxt_dtypes):
-    name = "ACME_HOLDINGS_PLC_ORD"  # 21 characters, more than the first guess of 16
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """The arguments of each call to the csv reference reader made while the test runs."""
+    calls, real = [], ts._read_rows
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ts, "_read_rows", spy)
+    return calls
+
+
+def test_text_cell_that_fills_its_field_sends_the_file_to_csv(loadtxt_dtypes, csv_reads):
+    name = "ACME_HOLDINGS_PLC_ORD"  # 21 characters, more than a text field's 16 bytes
     rows = [f"2015-01-{j:02d},{asset},{j}" for j in range(5, 25) for asset in (name, "B")]
     rows[3] += "," + "x" * 5000  # an extra trailing field, which no column reads
     text = "date,asset,price\n" + "\n".join(rows) + "\n"
     got = load_prices(io.StringIO(text))
     assert got.assets == (name, "B")
     widths = [{k: dtype[k].itemsize for k in ("date", "asset")} for dtype in loadtxt_dtypes]
-    assert widths == [{"date": 16, "asset": 16}, {"date": 16, "asset": 32}]
+    assert widths == [{"date": 16, "asset": 16}]  # one loadtxt pass, then csv
+    assert len(csv_reads) == 1
+    assert_same_outcome(got, load_prices_oracle(text, "long"))
+
+
+def text_file(fmt, name, rows, date_width=10):
+    """A price file in which name is an asset, each date cell is padded to date_width, and
+    the long layout lists name on its first row alone."""
+    dates = [f"{dt.date(1950, 1, 1) + dt.timedelta(days=i)}".rjust(date_width) for i in range(rows)]
+    if fmt == "long":
+        return "date,asset,price\n" + "".join(
+            f"{dates[i // 2]},{'B%05d' % (i % 2) if i else name},{i % 7 + 1}\n" for i in range(rows)
+        )
+    return f"date,{name},B\n" + "".join(f"{t},{i % 7 + 1},{i % 5 + 1}\n" for i, t in enumerate(dates))
+
+
+@pytest.mark.parametrize("length", [15, 16, 17, 300])
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+def test_text_cells_of_any_length_match_oracle(loadtxt_dtypes, csv_reads, fmt, length):
+    """A text cell of 16 bytes or more, an asset in the long layout and a padded date in the
+    wide one, may be cut by its 16-byte field, so csv reads the file."""
+    text = text_file(fmt, "N" * length, 12, date_width=length if fmt == "wide" else 10)
+    assert_same_outcome(load_prices(io.StringIO(text), fmt), load_prices_oracle(text, fmt))
+    assert bool(csv_reads) == (length >= 16)
+    check_against_oracle(text, fmt)  # from a file too, and with each line end
+    assert {dtype[k].itemsize for dtype in loadtxt_dtypes for k in dtype.names if dtype[k].kind == "S"} == {16}
+
+
+@pytest.mark.parametrize("route", ["load_prices", "_read_rows"])
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+def test_one_long_name_costs_no_copy_per_row(fmt, route):
+    """A 2000-character name, on one row of a long file or in a wide header, is not
+    copied to every row: 20000 rows load in a few MB."""
+    name = "N" * 2000
+    data = text_file(fmt, name, 20_000).encode()
+    header = ["date", "asset", "price"] if fmt == "long" else ["date", name, "B"]
+    load = {"load_prices": lambda: load_prices(io.BytesIO(data), fmt),
+            "_read_rows": lambda: ts._read_rows(data, ",", fmt, header, [0, 1, 2] if fmt == "long" else [0])}
+    tracemalloc.start()
+    try:
+        load[route]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("delim", [",", "\t"])
