@@ -22,7 +22,7 @@ import numpy as np
 from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
 from .timeseries import (
-    NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, _write_grid, normalize_returns,
+    NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, _json_number, _write_grid, normalize_returns,
 )
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
@@ -240,7 +240,7 @@ def spec_from_dict(cfg: dict) -> MarketSpec:
         blocks = tuple(
             BlockSpec(
                 assets=tuple(_integer(i) for i in b["assets"]),
-                loading=float(b["loading"]),
+                loading=float(_json_number(b["loading"])),
                 sign_pattern=(
                     tuple(_integer(s) for s in b["sign_pattern"])
                     if b.get("sign_pattern") is not None
@@ -253,8 +253,8 @@ def spec_from_dict(cfg: dict) -> MarketSpec:
         return MarketSpec(
             n_assets=_integer(cfg["n_assets"]),
             n_observations=_integer(cfg["n_observations"]),
-            market_strength=float(cfg.get("market_strength", 0.0)),
-            noise_std=float(cfg.get("noise_std", 1.0)),
+            market_strength=float(_json_number(cfg.get("market_strength", 0.0))),
+            noise_std=float(_json_number(cfg.get("noise_std", 1.0))),
             blocks=blocks,
         )
     except KeyError as exc:

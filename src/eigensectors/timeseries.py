@@ -156,10 +156,17 @@ class ShiftRule:
             raise ConfigurationError("shift rule with source == target weekday")
 
 
+def _json_number(value):
+    """value, if it is a JSON number (an int or a float); TypeError for a bool, a string or any other."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
 def _integer(value) -> int:
-    """``int(value)``, but ValueError for a number with a fractional part."""
-    whole = int(value)
-    if not isinstance(value, str) and whole != value:
+    """A JSON number as an int; ValueError for one with a fractional part."""
+    whole = int(_json_number(value))
+    if whole != value:
         raise ValueError(f"{value!r} is not an integer")
     return whole
 
@@ -240,10 +247,9 @@ _CELL = 25  # the longest '%.17g' text, '-2.2250738585072014e-308', and its sepa
 _GRID_CHUNK = 1 << 14  # cells per chunk; larger chunks spend their time in fresh pages
 
 
-def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str, ends: bool) -> bytes:
-    """The text of _write_grid for a block of cells, each row led by its label (of at most
-    24 bytes) if labels are given and ended by LF if the block ends the grid's rows, else by
-    a comma.
+def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str) -> bytes:
+    """The text of _write_grid for a block of whole rows, each led by its label (of at most
+    24 bytes) if labels are given and ended by LF.
 
     A cell with 1e-4 <= |x| < 1e17 is fixed notation. With E its decimal exponent and
     k = 16 - E in [0, 20], 10**k is an exact double, so Dekker's TwoProduct gives
@@ -308,7 +314,7 @@ def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str, ends: bool)
     np.take(text.T, inv.reshape(n_rows, n_cols), axis=0, out=slots[:, lead:], mode="clip")
     lengths[:, lead:] = length[inv].reshape(n_rows, n_cols)
     slots.reshape(-1, _CELL)[np.arange(lengths.size), lengths.ravel()] = ord(",")
-    slots[np.arange(n_rows), -1, lengths[:, -1]] = ord("\n" if ends else ",")
+    slots[np.arange(n_rows), -1, lengths[:, -1]] = ord("\n")
     return slots[(np.arange(_CELL) <= np.arange(_CELL)[:, None]).take(lengths, axis=0)].tobytes()
 
 
@@ -316,17 +322,15 @@ def _write_grid(path, header: str, values: np.ndarray, labels: Sequence[str] = (
     """Write header, then one line per row of values: its label, if labels are given, and
     its cells, comma-separated, each as Python's '%.17g' writes it and NaN as nan.
 
-    UTF-8, each line ended by LF. The cells go in blocks of whole rows, or of one row's
-    columns, of at most _GRID_CHUNK cells, so the memory used does not grow with the grid.
+    UTF-8, each line ended by LF. The cells go in blocks of whole rows, of at most
+    _GRID_CHUNK cells or of one row that is longer, so the memory used grows with a row,
+    not with the grid.
     """
-    n_rows, n_cols = values.shape
-    rows, cols = max(1, _GRID_CHUNK // max(n_cols, 1)), max(1, min(n_cols, _GRID_CHUNK))
+    rows = max(1, _GRID_CHUNK // max(values.shape[1], 1))
     with Path(path).open("wb") as out:
         out.write(f"{header}\n".encode())
-        for r in range(0, n_rows, rows):
-            for c in range(0, max(n_cols, 1), cols):
-                names = labels[r : r + rows] if c == 0 else ()
-                out.write(_grid_lines(values[r : r + rows, c : c + cols], names, nan, c + cols >= n_cols))
+        for r in range(0, values.shape[0], rows):
+            out.write(_grid_lines(values[r : r + rows], labels[r : r + rows], nan))
 
 
 def _write_json(path, obj) -> None:
@@ -395,15 +399,10 @@ def _over_field_limit(body: bytes, start: int, delim: str) -> bool:
     return bool((last - first - 1 > _FIELD_LIMIT).any())
 
 
-def _table(
-    body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols=None, file=None
-) -> dict[str, np.ndarray]:
-    """The columns of np.loadtxt's reading of body[start:] with csv's quoting, a row per line.
-
-    fields are (name, dtype) pairs. A bytes column is returned at the width of its
-    longest cell, or at 1, 2, 4 or 8 bytes when that is at most 8. ValueError for any
-    row that loadtxt rejects, for a bytes cell that fills its field, which loadtxt may
-    have cut, and for a cell that may be over csv's field size limit, which csv then judges.
+def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols=None, file=None) -> np.ndarray:
+    """np.loadtxt's reading of body[start:] with csv's quoting, a row per line, as a
+    structured array of fields, which are (name, dtype) pairs. ValueError for any row
+    that loadtxt rejects.
 
     file, when given, is (path, lines, state): the regular file whose text past its
     first lines physical lines is body[start:], and its _file_state when body was
@@ -411,8 +410,6 @@ def _table(
     takes a line object per row. A pass after which the file's state is not that one
     ends in a ParseError, whatever loadtxt made of it, so no table mixes two versions.
     """
-    if _over_field_limit(body, start, delim):
-        raise ValueError("cell over the field size limit")
     if file:
         rows, skip = file[:2]
     else:
@@ -421,20 +418,13 @@ def _table(
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(
+            return np.loadtxt(
                 rows, dtype=fields, delimiter=delim, comments=None, skiprows=skip,
                 quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
             )
     finally:
         if file and _file_state(file[0]) != file[2]:
             raise ParseError(f"{file[0]} changed while it was read")
-    text = [name for name, _ in fields if table[name].dtype.kind == "S"]
-    longest = {name: int(np.char.str_len(table[name]).max(initial=1)) for name in text}
-    if any(longest[name] == table[name].itemsize for name in text):
-        raise ValueError("text cell that may have been cut")
-    # the narrowest text columns are compared fastest in _index, and 1 to 8 bytes as one integer
-    narrow = {name: n if n > 8 else 1 << (n - 1).bit_length() for name, n in longest.items()}
-    return {name: table[name].astype(f"S{narrow[name]}") if name in narrow else table[name] for name, _ in fields}
 
 
 def load_prices(source, fmt: str = "long") -> PricePanel:
@@ -492,6 +482,8 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         line_ends = re.finditer(rb"\r\n|\r|\n", data)
         header_end = next(islice(line_ends, reader.line_num - 1, None), None)
         start = header_end.end() if header_end else len(data)
+        if _over_field_limit(data, start, delim):  # once: _with_nan lengthens no cell a float or date reads
+            raise ValueError("cell over the field size limit")
         if fmt == "long":
             table = _table(data, start, delim, [("date", "S16"), ("asset", "S16"), ("price", float)], cols, file)
             assets, a = _index(table["asset"], _text)
@@ -556,19 +548,24 @@ def _date(cell: bytes) -> dt.date:
 
 
 def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
-    """The sorted distinct key(text) over a text column, and each text's position among them.
+    """The sorted distinct key(cell) over a column of loadtxt's bytes cells, and each cell's position among them.
 
-    Only the first text of each run is looked up: a long file lists each date, or each
-    asset, in a run. A cell of 1, 2, 4 or 8 bytes is compared as one unsigned integer.
+    ValueError for a cell that fills its field, which loadtxt may have cut. Only the first
+    cell of each run is looked up: a long file lists each date, or each asset, in a run.
+    The column is narrowed to its longest cell, and one of 1, 2, 4 or 8 bytes is compared
+    as one unsigned integer.
     """
-    cells = texts.view(f"u{texts.itemsize}") if texts.itemsize in (1, 2, 4, 8) else texts
+    longest = int(np.char.str_len(texts).max(initial=1))
+    if longest == texts.itemsize:
+        raise ValueError("text cell that may have been cut")
+    narrow = f"S{longest if longest > 8 else 1 << (longest - 1).bit_length()}"
+    cells = texts.astype(narrow)
+    cells = cells.view(f"u{cells.itemsize}") if cells.itemsize <= 8 else cells
     starts = np.flatnonzero(np.concatenate(([cells.size > 0], cells[1:] != cells[:-1])))
     heads = cells[starts]
-    distinct = np.unique(heads)  # sorted as cells, not as keys: `where` orders the keys
-    keys = list(map(key, distinct.view(texts.dtype).tolist()))
-    where = {k: j for j, k in enumerate(sorted(set(keys)))}
-    position = np.array([where[k] for k in keys], np.intp)[np.searchsorted(distinct, heads)]
-    return list(where), np.repeat(position, np.diff(np.append(starts, texts.size)))
+    distinct = np.unique(heads)  # sorted as cells, not as keys: _number orders the keys
+    keys, position = _number(list(map(key, distinct.view(narrow).tolist())))
+    return keys, np.repeat(position[np.searchsorted(distinct, heads)], np.diff(np.append(starts, texts.size)))
 
 
 def _number(keys: Sequence) -> tuple[list, np.ndarray]:

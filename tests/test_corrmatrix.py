@@ -279,6 +279,8 @@ def test_load_requires_sidecar(tmp_path):
         '{"n_observations": 1e400}',
         '{"n_observations": 99.5}',
         '{"n_observations": NaN}',
+        '{"n_observations": true}',
+        '{"n_observations": "12"}',
     ],
 )
 def test_load_rejects_bad_sidecar(tmp_path, sidecar):

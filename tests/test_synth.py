@@ -317,9 +317,16 @@ def test_spec_from_dict_errors():
         {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, 1.5], "loading": 1.0}]},
         {"n_assets": 5, "n_observations": 100,
          "blocks": [{"assets": [0, 1], "loading": 1.0, "sign_pattern": [1, -1.5]}]},
+        {"n_assets": True, "n_observations": 100},  # JSON's true is no number, nor is "12"
+        {"n_assets": "12", "n_observations": 100},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, True], "loading": 1.0}]},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, 1], "loading": True}]},
+        {"n_assets": 5, "n_observations": 100, "market_strength": "0.5"},
+        {"n_assets": 5, "n_observations": 100, "noise_std": True},
     ],
     ids=["infinite_count", "fractional_assets", "fractional_observations", "fractional_index",
-         "fractional_sign"],
+         "fractional_sign", "boolean_assets", "string_assets", "boolean_index", "boolean_loading",
+         "string_market_strength", "boolean_noise_std"],
 )
 def test_spec_from_dict_wants_whole_numbers(cfg):
     with pytest.raises(ConfigurationError, match="bad market config value"):
@@ -339,7 +346,7 @@ def test_load_market_spec(tmp_path):
     assert load_market_spec(path) == (MarketSpec(4, 50), 0)
     path.write_text(json.dumps({"n_assets": 4, "n_observations": 50, "seed": 9}))
     assert load_market_spec(path) == (MarketSpec(4, 50), 9)
-    for seed in ('"x"', "2.5"):
+    for seed in ('"x"', "2.5", "true", '"12"'):
         path.write_text(f'{{"n_assets": 4, "n_observations": 50, "seed": {seed}}}')
         with pytest.raises(ConfigurationError, match="bad market config value"):
             load_market_spec(path)

@@ -603,6 +603,19 @@ def loadtxt_dtypes(monkeypatch):
 
 
 @pytest.fixture
+def rewrites(monkeypatch):
+    """The body handed to each _with_nan call made while the test runs."""
+    calls, real = [], ts._with_nan
+
+    def spy(body, delim):
+        calls.append(body)
+        return real(body, delim)
+
+    monkeypatch.setattr(ts, "_with_nan", spy)
+    return calls
+
+
+@pytest.fixture
 def no_row_pass(monkeypatch):
     """Fail the test if the loader falls back to reading the file one csv row at a time."""
 
@@ -614,12 +627,13 @@ def no_row_pass(monkeypatch):
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 @pytest.mark.parametrize("delim", [",", "\t"])
-def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, no_row_pass, delim, end):
+def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, rewrites, no_row_pass, delim, end):
     rows = [["date", "AAA", "BBB", "CCC"], ["2015-01-05", "1", "", ""], ["2015-01-06", "NA", "2", "NA"],
             ["2015-01-07", "", "NA", ""], ["2015-01-08", "2", "3", "4"], ["2015-01-09", "NA", "NA", ""]]
     text = end.join(delim.join(r) for r in rows)  # the last cell is empty, with no line end after it
     got = load_prices(io.StringIO(text), fmt="wide")
     assert len(loadtxt_dtypes) == 2  # the file as written, then with its missing cells as nan
+    assert len(rewrites) == 1
     assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "wide"))
 
 
@@ -696,6 +710,23 @@ def test_text_cells_of_any_length_match_oracle(loadtxt_dtypes, csv_reads, fmt, l
     assert bool(csv_reads) == (length >= 16)
     check_against_oracle(text, fmt)  # from a file too, and with each line end
     assert {dtype[k].itemsize for dtype in loadtxt_dtypes for k in dtype.names if dtype[k].kind == "S"} == {16}
+
+
+def test_wide_file_with_a_cut_date_goes_to_csv_after_one_pass(loadtxt_dtypes, rewrites, csv_reads):
+    """A padded date fills its field; loadtxt rejects no row, so no missing cell is rewritten."""
+    text = text_file("wide", "A", 12, date_width=16)
+    assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
+    assert (len(loadtxt_dtypes), len(rewrites), len(csv_reads)) == (1, 0, 1)
+
+
+def test_wide_file_with_a_cell_over_the_field_limit_is_not_read_by_loadtxt(loadtxt_dtypes, rewrites):
+    text = f"date,AAA,BBB\n2015-01-05,1,\n2015-01-06,1,2\n2015-01-07,{BIG},3\n"
+    with pytest.raises(csv.Error, match=r"field larger than field limit \(131072\)"):
+        load_prices_oracle(text, "wide")
+    with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)") as err:
+        load_prices(io.StringIO(text), "wide")
+    assert err.value.line_number == 4
+    assert (len(loadtxt_dtypes), len(rewrites)) == (0, 0)
 
 
 @pytest.mark.parametrize("route", ["load_prices", "_read_rows"])
@@ -890,27 +921,21 @@ def assert_same_index(texts, key):
 
 @pytest.mark.parametrize("width", range(1, 10))
 def test_index_of_bytes_matches_a_sort(width):
+    """Cells of 1 to width bytes in loadtxt's 16-byte field, scattered, in runs and sorted;
+    a cell of 16 bytes may have been cut, so it is a ValueError."""
     rng = np.random.default_rng(width)
     pool = ["".join(rng.choice(list("AZ09 ."), rng.integers(1, width + 1))) for _ in range(40)]
     pool += ["A", " A", "A "][: width]  # padded twins share a key
     scattered = rng.choice(pool, 500)
     runs = np.repeat(rng.choice(pool, 60), rng.integers(1, 6, 60))
     for texts in (scattered, runs, np.sort(scattered)):
-        cells = np.array([t.encode() for t in texts], dtype=f"S{width}")
+        cells = np.array([t.encode() for t in texts], dtype="S16")
         assert_same_index(cells, ts._text)
         assert_same_index(cells[::3], ts._text)  # a strided column
-    assert_same_index(np.array([], dtype=f"S{width}"), ts._text)
-
-
-def test_index_of_str_and_int64_matches_a_sort():
-    rng = np.random.default_rng(0)
-    names = rng.choice(["AAA", "B", "été", "Z" * 20, "a"], 300)
-    assert_same_index(np.array(names, dtype=str), str)
-    days = rng.integers(735000, 735030, 300)
-    assert_same_index(np.array(np.sort(days), dtype=np.int64), dt.date.fromordinal)
-    assert_same_index(np.array(days, dtype=np.int64), dt.date.fromordinal)
-    assert_same_index(np.array([], dtype=str), str)
-    assert_same_index(np.array([], dtype=np.int64), dt.date.fromordinal)
+        cells[len(cells) // 2] = b"A" * 16
+        with pytest.raises(ValueError, match="may have been cut"):
+            ts._index(cells, ts._text)
+    assert_same_index(np.array([], dtype="S16"), ts._text)
 
 
 @pytest.mark.parametrize("order", ["date", "asset"])
