@@ -1,7 +1,8 @@
 """Command-line pipeline: analyze / sectors / anticorr / synth.
 
 Each stage writes deterministic JSON and delimited artifacts into --out-dir
-(byte-identical for identical configuration and seed) and embeds the exact
+(byte-identical for identical configuration and seed at a fixed BLAS thread
+count; the benchmark pins OPENBLAS_NUM_THREADS=1) and embeds the exact
 configuration it ran with. Exit codes: 0 success, 1 usage or configuration
 error, 2 data error, 3 numerical error or out of memory.
 """

@@ -234,6 +234,13 @@ def metadata_from_truth(truth: GroundTruth, assets: tuple[str, ...]) -> dict[str
     return out
 
 
+def _json_string(value) -> str:
+    """value, if it is a JSON string; TypeError for a boolean, a number, null or any other."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def spec_from_dict(cfg: dict) -> MarketSpec:
     """Build a MarketSpec from a parsed configuration document."""
     try:
@@ -246,7 +253,7 @@ def spec_from_dict(cfg: dict) -> MarketSpec:
                     if b.get("sign_pattern") is not None
                     else None
                 ),
-                name=str(b.get("name", "")),
+                name=_json_string(b.get("name", "")),
             )
             for b in cfg.get("blocks", ())
         )

@@ -433,8 +433,10 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     fmt="long": one observation per row with date, asset and price columns.
     fmt="wide": first column is the date, remaining headers are asset names;
     empty or NA cells mark missing observations, and a column with no price is
-    left out with a warning that names it. The delimiter is sniffed from
-    the header (comma vs tab). Price cells are ASCII decimal floats.
+    left out with a warning that names it. np.loadtxt's table, transposed, is
+    the grid; a file that prices one date on two rows is read by the csv reference
+    reader, which accepts rows whose cells complement each other. The delimiter
+    is sniffed from the header (comma vs tab). Price cells are ASCII decimal floats.
 
     The path of a regular file is read twice: whole, for the header, the checks
     and the csv reference reader, then by np.loadtxt from disk in large chunks.
@@ -497,15 +499,14 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
                 table = _table(data, start, delim, fields, None, file)
             except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
                 table = _table(_with_nan(data[start:], delim), 0, delim, fields)
-            missing = np.isnan(table["price"])
             # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
-            if missing.any() and any(p.search(data, start) for p in _SIGNED_NAN):
+            if np.isnan(table["price"]).any() and any(p.search(data, start) for p in _SIGNED_NAN):
                 raise ValueError("signed NaN")
             assets, a = _number(header[1:])
             dates, d = _index(table["date"], _date)
-            row, col = np.nonzero(~missing)
-            a, d, values = a[col], d[row], table["price"][row, col]
-        if not ((values > 0.0) & (values < np.inf)).all():
+            a, values = a[:, None], table["price"].T  # the table is the grid, transposed
+        # a NaN compares False: in the wide layout a missing cell, in the long one a price csv rejects
+        if ((values <= 0.0) | (values == np.inf)).any() or fmt == "long" and np.isnan(values).any():
             raise ValueError("price not finite and positive")
         return _panel(assets, a, dates, d, values)
     except ValueError:  # the error, and the table its traceback holds, are freed before csv reads
@@ -514,15 +515,16 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
 
 
 def _panel(assets: list, a: np.ndarray, dates: list, d: np.ndarray, values: np.ndarray) -> PricePanel:
-    """The panel where asset assets[a[k]] is priced values[k] on date dates[d[k]].
+    """The panel where assets[a] are priced values on dates[d], the three broadcast together.
 
-    ValueError for an (asset, date) pair given twice. Assets and dates with no price are
-    left out, and one warning names the assets.
+    A NaN value is no observation. ValueError for an (asset, date) pair given two prices,
+    and at times for one given a price and a NaN, which may be written last. Assets and
+    dates with no price are left out, and one warning names the assets.
     """
     grid = np.full((len(assets), len(dates)), np.nan)
     grid[a, d] = values
     present = ~np.isnan(grid)
-    if np.count_nonzero(present) != values.size:
+    if np.count_nonzero(present) != np.count_nonzero(~np.isnan(values)):
         raise ValueError("duplicate observation")
     observed_assets, observed_dates = present.any(axis=1), present.any(axis=0)
     if not observed_assets.all():

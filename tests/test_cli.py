@@ -125,8 +125,11 @@ NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
         (json.dumps(MARKET_CONFIG), ["--seed", "-1"], NEGATIVE_SEED),
         (json.dumps({**MARKET_CONFIG, "noise_std": 1e-160}), [], "noise_std must be >= 1e-100"),
         (json.dumps({**MARKET_CONFIG, "noise_std": 1e-300}), [], "noise_std must be >= 1e-100"),
+        (json.dumps({**MARKET_CONFIG, "blocks": [{"assets": [0], "loading": 1.0, "name": True}]}), [],
+         "bad market config value: True is not a string"),
     ],
-    ids=["invalid_json", "bad_seed", "negative_config_seed", "negative_seed_flag", "tiny_noise", "tinier_noise"],
+    ids=["invalid_json", "bad_seed", "negative_config_seed", "negative_seed_flag", "tiny_noise", "tinier_noise",
+         "boolean_block_name"],
 )
 def test_synth_malformed_config_exits_1(tmp_path, capsys, text, flags, message):
     cfg = tmp_path / "config.json"

@@ -323,10 +323,14 @@ def test_spec_from_dict_errors():
         {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, 1], "loading": True}]},
         {"n_assets": 5, "n_observations": 100, "market_strength": "0.5"},
         {"n_assets": 5, "n_observations": 100, "noise_std": True},
+        # only a JSON string names a block
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0], "loading": 1.0, "name": True}]},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0], "loading": 1.0, "name": 5}]},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0], "loading": 1.0, "name": None}]},
     ],
     ids=["infinite_count", "fractional_assets", "fractional_observations", "fractional_index",
          "fractional_sign", "boolean_assets", "string_assets", "boolean_index", "boolean_loading",
-         "string_market_strength", "boolean_noise_std"],
+         "string_market_strength", "boolean_noise_std", "boolean_name", "number_name", "null_name"],
 )
 def test_spec_from_dict_wants_whole_numbers(cfg):
     with pytest.raises(ConfigurationError, match="bad market config value"):

@@ -580,6 +580,17 @@ LOADTXT_TRAPS = {
     "signed_nan": ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,-nan,2\n2015-01-07,1,3\n"),
     "unclosed_quote": ("wide", 'date,AAA\n2015-01-05,1\n2015-01-06,1\n2015-01-07,"\n'),
     "one_asset_wide": ("wide", "date,AAA\n2015-01-05,1\n2015-01-06,\n2015-01-07,2\n"),
+    # the wide table is the grid unless a date is priced on two rows, which csv reads
+    "wide_repeated_date_complementary": ("wide", "date,AAA,BBB\n2015-01-05,1,\n2015-01-06,1,2\n2015-01-05,,2\n"
+                                                 "2015-01-07,1,3\n"),
+    "wide_repeated_date_duplicate": ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,1,2\n2015-01-05,3,\n"
+                                             "2015-01-07,1,3\n"),
+    "wide_repeated_empty_row": ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,,\n2015-01-06,NA,\n"
+                                        "2015-01-07,1,3\n2015-01-08,2,2\n"),
+    "wide_priced_then_empty_row": ("wide", "date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,1,2\n2015-01-06,,\n"
+                                           "2015-01-07,1,3\n"),
+    "wide_unordered_dates": ("wide", "date,AAA,BBB\n2015-01-07,1,3\n2015-01-05,1,\n2015-01-09,,4\n"
+                                     "2015-01-06,2,2\n"),
 }
 
 
@@ -746,6 +757,25 @@ def test_one_long_name_costs_no_copy_per_row(fmt, route):
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_clean_wide_file_is_read_into_the_grid_itself(tmp_path, no_row_pass):
+    """A clean wide file costs, beyond its bytes, a few panels of memory: the loadtxt
+    table is the grid, with no index array per cell."""
+    prices = np.random.default_rng(0).uniform(1, 100, (120, 1500))
+    path = tmp_path / "wide.csv"
+    lines = [f"{t}," + ",".join(map(repr, row)) for t, row in zip(days(1500), prices.T.tolist())]
+    path.write_text("\n".join(["date," + ",".join(f"A{i:03d}" for i in range(120)), *lines, ""]))
+    load_prices(path, "wide")  # the first load imports what numpy imports lazily
+    tracemalloc.start()
+    try:
+        panel = load_prices(path, "wide")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(panel.prices, prices)
+    panels = (peak - path.stat().st_size) / panel.prices.nbytes
+    assert panels <= 6, f"{panels:.1f} panels beyond the file's bytes"
 
 
 @pytest.mark.parametrize("delim", [",", "\t"])
