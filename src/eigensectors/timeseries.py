@@ -241,7 +241,8 @@ def _split(v):
     return hi, v - hi
 
 
-_POW10 = np.array([float(10**k) for k in range(21)])  # each an exact double
+_POW10 = np.array([float(10**k) for k in range(23)])  # each an exact double: 5**22 < 2**53
+_POW5 = np.array([5**k for k in range(23)], np.int64)
 _POW10_HI, _POW10_LO = _split(_POW10)
 _CELL = 25  # the longest '%.17g' text, '-2.2250738585072014e-308', and its separator
 _GRID_CHUNK = 1 << 14  # cells per chunk; larger chunks spend their time in fresh pages
@@ -427,6 +428,100 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
             raise ParseError(f"{file[0]} changed while it was read")
 
 
+_BLOCK = 1 << 18  # bytes of whole lines per block of the decimal route
+_EXPONENT = 0x7FF << 52  # the exponent field of a double's bits
+_TWO52 = (1023 + 52) << 52  # the exponent field of 2**52
+
+
+def _scaled(digits: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The double nearest each digits * 10**-k, bit for bit what float() reads in the
+    decimal, for |digits| < 10**18 and 0 <= k <= 22.
+
+    Where |digits| < 2**53, digits and 10**k are exact doubles, and one division rounds
+    their quotient once. Otherwise, with digits = q 5**k + r (0 <= r < 5**k), the value
+    is (q + r/5**k) 2**-k, and the scaling by 2**-k is exact. f = RN(r/5**k) is within
+    2**-54 of r/5**k, as f < 1, and with q exact, Fast2Sum gives q + f = t + e exactly for
+    t = RN(q + f). So t is the double nearest q + r/5**k unless e lies within 2**-54 of
+    half of t's gap on its side. A cell where that is not ruled out with half of the
+    lower gap, the gap below the double before t (at a power of two it is half the gap
+    above), or where |t| > 2**52 (q may not be exact), takes float() of its own digits.
+    """
+    k = k.astype(np.intp)
+    big = np.abs(digits) >= 2**53
+    if not big.any():
+        return digits / _POW10[k]
+    five = _POW5[k]
+    q, r = np.divmod(digits, five)
+    f = r / five
+    t = q + f
+    e = f - (t - q)
+    lower = (t.view(np.int64) - 1) & _EXPONENT  # the power of two at or below the double before t
+    unsure = (np.abs(e) >= lower.view(float) * 2.0**-53 - 2.0**-54) | (lower >= _TWO52)
+    scaled = np.ldexp(t, -k)
+    if not big.all():
+        scaled = np.where(big, scaled, digits / _POW10[k])
+        unsure &= big
+    if unsure.any():
+        scaled[unsure] = [float(f"{d}e-{j}") for d, j in zip(digits[unsure].tolist(), k[unsure].tolist())]
+    return scaled
+
+
+def _lines(data: bytes, start: int, end: int) -> bytes:
+    """data[start:end], ended by LF."""
+    text = data[start:end]
+    return text if text.endswith(b"\n") else text + b"\n"
+
+
+def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | None:
+    """The wide table, of a date and n prices a row, of a plain body data[start:], read
+    as decimal digits and scaled exactly; None for a body that is not plain.
+
+    Plain is decided for the whole body before any loadtxt pass: after the header, only
+    digits, '.', '+', '-', the delimiter and LF; n + 1 cells a line, each of 1 to 18
+    digits; at most one dot a cell, after its last sign, and none in the date column,
+    where 2015.01.05 would read as the date 20150105. Each block of whole lines, of about
+    _BLOCK bytes, is then read with its dots taken out by one np.loadtxt pass of S16
+    dates and int64 digits, and a cell with k digits after its dot is _scaled(digits, k):
+    what loadtxt's float pass reads in it. ValueError for a row that loadtxt rejects,
+    which a float pass rejects too.
+    """
+    codes = np.full(256, 4, np.uint8)  # of each byte that is not a digit: 0 delimiter, 1 LF, 2 dot, 3 sign
+    codes[[ord(delim), ord("\n"), ord("."), ord("+"), ord("-")]] = [0, 1, 2, 3, 3]
+    blocks = []
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        text = np.frombuffer(_lines(data, start, end), np.uint8)
+        special = np.flatnonzero(text - np.uint8(ord("0")) > 9)  # each byte that is not a digit
+        code = codes.take(text.take(special))
+        sep = np.flatnonzero(code <= 1)  # each cell's end
+        rows = np.count_nonzero(code == 1)
+        if code.max() > 3 or sep.size != rows * (n + 1) or not (code[sep[n :: n + 1]] == 1).all():
+            return None
+        before = special - np.arange(special.size)  # the digits before each byte that is not one
+        ends = before[sep]
+        dot = code[sep - 1] == 2  # the cell's last byte that is not a digit is a dot
+        decimals = (ends - before[sep - 1]) * dot
+        digits = np.diff(ends, prepend=0)
+        if (
+            digits.min() < 1 or digits.max() > 18
+            or np.count_nonzero(dot) != np.count_nonzero(code == 2) or dot[:: n + 1].any()
+        ):
+            return None
+        blocks.append((start, end, decimals.reshape(rows, n + 1)[:, 1:].astype(np.int8)))
+        start = end
+    if not blocks:
+        return None
+    table = np.empty(sum(len(k) for *_, k in blocks), [("date", "S16"), ("price", (float, (n,)))])
+    fields = [("date", "S16"), ("price", (np.int64, (n,)))]
+    row = 0
+    for start, end, k in blocks:
+        read = _table(_lines(data, start, end).replace(b".", b""), 0, delim, fields)
+        table["date"][row : row + len(k)] = read["date"]
+        table["price"][row : row + len(k)] = _scaled(read["price"], k)
+        row += len(k)
+    return table
+
+
 def load_prices(source, fmt: str = "long") -> PricePanel:
     """Read a delimited price file into a PricePanel.
 
@@ -438,11 +533,14 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     reader, which accepts rows whose cells complement each other. The delimiter
     is sniffed from the header (comma vs tab). Price cells are ASCII decimal floats.
 
-    The path of a regular file is read twice: whole, for the header, the checks
-    and the csv reference reader, then by np.loadtxt from disk in large chunks.
-    Any other source, such as a file object or a pipe, a file holding a CR, and a
-    file whose suffix numpy decompresses (.gz, .bz2, .xz, .lzma) are read by
-    np.loadtxt from memory, a line at a time.
+    A wide file with a plain body (_decimal_table: digits, dots, signs, the delimiter
+    and LF alone, every cell present and of at most 18 digits) is read once, from
+    memory, as int64 digits that _scaled turns exactly into the doubles float() reads.
+    Of the files that route declines, the path of a regular file is read twice: whole,
+    for the header, the checks and the csv reference reader, then by np.loadtxt from
+    disk in large chunks. Any other source, such as a file object or a pipe, a file
+    holding a CR, and a file whose suffix numpy decompresses (.gz, .bz2, .xz, .lzma)
+    are read by np.loadtxt from memory, a line at a time.
 
     Raises ParseError (with a 1-based line number) for malformed rows, and without
     one for a file that changed between its two reads; ValidationError for
@@ -494,11 +592,13 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
             dates, d = _index(table["date"], _date)
             values = table["price"]
         else:
-            fields = [("date", "S16"), ("price", (float, (len(header) - 1,)))]
-            try:
-                table = _table(data, start, delim, fields, None, file)
-            except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
-                table = _table(_with_nan(data[start:], delim), 0, delim, fields)
+            table = _decimal_table(data, start, delim, len(header) - 1)
+            if table is None:
+                fields = [("date", "S16"), ("price", (float, (len(header) - 1,)))]
+                try:
+                    table = _table(data, start, delim, fields, None, file)
+                except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
+                    table = _table(_with_nan(data[start:], delim), 0, delim, fields)
             # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
             if np.isnan(table["price"]).any() and any(p.search(data, start) for p in _SIGNED_NAN):
                 raise ValueError("signed NaN")
@@ -530,10 +630,11 @@ def _panel(assets: list, a: np.ndarray, dates: list, d: np.ndarray, values: np.n
     if not observed_assets.all():
         unpriced = ", ".join(compress(assets, ~observed_assets))
         warnings.warn(f"assets with no price left out: {unpriced}", stacklevel=3)
+    everything = observed_assets.all() and observed_dates.all()
     return PricePanel(
         assets=tuple(compress(assets, observed_assets)),
         dates=tuple(compress(dates, observed_dates)),
-        prices=grid[np.ix_(observed_assets, observed_dates)],
+        prices=grid if everything else grid[np.ix_(observed_assets, observed_dates)],
     )
 
 

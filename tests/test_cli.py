@@ -787,6 +787,26 @@ def _cli(argv, cwd, env, code=0):
     return done
 
 
+BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def test_analyze_and_anticorr_repeat_their_bytes_at_one_blas_thread(market_dir, tmp_path):
+    """README's contract: at a fixed BLAS thread count, a rerun writes the same bytes."""
+    env = {**os.environ, **BLAS_ONE_THREAD}
+    runs = []
+    for name in ("first", "second"):
+        root = tmp_path / name
+        root.mkdir()
+        shutil.copy(market_dir / "panel.csv", root)
+        analyze = _cli(["analyze", "--input", "panel.csv", "--format", "wide", "--out-dir", "analyze"], root, env)
+        scan = ["--u-c", "0.3", "--u-c-zero-scan", "--trials", "100"]
+        anticorr = _cli(["anticorr", "--matrix", "analyze/corr_matrix.csv", *scan, "--out-dir", "anticorr"], root, env)
+        files = {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        runs.append((files, analyze.stdout, analyze.stderr, anticorr.stdout, anticorr.stderr))
+    assert len(runs[0][0]) > 6  # the panel, analyze's artifacts and the scan's
+    assert runs[0] == runs[1]
+
+
 def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
     """Every stage reads and writes UTF-8, so an ASCII locale changes no byte of any artifact."""
     config = {**MARKET_CONFIG, "n_assets": 8, "blocks": [

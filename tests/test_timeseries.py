@@ -11,6 +11,8 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +593,19 @@ LOADTXT_TRAPS = {
                                            "2015-01-07,1,3\n"),
     "wide_unordered_dates": ("wide", "date,AAA,BBB\n2015-01-07,1,3\n2015-01-05,1,\n2015-01-09,,4\n"
                                      "2015-01-06,2,2\n"),
+    # plain bodies, of digits, dots, signs, delimiters and LF only, which the decimal route reads when it can
+    "dotted_date": ("wide", "date,AAA,BBB\n2015.01.05,1,2\n2015-01-06,1,2\n2015-01-07,1,3\n"),  # 20150105 is a date
+    "dotted_date_end": ("wide", "date,AAA,BBB\n20150105.,1,2\n2015-01-06,1,2\n2015-01-07,1,3\n"),
+    **{f"plain_cell_{name}": ("wide", f"date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,{cell},2\n2015-01-07,1,3\n")
+       for name, cell in {"two_dots": "1.2.3", "lone_dot": ".", "lone_plus": "+", "lone_minus": "-",
+                          "leading_dot": ".5", "trailing_dot": "5.", "signed_leading_dot": "+.5",
+                          "sign_after_dot": ".+5", "negative_zero": "-0.0", "19_digits": "1234567890123456789",
+                          "19_digits_with_a_dot": "1.234567890123456789", "23_decimals": "0." + "0" * 22 + "1",
+                          "int64_minimum": "-9223372036854775808", "18_nines": "99999999999999999.9"}.items()},
+    "plain_blank_line": ("wide", "date,AAA,BBB\n2015-01-05,1.5,2\n\n2015-01-06,1,2\n2015-01-07,1,3\n"),
+    "plain_no_final_line_end": ("wide", "date,AAA,BBB\n2015-01-05,1.5,2\n2015-01-06,1,2\n2015-01-07,1,3.25"),
+    "plain_tab_delimiter": ("wide", "date\tAAA\tBBB\n2015-01-05\t1.5\t2\n2015-01-06\t+1\t.2\n2015-01-07\t1\t3.\n"),
+    "plain_short_row": ("wide", "date,AAA,BBB\n2015-01-05,1.5,2\n2015-01-06,1\n2015-01-07,1,3,\n"),
 }
 
 
@@ -646,6 +661,41 @@ def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, rewri
     assert len(loadtxt_dtypes) == 2  # the file as written, then with its missing cells as nan
     assert len(rewrites) == 1
     assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "wide"))
+
+
+def plain_wide_text(rows=1100, assets=25):
+    """A wide file of '%.17g' prices, each of at most 18 digits, with no missing cell, of
+    more than two blocks of the decimal route."""
+    prices = np.random.default_rng(rows).uniform(0.1, 1000, (rows, assets))
+    lines = [f"{t}," + ",".join(f"{x:.17g}" for x in row) for t, row in zip(days(rows), prices.tolist())]
+    text = "\n".join(["date," + ",".join(f"A{i:02d}" for i in range(assets)), *lines, ""])
+    assert len(text) > 2 * ts._BLOCK
+    return text, prices
+
+
+def test_plain_wide_file_is_read_by_int64_passes_alone(tmp_path, loadtxt_dtypes, rewrites, no_row_pass):
+    text, prices = plain_wide_text()
+    path = tmp_path / "prices.csv"
+    path.write_text(text)
+    got = load_prices(path, "wide")
+    assert len(loadtxt_dtypes) >= 3  # one pass a block
+    assert all(dtype["price"].base == np.int64 for dtype in loadtxt_dtypes)
+    assert rewrites == []
+    assert got.prices.tobytes() == prices.T.tobytes()
+    assert_same_outcome(got, load_prices_oracle(text, "wide"))
+
+
+@pytest.mark.parametrize(
+    "last",
+    [",", ",NA", ",1e2", ",1.5E+2", ",1234567890123456789", ",0.00000000000000000000001", "\n7"],
+    ids=["gap", "NA", "exponent", "signed_exponent", "19_digits", "23_decimals", "split_row"],
+)
+def test_wide_file_that_is_not_plain_makes_no_int64_pass(loadtxt_dtypes, last):
+    """The body is judged whole before any pass, so its last cell keeps the file off the decimal route."""
+    text, _ = plain_wide_text()
+    text = text[: text.rindex(",")] + last + "\n"
+    assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
+    assert loadtxt_dtypes and all(dtype["price"].base == float for dtype in loadtxt_dtypes)
 
 
 def regex_calls(fn, *args):
@@ -760,8 +810,9 @@ def test_one_long_name_costs_no_copy_per_row(fmt, route):
 
 
 def test_clean_wide_file_is_read_into_the_grid_itself(tmp_path, no_row_pass):
-    """A clean wide file costs, beyond its bytes, a few panels of memory: the loadtxt
-    table is the grid, with no index array per cell."""
+    """A clean wide file costs, beyond its bytes, under three panels of memory and a
+    quarter: the table, the grid, which is the panel's own prices, and blocks of the
+    body's bytes, with no index array per cell."""
     prices = np.random.default_rng(0).uniform(1, 100, (120, 1500))
     path = tmp_path / "wide.csv"
     lines = [f"{t}," + ",".join(map(repr, row)) for t, row in zip(days(1500), prices.T.tolist())]
@@ -775,7 +826,7 @@ def test_clean_wide_file_is_read_into_the_grid_itself(tmp_path, no_row_pass):
         tracemalloc.stop()
     np.testing.assert_array_equal(panel.prices, prices)
     panels = (peak - path.stat().st_size) / panel.prices.nbytes
-    assert panels <= 6, f"{panels:.1f} panels beyond the file's bytes"
+    assert panels <= 3.25, f"{panels:.2f} panels beyond the file's bytes"
 
 
 @pytest.mark.parametrize("delim", [",", "\t"])
@@ -828,7 +879,8 @@ def test_plain_text_file_with_a_compressed_suffix_is_read_from_memory(tmp_path, 
     ("fmt", "text", "header_lines"),
     [
         ("long", 'date,asset,price,"note\nspanning\nlines"\n' + LONG_ROWS.replace("\n", ",x\n"), 3),
-        ("wide", 'date,"AA\nA",BBB\n' + "".join(f"2015-01-{j:02d},{j},1.5\n" for j in range(5, 25)), 2),
+        # an exponent keeps the wide file off the decimal route, which reads the text in memory
+        ("wide", 'date,"AA\nA",BBB\n' + "".join(f"2015-01-{j:02d},{j},15e-1\n" for j in range(5, 25)), 2),
     ],
     ids=["long", "wide"],
 )
@@ -1045,6 +1097,89 @@ def test_17_digit_prices_read_back_bit_identical(fmt, values):
         text = "date,AAA,BBB\n" + "".join(f"{t},{x:.17g},1\n" for t, x in zip(dates, values))
     p = load_prices(io.StringIO(text), fmt=fmt)
     assert p.prices[0].tobytes() == np.array(values).tobytes()
+
+
+def assert_scaled_as_float_reads(digits, decimals):
+    """_scaled gives each digits * 10**-decimals bit for bit as float() reads the decimal."""
+    got = ts._scaled(np.array(digits, np.int64), np.array(decimals, np.int8))
+    want = np.array([float(f"{d}e-{k}") for d, k in zip(digits, decimals)])
+    assert got.tobytes() == want.tobytes(), [(d, k) for d, k, x, y in zip(digits, decimals, got, want) if x != y]
+
+
+DECIMALS = st.tuples(
+    st.integers(1, 18).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1)) | st.just(0),
+    st.integers(0, 22),
+    st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(DECIMALS, min_size=1, max_size=40))
+def test_scaled_decimals_are_what_float_reads(cells):
+    assert_scaled_as_float_reads([sign * d for d, _, sign in cells], [k for _, k, _ in cells])
+
+
+def test_scaled_halfway_points_are_what_float_reads():
+    """Points exactly halfway between neighbouring doubles, and the decimals one unit in
+    their last digit either side. One with at most 18 digits and 22 decimals lies in a
+    binade from 2**51 up; trailing zeros add decimals."""
+    rng = np.random.default_rng(51)
+    digits, decimals = [], []
+    for p in range(51, 60):
+        for x in 2.0**p * (1 + rng.random(20)):
+            half = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+            k = max(0, 53 - p)
+            for zeros in range(3):
+                d = int(half * 10 ** (k + zeros))
+                assert d == half * 10 ** (k + zeros)
+                if d + 1 < 10**18:
+                    digits += [d - 1, d, d + 1]
+                    decimals += [k + zeros] * 3
+    assert len(digits) > 300
+    assert_scaled_as_float_reads(digits, decimals)
+
+
+def test_scaled_powers_of_two_and_their_neighbours_are_what_float_reads():
+    """Each power of two, exactly and as repr writes it, and each double beside it as repr
+    writes it; and the decimals one unit in their last digit either side. Below a power of
+    two the gap between doubles is half the gap above it."""
+    digits, decimals = [], []
+    for j in range(-22, 60):
+        x = 2.0**j
+        for text in (Decimal(x), repr(x), repr(math.nextafter(x, 0)), repr(math.nextafter(x, math.inf))):
+            exact = Decimal(text)
+            k = max(0, -exact.as_tuple().exponent)
+            d = int(exact.scaleb(k))
+            if k <= 22 and d + 1 < 10**18:
+                digits += [d - 1, d, d + 1]
+                decimals += [k] * 3
+    assert len(digits) > 400
+    assert_scaled_as_float_reads(digits, decimals)
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [715391039848324505, 256 * 5**22 - 34],  # the second just below 2**-14 = 256 * 5**22 * 10**-22
+    ids=["inside_a_binade", "below_a_power_of_two"],
+)
+def test_scaled_cell_that_rounds_wrong_from_its_two_halves_takes_float(digits):
+    """With digits = q 5**22 + r, r/5**22 lies below a point halfway between two doubles by
+    less than RN(r/5**22) is off, so q + RN(r/5**22) is a tie that rounds away from
+    q + r/5**22: only float() of the cell's own digits gives its value. Below a power of
+    two the halfway point is a quarter of the gap above it."""
+    q, r = divmod(digits, 5**22)
+    assert (q + r / 5**22) * 2.0**-22 != float(f"{digits}e-22")
+    assert_scaled_as_float_reads([digits], [22])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(DECIMALS, min_size=3, max_size=12))
+def test_plain_decimal_prices_read_as_float_reads_them(cells):
+    texts = [f"{d:0{k + 1}d}" for d, k, _ in cells]
+    texts = [f"{t[: len(t) - k]}.{t[len(t) - k :]}" if k else t for t, (_, k, _) in zip(texts, cells)]
+    dates = [dt.date(2015, 1, 1) + dt.timedelta(days=j) for j in range(len(cells))]
+    text = "date,AAA,BBB\n" + "".join(f"{t},{x},1\n" for t, x in zip(dates, texts))
+    assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
 
 
 @pytest.mark.parametrize("cell", ["1_0", "\uff11\uff12", "\u00a05", "5\u3000"])
