@@ -405,11 +405,11 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
     structured array of fields, which are (name, dtype) pairs. ValueError for any row
     that loadtxt rejects.
 
-    file, when given, is (path, lines, state): the regular file whose text past its
-    first lines physical lines is body[start:], and its _file_state when body was
-    read. loadtxt then reads the file itself, in large chunks, where from memory it
-    takes a line object per row. A pass after which the file's state is not that one
-    ends in a ParseError, whatever loadtxt made of it, so no table mixes two versions.
+    file, when given, is (path, lines, state): the regular file of the long layout
+    whose text past its first lines physical lines is body[start:], and its _file_state
+    when body was read. loadtxt then reads the file itself, in large chunks, where from
+    memory it takes a line object per row. A pass after which the file's state is not
+    that one ends in a ParseError, whatever loadtxt made of it, so no table mixes two versions.
     """
     if file:
         rows, skip = file[:2]
@@ -474,16 +474,17 @@ def _lines(data: bytes, start: int, end: int) -> bytes:
 
 def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | None:
     """The wide table, of a date and n prices a row, of a plain body data[start:], read
-    as decimal digits and scaled exactly; None for a body that is not plain.
+    as decimal digits and scaled exactly (empty if it has no lines); None for any other.
 
     Plain is decided for the whole body before any loadtxt pass: after the header, only
     digits, '.', '+', '-', the delimiter and LF; n + 1 cells a line, each of 1 to 18
-    digits; at most one dot a cell, after its last sign, and none in the date column,
-    where 2015.01.05 would read as the date 20150105. Each block of whole lines, of about
-    _BLOCK bytes, is then read with its dots taken out by one np.loadtxt pass of S16
-    dates and int64 digits, and a cell with k digits after its dot is _scaled(digits, k):
-    what loadtxt's float pass reads in it. ValueError for a row that loadtxt rejects,
-    which a float pass rejects too.
+    digits or of 19 led by a 0 (a '%.17g' price below 0.1), so every value is below
+    10**18; at most one dot a cell, after its last sign, and none in the date column,
+    where 2015.01.05 would read as the date 20150105. Each block of whole lines, of
+    about _BLOCK bytes, is then read with its dots taken out by one np.loadtxt pass of
+    S16 dates and int64 digits, and a cell with k digits after its dot is
+    _scaled(digits, k): what loadtxt's float pass reads in it. ValueError for a row that
+    loadtxt rejects, which a float pass rejects too.
     """
     codes = np.full(256, 4, np.uint8)  # of each byte that is not a digit: 0 delimiter, 1 LF, 2 dot, 3 sign
     codes[[ord(delim), ord("\n"), ord("."), ord("+"), ord("-")]] = [0, 1, 2, 3, 3]
@@ -502,15 +503,15 @@ def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | 
         dot = code[sep - 1] == 2  # the cell's last byte that is not a digit is a dot
         decimals = (ends - before[sep - 1]) * dot
         digits = np.diff(ends, prepend=0)
+        first = (ends - digits)[digits > 18]  # the first digit of each cell of 19, among the digits
         if (
-            digits.min() < 1 or digits.max() > 18
+            digits.min() < 1 or digits.max() > 19
+            or (text[first + np.searchsorted(before, first, "right")] != ord("0")).any()
             or np.count_nonzero(dot) != np.count_nonzero(code == 2) or dot[:: n + 1].any()
         ):
             return None
         blocks.append((start, end, decimals.reshape(rows, n + 1)[:, 1:].astype(np.int8)))
         start = end
-    if not blocks:
-        return None
     table = np.empty(sum(len(k) for *_, k in blocks), [("date", "S16"), ("price", (float, (n,)))])
     fields = [("date", "S16"), ("price", (np.int64, (n,)))]
     row = 0
@@ -533,36 +534,28 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
     reader, which accepts rows whose cells complement each other. The delimiter
     is sniffed from the header (comma vs tab). Price cells are ASCII decimal floats.
 
-    A wide file with a plain body (_decimal_table: digits, dots, signs, the delimiter
-    and LF alone, every cell present and of at most 18 digits) is read once, from
-    memory, as int64 digits that _scaled turns exactly into the doubles float() reads.
-    Of the files that route declines, the path of a regular file is read twice: whole,
-    for the header, the checks and the csv reference reader, then by np.loadtxt from
-    disk in large chunks. Any other source, such as a file object or a pipe, a file
-    holding a CR, and a file whose suffix numpy decompresses (.gz, .bz2, .xz, .lzma)
-    are read by np.loadtxt from memory, a line at a time.
+    A wide file is read once, from memory. A plain body (_decimal_table: digits, dots,
+    signs, the delimiter and LF alone, every cell present and of at most 18 digits, or
+    19 led by a 0) is read as int64 digits that _scaled turns exactly into the doubles
+    float() reads; any other takes loadtxt's float pass. Only the path of a regular
+    long-layout file is read twice: whole, for the header, the checks and the csv
+    reference reader, then by np.loadtxt from disk in large chunks. Any other long
+    source (a file object or a pipe, a file holding a CR, or one whose suffix numpy
+    decompresses: .gz, .bz2, .xz, .lzma) is read by np.loadtxt from memory, a line at a time.
 
     Raises ParseError (with a 1-based line number) for malformed rows, and without
-    one for a file that changed between its two reads; ValidationError for
+    one for a long file that changed between its two reads; ValidationError for
     non-positive prices or duplicate observations.
     """
     if fmt not in ("long", "wide"):
         raise ConfigurationError(f"unknown format {fmt!r}, expected 'long' or 'wide'")
-    state = _file_state(source)  # before the read, so that a change made during it shows
+    state = _file_state(source) if fmt == "long" else None  # before the read, so that a change made during it shows
     data = _read_bytes(source)
     if not data:
         raise ParseError("empty input", 1)
     delim = _delimiter(data)
     with _rows(data, delim) as reader:
         header = [h.strip() for h in next(reader)]
-    # loadtxt is handed a regular file's path where numpy reads the file as _read_bytes did:
-    # numpy opens a path in text mode, which reads a CR as LF, and by its suffix, which may
-    # decompress it. Path's form of the name has no "//", which numpy would take for a URL.
-    file = None
-    if state:
-        path = os.fspath(Path(source))
-        if not path.endswith(_DECOMPRESSED) and b"\r" not in data:
-            file = (path, reader.line_num, state)  # the header's physical lines, which numpy skips
     if fmt == "long":
         try:
             cols = [header.index(c) for c in ("date", "asset", "price")]
@@ -585,6 +578,12 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         if _over_field_limit(data, start, delim):  # once: _with_nan lengthens no cell a float or date reads
             raise ValueError("cell over the field size limit")
         if fmt == "long":
+            # loadtxt is handed a regular file's path where numpy reads the file as _read_bytes did:
+            # numpy opens a path in text mode, which reads a CR as LF, and by its suffix, which may
+            # decompress it. Path's form of the name has no "//", which numpy would take for a URL.
+            file = None
+            if state and not (path := os.fspath(Path(source))).endswith(_DECOMPRESSED) and b"\r" not in data:
+                file = (path, reader.line_num, state)  # the header's physical lines, which numpy skips
             table = _table(data, start, delim, [("date", "S16"), ("asset", "S16"), ("price", float)], cols, file)
             assets, a = _index(table["asset"], _text)
             if "" in assets:
@@ -596,12 +595,12 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
             if table is None:
                 fields = [("date", "S16"), ("price", (float, (len(header) - 1,)))]
                 try:
-                    table = _table(data, start, delim, fields, None, file)
+                    table = _table(data, start, delim, fields)
                 except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
                     table = _table(_with_nan(data[start:], delim), 0, delim, fields)
-            # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
-            if np.isnan(table["price"]).any() and any(p.search(data, start) for p in _SIGNED_NAN):
-                raise ValueError("signed NaN")
+                # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
+                if np.isnan(table["price"]).any() and any(p.search(data, start) for p in _SIGNED_NAN):
+                    raise ValueError("signed NaN")
             assets, a = _number(header[1:])
             dates, d = _index(table["date"], _date)
             a, values = a[:, None], table["price"].T  # the table is the grid, transposed

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigensectors import PricePanel, eigendecompose, load_matrix, load_prices, mode_scan, mp_bounds, report_to_dict
+from eigensectors import (
+    ParseError, PricePanel, eigendecompose, load_matrix, load_prices, mode_scan, mp_bounds, report_to_dict,
+)
 from eigensectors.cli import build_parser, main
 from eigensectors.synth import write_panel_wide
 
@@ -376,6 +378,29 @@ def test_non_utf8_matrix_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: not UTF-8 text (byte 0xff)") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_empty_matrix_is_a_data_error(tmp_path, capsys):
+    grid = tmp_path / "corr_matrix.csv"
+    grid.write_bytes(b"")
+    (tmp_path / "corr_matrix.meta.json").write_text('{"n_assets": 2, "n_observations": 10}\n')
+    with pytest.raises(ParseError) as err:
+        load_matrix(grid)
+    assert str(err.value) == "line 1: empty matrix file"
+    assert main(["sectors", "--matrix", str(grid), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 1: empty matrix file\n"
+
+
+def test_missing_metadata_is_one_warning_and_unlabeled_rows(market_dir, tmp_path, capsys):
+    meta = tmp_path / "nope.csv"
+    out = tmp_path / "out"
+    rc = main(["sectors", "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--metadata", str(meta), "--u-c", "0.3", "--out-dir", str(out)])
+    assert rc == 0
+    warning = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warning) == 1 and str(meta) in warning[0]
+    rows = json.loads((out / "sectors.json").read_text())["rows"]
+    assert rows and all(row["dominant"] == "Unlabeled" for row in rows if row["total"] > 0)
 
 
 def test_non_utf8_metadata_is_a_data_error(market_dir, tmp_path, capsys):

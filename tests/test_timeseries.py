@@ -163,6 +163,77 @@ def test_load_wide_with_missing_cells():
     assert p.prices[1, 1] == 21.0
 
 
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+def test_empty_price_file_is_a_parse_error(fmt):
+    with pytest.raises(ParseError) as err:
+        load_prices(io.BytesIO(b""), fmt)
+    assert str(err.value) == "line 1: empty input"
+
+
+def test_wide_header_with_only_a_date_column_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        load_prices(io.StringIO("date\n2015-01-05\n2015-01-06\n"), "wide")
+    assert str(err.value) == "line 1: wide header needs a date column plus asset columns"
+
+
+def test_load_prices_on_a_missing_path_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_prices(tmp_path / "nope.csv")
+
+
+@pytest.fixture
+def indexed(monkeypatch):
+    """The keys of each _index call made while the test runs."""
+    calls, real = [], ts._index
+
+    def spy(texts, key):
+        keys, position = real(texts, key)
+        calls.append(keys)
+        return keys, position
+
+    monkeypatch.setattr(ts, "_index", spy)
+    return calls
+
+
+@pytest.mark.parametrize("blank_row", [False, True], ids=["loadtxt", "csv"])
+def test_long_row_with_an_empty_asset_is_a_parse_error(indexed, blank_row):
+    """loadtxt reads the empty cell, and _index's keys hold it; a whitespace-only row,
+    which loadtxt rejects, sends the file to csv before any _index call."""
+    rows = ["2015-01-05,AAA,1", "2015-01-05,,2", "2015-01-06,AAA,2", "2015-01-07,AAA,3"]
+    if blank_row:
+        rows.insert(2, "   ")
+    with pytest.raises(ParseError) as err:
+        load_prices(long_csv(rows))
+    assert str(err.value) == "line 3: empty asset identifier"
+    assert indexed == [] if blank_row else "" in indexed[0]  # the asset column's keys
+
+
+def test_header_only_wide_file_matches_oracle(loadtxt_dtypes):
+    """The decimal route reads a body of no lines as an empty table, so no float pass runs."""
+    check_against_oracle("date,AAA,BBB\n", "wide")
+    assert loadtxt_dtypes == []
+
+
+@pytest.mark.parametrize(
+    ("assets", "prices", "message"),
+    [
+        (("A", "A"), np.ones((2, 3)), "duplicate asset identifiers"),
+        (("A", "B"), np.ones((3, 2)), r"price grid shape \(3, 2\) != \(2, 3\)"),
+        (("A", "B"), [[1, 2, 3], [1, 0, 3]], "non-positive prices"),
+    ],
+    ids=["duplicate_assets", "grid_shape", "non_positive_price"],
+)
+def test_panel_rejects_an_invalid_grid(assets, prices, message):
+    with pytest.raises(ValidationError, match=message):
+        PricePanel(assets=assets, dates=days(3), prices=prices)
+
+
+def test_normalized_rows_reject_a_std_other_than_1():
+    unit = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2 / 3)
+    with pytest.raises(ValidationError, match="std 1"):
+        NormalizedReturns(assets=("A", "B"), dates=days(3), values=[unit, 2 * unit])
+
+
 @pytest.mark.parametrize("route", ["loadtxt", "csv"])
 def test_wide_assets_with_no_price_are_named_in_one_warning(monkeypatch, route):
     def fail(*args):  # a ValueError sends the file on to the csv route, any other ends the test
@@ -601,7 +672,10 @@ LOADTXT_TRAPS = {
                           "leading_dot": ".5", "trailing_dot": "5.", "signed_leading_dot": "+.5",
                           "sign_after_dot": ".+5", "negative_zero": "-0.0", "19_digits": "1234567890123456789",
                           "19_digits_with_a_dot": "1.234567890123456789", "23_decimals": "0." + "0" * 22 + "1",
-                          "int64_minimum": "-9223372036854775808", "18_nines": "99999999999999999.9"}.items()},
+                          "int64_minimum": "-9223372036854775808", "18_nines": "99999999999999999.9",
+                          "19_digits_led_by_0": "0.078855913067573072", "19_digits_led_by_00": "00123456789012345678",
+                          "signed_19_digits_led_by_0": "+0.078855913067573072",
+                          "20_digits_led_by_0": "0.0788559130675730721"}.items()},
     "plain_blank_line": ("wide", "date,AAA,BBB\n2015-01-05,1.5,2\n\n2015-01-06,1,2\n2015-01-07,1,3\n"),
     "plain_no_final_line_end": ("wide", "date,AAA,BBB\n2015-01-05,1.5,2\n2015-01-06,1,2\n2015-01-07,1,3.25"),
     "plain_tab_delimiter": ("wide", "date\tAAA\tBBB\n2015-01-05\t1.5\t2\n2015-01-06\t+1\t.2\n2015-01-07\t1\t3.\n"),
@@ -663,10 +737,10 @@ def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, rewri
     assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "wide"))
 
 
-def plain_wide_text(rows=1100, assets=25):
-    """A wide file of '%.17g' prices, each of at most 18 digits, with no missing cell, of
-    more than two blocks of the decimal route."""
-    prices = np.random.default_rng(rows).uniform(0.1, 1000, (rows, assets))
+def plain_wide_text(rows=1100, assets=25, low=0.1, high=1000):
+    """A wide file of '%.17g' prices drawn from [low, high), with no missing cell, of
+    more than two blocks of the decimal route. Above 0.1 each has at most 18 digits."""
+    prices = np.random.default_rng(rows).uniform(low, high, (rows, assets))
     lines = [f"{t}," + ",".join(f"{x:.17g}" for x in row) for t, row in zip(days(rows), prices.tolist())]
     text = "\n".join(["date," + ",".join(f"A{i:02d}" for i in range(assets)), *lines, ""])
     assert len(text) > 2 * ts._BLOCK
@@ -683,6 +757,16 @@ def test_plain_wide_file_is_read_by_int64_passes_alone(tmp_path, loadtxt_dtypes,
     assert rewrites == []
     assert got.prices.tobytes() == prices.T.tobytes()
     assert_same_outcome(got, load_prices_oracle(text, "wide"))
+
+
+def test_plain_wide_file_of_prices_below_a_tenth_is_read_by_int64_passes_alone(loadtxt_dtypes, no_row_pass):
+    """'%.17g' writes such a price with 19 digits, the first of them 0, which int64 holds."""
+    text, prices = plain_wide_text(low=0.01, high=0.1)
+    assert max(len(f"{x:.17g}") for x in prices.ravel().tolist()) == 20  # '0.0' and 17 digits
+    got = load_prices(io.StringIO(text), "wide")
+    assert loadtxt_dtypes and all(dtype["price"].base == np.int64 for dtype in loadtxt_dtypes)
+    assert got.prices.tobytes() == prices.T.tobytes()
+    assert got.prices.tobytes() == load_prices_oracle(text, "wide").prices.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -879,8 +963,9 @@ def test_plain_text_file_with_a_compressed_suffix_is_read_from_memory(tmp_path, 
     ("fmt", "text", "header_lines"),
     [
         ("long", 'date,asset,price,"note\nspanning\nlines"\n' + LONG_ROWS.replace("\n", ",x\n"), 3),
-        # an exponent keeps the wide file off the decimal route, which reads the text in memory
-        ("wide", 'date,"AA\nA",BBB\n' + "".join(f"2015-01-{j:02d},{j},15e-1\n" for j in range(5, 25)), 2),
+        # an exponent keeps the wide file off the decimal route; a wide file is read from memory alone,
+        # from the end of its header
+        ("wide", 'date,"AA\nA",BBB\n' + "".join(f"2015-01-{j:02d},{j},15e-1\n" for j in range(5, 25)), 0),
     ],
     ids=["long", "wide"],
 )
@@ -890,7 +975,8 @@ def test_file_with_a_byte_order_mark_and_a_multi_line_header_skips_its_physical_
     path = tmp_path / "prices.csv"
     path.write_bytes(codecs.BOM_UTF8 + text.encode())
     got = load_prices(path, fmt)
-    assert loadtxt_sources == [(os.fspath(path), header_lines)]
+    sources = [(source if isinstance(source, str) else type(source), skip) for source, skip in loadtxt_sources]
+    assert sources == [(os.fspath(path) if fmt == "long" else io.BytesIO, header_lines)]
     assert_same_outcome(got, load_prices(io.BytesIO(path.read_bytes()), fmt))
     assert_same_outcome(got, load_prices_oracle(text, fmt))
 
@@ -937,27 +1023,62 @@ def test_pipe_is_read_once(tmp_path, kind):
     assert_same_outcome(result["got"], load_prices(io.StringIO(text)))
 
 
-@pytest.mark.parametrize("change", ["grown", "replaced", "touched"])
-def test_file_that_changes_before_loadtxt_reads_it_is_a_parse_error(tmp_path, monkeypatch, change):
-    path = tmp_path / "prices.csv"
-    text = "date,asset,price\n" + LONG_ROWS
-    path.write_text(text)
-    real = np.loadtxt
+def change_before_loadtxt(monkeypatch, path, change, row):
+    """Make each np.loadtxt call first change the file at path: grown by row, replaced by
+    a new file of the same bytes, or touched."""
+    real, text = np.loadtxt, path.read_text()
 
     def rewrite_then_load(fname, *args, **kwargs):
         if change == "grown":
-            path.write_text(text + "2015-01-26,AAA,9\n")
+            path.write_text(text + row)
         elif change == "replaced":  # the same bytes in a new file moved over the old one
-            (tmp_path / "new.csv").write_text(text)
-            os.replace(tmp_path / "new.csv", path)
+            (path.parent / "new.csv").write_text(text)
+            os.replace(path.parent / "new.csv", path)
         else:
             os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
         return real(fname, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", rewrite_then_load)
+
+
+@pytest.mark.parametrize("change", ["grown", "replaced", "touched"])
+def test_file_that_changes_before_loadtxt_reads_it_is_a_parse_error(tmp_path, monkeypatch, change):
+    path = tmp_path / "prices.csv"
+    path.write_text("date,asset,price\n" + LONG_ROWS)
+    change_before_loadtxt(monkeypatch, path, change, "2015-01-26,AAA,9\n")
     with pytest.raises(ParseError, match="changed while it was read") as err:
         load_prices(path)
     assert "\n" not in str(err.value)
+
+
+WIDE_BODIES = {  # one for each wide route: the decimal route, the float pass, and the float pass after a rewrite
+    "plain": "".join(f"2015-01-{j:02d},{j},1.5\n" for j in range(5, 25)),
+    "exponent": "".join(f"2015-01-{j:02d},{j},15e-1\n" for j in range(5, 25)),
+    "empty_cells": "".join(f"2015-01-{j:02d},{j},{'' if j % 3 else 2}\n" for j in range(5, 25)),
+}
+
+
+@pytest.mark.parametrize("body", ["exponent", "empty_cells"])
+def test_regular_wide_file_is_read_once(tmp_path, loadtxt_sources, no_row_pass, body):
+    """loadtxt reads a wide file's bytes from memory, so it never opens the file again."""
+    path = tmp_path / "prices.csv"
+    path.write_text("date,AAA,BBB\n" + WIDE_BODIES[body])
+    got = load_prices(path, "wide")
+    passes = 1 if body == "exponent" else 2  # the file as written, then with its missing cells as nan
+    assert [(type(source), skip) for source, skip in loadtxt_sources] == [(io.BytesIO, 0)] * passes
+    assert_same_outcome(got, load_prices_oracle(path.read_text(), "wide"))
+
+
+@pytest.mark.parametrize("change", ["grown", "replaced", "touched"])
+@pytest.mark.parametrize("body", sorted(WIDE_BODIES))
+def test_wide_file_that_changes_before_loadtxt_reads_it_loads_the_bytes_read_first(
+    tmp_path, monkeypatch, body, change
+):
+    path = tmp_path / "prices.csv"
+    text = "date,AAA,BBB\n" + WIDE_BODIES[body]
+    path.write_text(text)
+    change_before_loadtxt(monkeypatch, path, change, "2015-01-26,9,9\n")
+    assert_same_outcome(outcome(load_prices, path, "wide"), outcome(load_prices_oracle, text, "wide"))
 
 
 # cells of 140000 characters or more with a delimiter in every block, as csv reads them
