@@ -166,7 +166,7 @@ def random_baseline(
     blocks of C, in chunks of about _CHUNK_CELLS cells; as the targets are
     drawn up front and each trial is evaluated on its own, the samples do not
     depend on the chunk size. Above that k, one ``Generator.permuted`` call
-    orders all N assets of every trial and the dense evaluator runs.
+    orders all N assets of every trial: one chunk for the dense evaluator.
     """
     w_plus = np.abs(np.asarray(weights[0], dtype=float))
     w_minus = np.abs(np.asarray(weights[1], dtype=float))
@@ -187,25 +187,21 @@ def random_baseline(
         raise MemoryError(f"{trials} baseline trials do not fit in memory") from None
     rng = np.random.default_rng(seed)
     if k * k > _GATHER_RATIO * n**1.5:
-        order = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)
-        raw_samples[:], pearson_samples[:] = _cross_correlation(
-            c.values, order[:, :n_plus], w_plus, order[:, n_plus:k], w_minus
-        )
+        drawn = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)[:, :k]
+        evaluate, step = _cross_correlation, trials
     else:
         targets = rng.integers(np.arange(k), n, size=(trials, k))
         step = max(1, _CHUNK_CELLS // n)
         drawn = np.concatenate(
             [_first_positions(targets[lo:lo + step], n) for lo in range(0, trials, step)]
         )
-        values = np.ascontiguousarray(c.values)
-        step = max(1, _CHUNK_CELLS // (k * k))
-        for lo in range(0, trials, step):
-            chunk = drawn[lo:lo + step]
-            raw_samples[lo:lo + step], pearson_samples[lo:lo + step] = (
-                _gathered_cross_correlation(
-                    values, chunk[:, :n_plus], w_plus, chunk[:, n_plus:], w_minus
-                )
-            )
+        evaluate, step = _gathered_cross_correlation, max(1, _CHUNK_CELLS // (k * k))
+    values = np.ascontiguousarray(c.values)
+    for lo in range(0, trials, step):
+        chunk = drawn[lo:lo + step]
+        raw_samples[lo:lo + step], pearson_samples[lo:lo + step] = evaluate(
+            values, chunk[:, :n_plus], w_plus, chunk[:, n_plus:], w_minus
+        )
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),
         pearson_std=float(pearson_samples.std()),

@@ -115,10 +115,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _thresholds(values) -> list[float]:
+    """Each threshold checked, -0 read as 0 and repeats merged; two that %g prints alike would share artifacts."""
+    thresholds = list(dict.fromkeys(map(sec._threshold, values)))
+    named = {}
+    for u_c in thresholds:
+        if (other := named.setdefault(f"{u_c:g}", u_c)) != u_c:
+            raise ConfigurationError(f"thresholds {other!r} and {u_c!r} both print as {u_c:g} in the artifacts")
+    return thresholds
+
+
 def cmd_sectors(args) -> int:
+    thresholds = args.u_c or list(sec.DEFAULT_STOCK_THRESHOLDS)
+    checked = _thresholds(thresholds)  # before the input is read; sector_table checks the order
     _, spec, _ = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
-    thresholds = args.u_c or list(sec.DEFAULT_STOCK_THRESHOLDS)
     metadata = None
     if args.metadata and Path(args.metadata).exists():
         metadata = ts.load_metadata(Path(args.metadata))
@@ -135,7 +146,6 @@ def cmd_sectors(args) -> int:
         metadata,
         include_market_mode=args.include_market_mode,
     )
-    thresholds = list(map(sec._threshold, thresholds))  # all checked by now; -0 becomes 0
     out = _out_dir(args)
     ts._write_table(out / "sectors.csv", [
         ("u_c", "mode", "eigenvalue", "sign", "anchor_asset", "dominant", "matched", "total", "members"),
@@ -143,7 +153,7 @@ def cmd_sectors(args) -> int:
            r.report.matched, r.report.total, ts._csv_line(r.report.members, ";")) for r in rows),
     ])
     _write_report(args, "sectors.json", {
-        "thresholds": thresholds,
+        "thresholds": checked,
         "rows": [
             {
                 "u_c": r.threshold,
@@ -160,7 +170,7 @@ def cmd_sectors(args) -> int:
             for r in rows
         ],
     })
-    print(f"sectors: {len(rows)} table rows over thresholds {thresholds}")
+    print(f"sectors: {len(rows)} table rows over thresholds {checked}")
     print(f"wrote {out / 'sectors.json'}")
     return 0
 
@@ -194,8 +204,7 @@ def cmd_anticorr(args) -> int:
     thresholds = args.u_c or [sec.DEFAULT_STOCK_THRESHOLDS[-1]]
     if args.u_c_zero_scan:
         thresholds = thresholds + [0.0]
-    # every threshold is checked before the input is read, and each distinct one is scanned once
-    thresholds = dict.fromkeys(map(sec._threshold, thresholds))
+    thresholds = _thresholds(thresholds)  # before the input is read; each distinct one is scanned once
     c, spec, _ = _analysis_input(args)
     out = _out_dir(args)
     for u_c in thresholds:

@@ -199,7 +199,10 @@ def load_matrix(path) -> CorrelationMatrix:
         if len(cells) != n:
             raise ParseError(f"expected {n} values, got {len(cells)}", line_no)
         try:
-            rows.append(np.array(cells, dtype=float))  # accepts and rejects what float() does
+            if not line.isascii() or "_" in line:  # float() reads them, the grid writer writes neither
+                bad = next(cell for cell in cells if not cell.isascii() or "_" in cell)
+                raise ValueError(f"could not convert string to float: {bad!r}")
+            rows.append(np.array(cells, dtype=float))  # else accepts and rejects what float() does
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
     if len(rows) != n:

@@ -588,7 +588,6 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
             assets, a = _index(table["asset"], _text)
             if "" in assets:
                 raise ValueError("empty asset identifier")
-            dates, d = _index(table["date"], _date)
             values = table["price"]
         else:
             table = _decimal_table(data, start, delim, len(header) - 1)
@@ -602,8 +601,8 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
                 if np.isnan(table["price"]).any() and any(p.search(data, start) for p in _SIGNED_NAN):
                     raise ValueError("signed NaN")
             assets, a = _number(header[1:])
-            dates, d = _index(table["date"], _date)
             a, values = a[:, None], table["price"].T  # the table is the grid, transposed
+        dates, d = _index(table["date"], _date)
         # a NaN compares False: in the wide layout a missing cell, in the long one a price csv rejects
         if ((values <= 0.0) | (values == np.inf)).any() or fmt == "long" and np.isnan(values).any():
             raise ValueError("price not finite and positive")

@@ -424,6 +424,25 @@ def test_baseline_samples_do_not_depend_on_the_chunk_size(monkeypatch):
         assert np.array_equal(pearson, samples[0][1])
 
 
+@pytest.mark.parametrize("trials", [100, 4000], ids=["below_chunk", "above_chunk"])
+def test_dense_baseline_samples_are_one_evaluation_of_the_permuted_draw(trials):
+    # the dense route's bits: one _cross_correlation over every trial's placement
+    c = correlation_matrix(noise_returns(40, 200, 5))
+    n = c.n_assets
+    w_plus, w_minus = default_rng(3).normal(size=14), default_rng(4).normal(size=16)
+    k = w_plus.size + w_minus.size
+    assert k * k > anticorr._GATHER_RATIO * n**1.5  # the dense route
+    assert (trials > anticorr._CHUNK_CELLS // n) == (trials == 4000)
+    seed = SeedSequence([0, 7])
+    bl = random_baseline(c, (w_plus, w_minus), trials=trials, seed=seed)
+    order = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)
+    raw, pearson = anticorr._cross_correlation(
+        c.values, order[:, :14], np.abs(w_plus), order[:, 14:k], np.abs(w_minus)
+    )
+    assert bl.raw_samples.tobytes() == raw.tobytes()
+    assert bl.pearson_samples.tobytes() == pearson.tobytes()
+
+
 @pytest.fixture
 def generator_calls(monkeypatch):
     """Names of the Generator methods random_baseline calls, in order."""

@@ -564,6 +564,22 @@ def test_sectors_rejects_bad_threshold_ladder(market_dir, tmp_path, capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["sectors", "anticorr"])
+def test_thresholds_that_print_alike_are_a_configuration_error(market_dir, tmp_path, capsys, monkeypatch, stage):
+    def unread(*args, **kwargs):
+        raise AssertionError("input read before the thresholds were checked")
+
+    monkeypatch.setattr("eigensectors.timeseries.load_prices", unread)
+    out = tmp_path / "out"
+    rc = main([stage, "--input", str(market_dir / "panel.csv"), "--format", "wide",
+               "--u-c", "0.1", "--u-c", "0.1000001", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: thresholds 0.1 and 0.1000001 both print as 0.1 in the artifacts\n"
+    )
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ anticorr
 
 

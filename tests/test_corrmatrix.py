@@ -308,8 +308,10 @@ def test_load_reports_bad_float(tmp_path):
         ("X,Y\n1.0,oops\n0.5,1.0\n", 2, "oops"),
         ("X,Y\n1.0,0.5\n0.5, 1.0x\n", 3, " 1.0x"),
         ("X,Y\n1.0,0.5\n\n0x1,1.0\n", 4, "0x1"),
+        ("X,Y\n1.0,0.5_0\n0.5,1.0\n", 2, "0.5_0"),  # float() reads both of these
+        ("X,Y\n1.0,0.5\n0.5,\u0661\n", 3, "\u0661"),  # ARABIC-INDIC DIGIT ONE
     ]:
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(ParseError) as err:
             load_matrix(path)
         assert err.value.line_number == line_no
