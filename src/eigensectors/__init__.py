@@ -8,144 +8,15 @@ A synthetic market generator with planted block structure closes the loop
 for end-to-end validation.
 """
 
-from .anticorr import (
-    AnticorrReport,
-    BaselineStats,
-    BlockAverages,
-    ModeScanRow,
-    SkippedMode,
-    block_averages,
-    mode_scan,
-    random_baseline,
-    report_to_dict,
-    write_scan_delimited,
-)
-from .corrmatrix import (
-    CorrelationMatrix,
-    EigenSpectrum,
-    correlation_matrix,
-    eigendecompose,
-    load_matrix,
-    mean_offdiagonal,
-    save_matrix,
-)
-from .exceptions import (
-    ConfigurationError,
-    DataError,
-    DomainError,
-    EigensectorsError,
-    InsufficientDataError,
-    NumericalError,
-    ParseError,
-    ValidationError,
-    ZeroVarianceError,
-)
-from .rmt import (
-    SignificantSet,
-    WishartLaw,
-    mp_bounds,
-    mp_cdf,
-    mp_density,
-    significant_eigenvalues,
-)
-from .sectors import (
-    DEFAULT_STOCK_THRESHOLDS,
-    LabelReport,
-    SectorRow,
-    SubsectorPartition,
-    is_single_signed,
-    label_subsector,
-    sector_table,
-    select_components,
-)
-from .synth import (
-    BlockSpec,
-    GroundTruth,
-    MarketSpec,
-    generate,
-    load_market_spec,
-    metadata_from_truth,
-    population_correlation,
-    prices_from_returns,
-    write_panel_wide,
-)
-from .timeseries import (
-    NormalizedReturns,
-    PricePanel,
-    ReturnMatrix,
-    ShiftRule,
-    align_calendar,
-    drop_assets,
-    forward_fill,
-    load_metadata,
-    load_prices,
-    log_returns,
-    normalize_returns,
-    trim_to_common_range,
-)
+from . import anticorr, corrmatrix, exceptions, rmt, sectors, synth, timeseries
+from .anticorr import *
+from .corrmatrix import *
+from .exceptions import *
+from .rmt import *
+from .sectors import *
+from .synth import *
+from .timeseries import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnticorrReport",
-    "BaselineStats",
-    "BlockAverages",
-    "BlockSpec",
-    "ConfigurationError",
-    "CorrelationMatrix",
-    "DEFAULT_STOCK_THRESHOLDS",
-    "DataError",
-    "DomainError",
-    "EigenSpectrum",
-    "EigensectorsError",
-    "GroundTruth",
-    "InsufficientDataError",
-    "LabelReport",
-    "MarketSpec",
-    "ModeScanRow",
-    "NormalizedReturns",
-    "NumericalError",
-    "ParseError",
-    "PricePanel",
-    "ReturnMatrix",
-    "SectorRow",
-    "ShiftRule",
-    "SignificantSet",
-    "SkippedMode",
-    "SubsectorPartition",
-    "ValidationError",
-    "WishartLaw",
-    "ZeroVarianceError",
-    "align_calendar",
-    "block_averages",
-    "correlation_matrix",
-    "drop_assets",
-    "eigendecompose",
-    "forward_fill",
-    "generate",
-    "is_single_signed",
-    "label_subsector",
-    "load_market_spec",
-    "load_matrix",
-    "load_metadata",
-    "load_prices",
-    "log_returns",
-    "mean_offdiagonal",
-    "metadata_from_truth",
-    "mode_scan",
-    "mp_bounds",
-    "mp_cdf",
-    "mp_density",
-    "normalize_returns",
-    "population_correlation",
-    "prices_from_returns",
-    "random_baseline",
-    "report_to_dict",
-    "save_matrix",
-    "sector_table",
-    "select_components",
-    "significant_eigenvalues",
-    "trim_to_common_range",
-    "write_panel_wide",
-    "write_scan_delimited",
-]
+__all__ = [name for m in (anticorr, corrmatrix, exceptions, rmt, sectors, synth, timeseries) for name in m.__all__]

@@ -31,6 +31,19 @@ k = N) a full shuffle per trial and two dense products with C cost less.
 
 from __future__ import annotations
 
+__all__ = [
+    "AnticorrReport",
+    "BaselineStats",
+    "BlockAverages",
+    "ModeScanRow",
+    "SkippedMode",
+    "block_averages",
+    "mode_scan",
+    "random_baseline",
+    "report_to_dict",
+    "write_scan_delimited",
+]
+
 from dataclasses import dataclass, field
 from typing import Sequence
 

@@ -127,7 +127,8 @@ def _thresholds(values) -> list[float]:
 
 def cmd_sectors(args) -> int:
     thresholds = args.u_c or list(sec.DEFAULT_STOCK_THRESHOLDS)
-    checked = _thresholds(thresholds)  # before the input is read; sector_table checks the order
+    checked = _thresholds(thresholds)  # before the input is read, with the order sector_table requires
+    sec._threshold_ladder(thresholds)
     _, spec, _ = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
     metadata = None

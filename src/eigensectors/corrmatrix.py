@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CorrelationMatrix",
+    "EigenSpectrum",
+    "correlation_matrix",
+    "eigendecompose",
+    "load_matrix",
+    "mean_offdiagonal",
+    "save_matrix",
+]
+
 import json
 from dataclasses import dataclass
 from pathlib import Path

@@ -4,6 +4,18 @@ The CLI maps these onto exit codes: configuration/usage problems -> 1,
 data problems -> 2, numerical failures -> 3.
 """
 
+__all__ = [
+    "ConfigurationError",
+    "DataError",
+    "DomainError",
+    "EigensectorsError",
+    "InsufficientDataError",
+    "NumericalError",
+    "ParseError",
+    "ValidationError",
+    "ZeroVarianceError",
+]
+
 
 class EigensectorsError(Exception):
     """Base class for all package errors."""

@@ -12,6 +12,15 @@ carry genuine correlation structure.
 
 from __future__ import annotations
 
+__all__ = [
+    "SignificantSet",
+    "WishartLaw",
+    "mp_bounds",
+    "mp_cdf",
+    "mp_density",
+    "significant_eigenvalues",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -8,6 +8,17 @@ come from an asset -> category mapping and a majority rule.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_STOCK_THRESHOLDS",
+    "LabelReport",
+    "SectorRow",
+    "SubsectorPartition",
+    "is_single_signed",
+    "label_subsector",
+    "sector_table",
+    "select_components",
+]
+
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -78,6 +89,16 @@ def _threshold(u_c: float) -> float:
     if not np.isfinite(u_c):
         raise ConfigurationError(f"threshold u_c must be finite, got {u_c!r}")
     return u_c + 0.0
+
+
+def _threshold_ladder(thresholds: Sequence[float]) -> list[float]:
+    """The thresholds as checked floats; ConfigurationError unless non-empty and strictly ascending."""
+    thresholds = [float(t) for t in thresholds]
+    if not thresholds:
+        raise ConfigurationError("need at least one threshold")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ConfigurationError(f"thresholds must be strictly ascending: {thresholds}")
+    return [_threshold(u_c) for u_c in thresholds]
 
 
 def select_components(spec: EigenSpectrum, alpha: int, u_c: float) -> SubsectorPartition:
@@ -152,12 +173,7 @@ def sector_table(
     one sign (the market mode carries no sign split), unless
     include_market_mode is set.
     """
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
-        raise ConfigurationError("need at least one threshold")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ConfigurationError(f"thresholds must be strictly ascending: {thresholds}")
-    thresholds = [_threshold(u_c) for u_c in thresholds]
+    thresholds = _threshold_ladder(thresholds)
     modes = list(significant.indices)
     if not include_market_mode and 0 in modes and is_single_signed(spec, 0):
         modes.remove(0)

@@ -12,6 +12,18 @@ exact population correlation matrix is available analytically as an oracle.
 
 from __future__ import annotations
 
+__all__ = [
+    "BlockSpec",
+    "GroundTruth",
+    "MarketSpec",
+    "generate",
+    "load_market_spec",
+    "metadata_from_truth",
+    "population_correlation",
+    "prices_from_returns",
+    "write_panel_wide",
+]
+
 import json
 import math
 from dataclasses import dataclass

@@ -8,6 +8,21 @@ All statistics are population statistics (1/T divisors).
 
 from __future__ import annotations
 
+__all__ = [
+    "NormalizedReturns",
+    "PricePanel",
+    "ReturnMatrix",
+    "ShiftRule",
+    "align_calendar",
+    "drop_assets",
+    "forward_fill",
+    "load_metadata",
+    "load_prices",
+    "log_returns",
+    "normalize_returns",
+    "trim_to_common_range",
+]
+
 import codecs
 import csv
 import datetime as dt

@@ -580,6 +580,22 @@ def test_thresholds_that_print_alike_are_a_configuration_error(market_dir, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("present", [True, False])
+def test_sectors_checks_the_threshold_order_before_the_input(market_dir, tmp_path, capsys, monkeypatch, present):
+    def unread(*args, **kwargs):
+        raise AssertionError("input read before the threshold order was checked")
+
+    monkeypatch.setattr("eigensectors.timeseries.load_prices", unread)
+    source = market_dir / "panel.csv" if present else tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    for ladder in (["0.3", "0.2"], ["0.1", "0.1"]):
+        flags = [arg for u_c in ladder for arg in ("--u-c", u_c)]
+        rc = main(["sectors", "--input", str(source), "--format", "wide", *flags, "--out-dir", str(out)])
+        assert rc == 1
+        assert "ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ------------------------------------------------------------------ anticorr
 
 
