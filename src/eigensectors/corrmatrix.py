@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns, _csv_line, _integer, _read_bytes, _rows, _write_grid, _write_json
+from .timeseries import NormalizedReturns, _integer, _read_bytes, _rows, _write_grid, _write_json
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -181,7 +181,7 @@ def save_matrix(c: CorrelationMatrix, path) -> Path:
     written with 17 significant digits so the round trip is exact.
     """
     path = Path(path)
-    _write_grid(path, _csv_line(c.assets), c.values)
+    _write_grid(path, c.assets, c.values)
     sidecar = path.with_suffix(".meta.json")
     _write_json(sidecar, {"n_assets": c.n_assets, "n_observations": c.n_observations})
     return sidecar
@@ -199,6 +199,8 @@ def load_matrix(path) -> CorrelationMatrix:
         raise ParseError("empty matrix file", 1)
     with _rows(data, ",") as reader:
         assets = tuple(s.strip() for s in next(reader))
+    if not assets or "" in assets:
+        raise ParseError("empty asset name in matrix header", 1)
     n = len(assets)
     rows = []
     lines = [line.decode() for line in data.splitlines()]
@@ -221,11 +223,17 @@ def load_matrix(path) -> CorrelationMatrix:
     if not sidecar.exists():
         raise ValidationError(f"missing matrix sidecar {sidecar}")
     try:
-        n_observations = _integer(json.loads(sidecar.read_text(encoding="utf-8"))["n_observations"])
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        n_observations = _integer(meta["n_observations"])
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ValidationError(
             f"matrix sidecar {sidecar} lacks a valid n_observations: {exc!r}"
         ) from None
+    try:
+        if _integer(n_assets := meta.get("n_assets", n)) != n:
+            raise ValueError
+    except (ValueError, TypeError, OverflowError):
+        raise ValidationError(f"matrix sidecar {sidecar} has n_assets {n_assets!r}; the header names {n}") from None
     return CorrelationMatrix(
         assets=assets,
         values=np.asarray(rows),

@@ -34,7 +34,7 @@ import numpy as np
 from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
 from .timeseries import (
-    NormalizedReturns, PricePanel, ReturnMatrix, _csv_line, _integer, _json_number, _write_grid, normalize_returns,
+    NormalizedReturns, PricePanel, ReturnMatrix, _integer, _json_number, _write_grid, normalize_returns,
 )
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
@@ -215,8 +215,7 @@ def prices_from_returns(nr: NormalizedReturns) -> PricePanel:
 
 def write_panel_wide(panel: PricePanel, path) -> None:
     """Export a panel in the wide delimited layout load_prices understands; NaN is an empty cell."""
-    _write_grid(path, _csv_line(("date", *panel.assets)), panel.prices.T, [d.isoformat() for d in panel.dates],
-                nan="")
+    _write_grid(path, ("date", *panel.assets), panel.prices.T, [d.isoformat() for d in panel.dates])
 
 
 def truth_to_dict(truth: GroundTruth, assets: tuple[str, ...]) -> dict:

@@ -263,7 +263,7 @@ _CELL = 25  # the longest '%.17g' text, '-2.2250738585072014e-308', and its sepa
 _GRID_CHUNK = 1 << 14  # cells per chunk; larger chunks spend their time in fresh pages
 
 
-def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str) -> bytes:
+def _grid_lines(values: np.ndarray, labels: Sequence[str]) -> bytes:
     """The text of _write_grid for a block of whole rows, each led by its label (of at most
     24 bytes) if labels are given and ended by LF.
 
@@ -272,7 +272,7 @@ def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str) -> bytes:
     |x| * 10**k == p + err exactly. p >= 1e16 > 2**53 is an even integer, so
     D = p + rint(err) is that product rounded half to even: the 17 digits of '%.17g'.
     The cells of one (k, sign) group share a layout, laid out by slicing after a stable
-    sort. Every other cell, and one whose E log10 misjudged, takes Python's '%.17g'.
+    sort. Every other cell, and one whose E log10 misjudged, takes Python's '%.17g'; NaN is empty.
     """
     n_rows, n_cols = values.shape
     x = values.ravel()
@@ -313,7 +313,7 @@ def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str) -> bytes:
         t[j - i + 1 : 22 - i] = digits[j:, lo:hi]
         z = last[lo:hi]  # the fraction keeps its digits up to the last nonzero one
         length[lo:hi] = s + j - i + np.where(z > e, z - e + 1, 0)
-    rest = [nan if y != y else "%.17g" % y for y in x[order[n_fixed:]].tolist()]
+    rest = ["" if y != y else "%.17g" % y for y in x[order[n_fixed:]].tolist()]
     if rest:
         text[:-1, n_fixed:] = np.array(rest, f"S{_CELL - 1}").view(np.uint8).reshape(-1, _CELL - 1).T
         length[n_fixed:] = [len(r) for r in rest]
@@ -334,9 +334,9 @@ def _grid_lines(values: np.ndarray, labels: Sequence[str], nan: str) -> bytes:
     return slots[(np.arange(_CELL) <= np.arange(_CELL)[:, None]).take(lengths, axis=0)].tobytes()
 
 
-def _write_grid(path, header: str, values: np.ndarray, labels: Sequence[str] = (), nan: str = "nan") -> None:
-    """Write header, then one line per row of values: its label, if labels are given, and
-    its cells, comma-separated, each as Python's '%.17g' writes it and NaN as nan.
+def _write_grid(path, names: Iterable[str], values: np.ndarray, labels: Sequence[str] = ()) -> None:
+    """Write names as one _csv_line, then one line per row of values: its label, if labels
+    are given, and its cells, comma-separated, each as Python's '%.17g' writes it and NaN empty.
 
     UTF-8, each line ended by LF. The cells go in blocks of whole rows, of at most
     _GRID_CHUNK cells or of one row that is longer, so the memory used grows with a row,
@@ -344,9 +344,9 @@ def _write_grid(path, header: str, values: np.ndarray, labels: Sequence[str] = (
     """
     rows = max(1, _GRID_CHUNK // max(values.shape[1], 1))
     with Path(path).open("wb") as out:
-        out.write(f"{header}\n".encode())
+        out.write(f"{_csv_line(names)}\n".encode())
         for r in range(0, values.shape[0], rows):
-            out.write(_grid_lines(values[r : r + rows], labels[r : r + rows], nan))
+            out.write(_grid_lines(values[r : r + rows], labels[r : r + rows]))
 
 
 def _write_json(path, obj) -> None:

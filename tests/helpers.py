@@ -122,6 +122,33 @@ def series_cross_correlation(a, b) -> tuple[float, float]:
     return raw, float(np.mean(ac * bc) / denom) if denom > 0.0 else float("nan")
 
 
+def baseline_raw_moments(c, weights) -> tuple[float, float]:
+    """Exact E[raw] and E[raw**2] of random_baseline's raw samples, from C and the weights.
+
+    A trial's raw value is a quadratic-assignment statistic, sum over i != j of
+    A[i, j] * C[s(i), s(j)] for a uniform permutation s, where A is the symmetrized
+    outer product of |w+| and |w-|. Its two moments are closed forms in three sums of
+    each matrix (Mantel 1967; Hubert & Schultz 1976). Needs N >= 4.
+    """
+    values = np.asarray(c.values, dtype=float)
+    off = values - np.diag(np.diag(values))
+    s1, s2, s3 = off.sum(), (off**2).sum(), (off.sum(axis=1) ** 2).sum()
+    w_plus, w_minus = (np.abs(np.asarray(w, dtype=float)) for w in weights)
+    (sum_plus, sq_plus), (sum_minus, sq_minus) = ((w.sum(), (w**2).sum()) for w in (w_plus, w_minus))
+    a1, a2 = sum_plus * sum_minus, sq_plus * sq_minus / 2
+    a3 = (sq_plus * sum_minus**2 + sq_minus * sum_plus**2) / 4
+    n = len(values)
+    n2 = n * (n - 1)
+    n3 = n2 * (n - 2)
+    n4 = n3 * (n - 3)
+    second = (
+        2 * a2 * s2 / n2
+        + 4 * (a3 - a2) * (s3 - s2) / n3
+        + (a1**2 + 2 * a2 - 4 * a3) * (s1**2 + 2 * s2 - 4 * s3) / n4
+    )
+    return a1 * s1 / n2, second
+
+
 def spectrum_with_mode(u, n_observations=1000):
     """Spectrum whose mode 0 is the given vector; other columns are basis fill.
 
@@ -319,8 +346,8 @@ def write_panel_wide_oracle(panel, path):
 
 
 def save_matrix_oracle(c, path):
-    """Oracle for the grid file of save_matrix: one f-string per entry."""
+    """Oracle for the grid file of save_matrix: one f-string and one NaN test per entry."""
     lines = [",".join(c.assets)]
     for row in c.values:
-        lines.append(",".join(f"{x:.17g}" for x in row))
+        lines.append(",".join("" if np.isnan(x) else f"{x:.17g}" for x in row))
     path.write_text("\n".join(lines) + "\n")

@@ -30,6 +30,7 @@ from eigensectors import (
 from helpers import (
     FIXTURE_4X4,
     PAPER_SCAN,
+    baseline_raw_moments,
     combination_series,
     noise_returns,
     returns,
@@ -468,6 +469,51 @@ def test_baseline_route_follows_the_cost_rule(generator_calls):
         generator_calls.clear()
         random_baseline(c, (np.full(k // 2, 0.1), np.full(k - k // 2, 0.2)), trials=10, seed=0)
         assert generator_calls == [draw], k
+
+
+def _moment_case(n, n_plus, n_minus, seed):
+    """A C with a market and a two-signed block factor, and signed weights of mixed size."""
+    rng = default_rng(seed)
+    t = max(2 * n, 100)
+    block = np.where(np.arange(n) % 2, 0.8, -0.8) * (np.arange(n) < n // 3)
+    x = rng.standard_normal((n, t)) + 0.5 * rng.standard_normal(t) + block[:, None] * rng.standard_normal(t)
+    c = correlation_matrix(normalize_returns(returns(x)))
+    return c, (rng.uniform(0.01, 0.3, n_plus), -rng.uniform(0.01, 0.3, n_minus))
+
+
+@pytest.mark.parametrize("n, n_plus, n_minus", [(6, 2, 1), (7, 2, 2), (7, 3, 2)])
+def test_exact_baseline_moments_match_every_ordered_draw(n, n_plus, n_minus):
+    c, (w_plus, w_minus) = _moment_case(n, n_plus, n_minus, seed=n + n_plus)
+    draws = np.array(list(itertools.permutations(range(n), n_plus + n_minus)))
+    raw, _ = anticorr._cross_correlation(
+        c.values, draws[:, :n_plus], np.abs(w_plus), draws[:, n_plus:], np.abs(w_minus)
+    )
+    mean, second = baseline_raw_moments(c, (w_plus, w_minus))
+    assert raw.mean() == pytest.approx(mean, rel=1e-12)
+    assert (raw**2).mean() == pytest.approx(second, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, n_plus, n_minus, draw",
+    [
+        (40, 3, 2, "integers"),
+        (66, 8, 5, "integers"),
+        (259, 12, 9, "integers"),
+        (259, 20, 18, "integers"),  # k = 38, the largest gathered k at N = 259
+        (259, 20, 19, "permuted"),  # k = 39, the smallest dense one
+        (259, 150, 109, "permuted"),
+    ],
+)
+def test_baseline_raw_moments_match_the_exact_ones(generator_calls, n, n_plus, n_minus, draw):
+    # the sampled mean within 5 standard errors of the exact one, the sampled std within 10%
+    c, weights = _moment_case(n, n_plus, n_minus, seed=n + n_plus)
+    generator_calls.clear()
+    bl = random_baseline(c, weights, trials=3000, seed=n_minus)
+    assert generator_calls == [draw]
+    mean, second = baseline_raw_moments(c, weights)
+    std = np.sqrt(second - mean**2)
+    assert abs(bl.raw_mean - mean) <= 5.0 * std / np.sqrt(bl.n_trials)
+    assert abs(bl.raw_std / std - 1.0) <= 0.10
 
 
 def test_baseline_too_many_trials_fails_before_drawing(generator_calls):

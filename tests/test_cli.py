@@ -391,6 +391,24 @@ def test_empty_matrix_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1: empty matrix file\n"
 
 
+@pytest.mark.parametrize(
+    "grid, sidecar, message",
+    [
+        ("A,B\n1,0.5\n0.5,1\n", '{"n_assets": 99, "n_observations": 300}',
+         "matrix sidecar {} has n_assets 99; the header names 2"),
+        ("A,\n1,0.5\n0.5,1\n", '{"n_assets": 2, "n_observations": 300}', "line 1: empty asset name in matrix header"),
+    ],
+    ids=["asset_count", "empty_name"],
+)
+def test_matrix_header_unlike_its_sidecar_or_unnamed_is_a_data_error(tmp_path, capsys, grid, sidecar, message):
+    (tmp_path / "corr_matrix.csv").write_text(grid)
+    (tmp_path / "corr_matrix.meta.json").write_text(sidecar + "\n")
+    out = tmp_path / "out"
+    assert main(["sectors", "--matrix", str(tmp_path / "corr_matrix.csv"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp_path / 'corr_matrix.meta.json')}\n"
+    assert not out.exists()
+
+
 def test_missing_metadata_is_one_warning_and_unlabeled_rows(market_dir, tmp_path, capsys):
     meta = tmp_path / "nope.csv"
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Correlation matrix construction, eigendecomposition, persistence."""
 
 import codecs
+import json
 import tempfile
 from pathlib import Path
 
@@ -290,6 +291,36 @@ def test_load_rejects_bad_sidecar(tmp_path, sidecar):
     (tmp_path / "corr.meta.json").write_text(sidecar)
     with pytest.raises(ValidationError, match="n_observations"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("count", ["99", "2.5", '"3"', "true", "1e400", "null"])
+def test_load_rejects_a_sidecar_asset_count_unlike_the_header(tmp_path, count):
+    c = correlation_matrix(noise_returns(3, 100, 12))
+    path = tmp_path / "corr.csv"
+    sidecar = save_matrix(c, path)
+    sidecar.write_text(f'{{"n_assets": {count}, "n_observations": 100}}\n')
+    with pytest.raises(ValidationError) as err:
+        load_matrix(path)
+    shown = repr(json.loads(count))
+    assert str(err.value) == f"matrix sidecar {sidecar} has n_assets {shown}; the header names 3"
+
+
+def test_load_reads_a_whole_float_sidecar_asset_count(tmp_path):
+    c = correlation_matrix(noise_returns(3, 100, 12))
+    path = tmp_path / "corr.csv"
+    save_matrix(c, path).write_text('{"n_assets": 3.0, "n_observations": 100}\n')
+    assert load_matrix(path).values.tobytes() == c.values.tobytes()
+
+
+@pytest.mark.parametrize("header", ["A,", ",B", "A, ,C", "", " "], ids=["last", "first", "middle", "blank", "space"])
+def test_load_rejects_an_empty_name_in_the_header(tmp_path, header):
+    n = max(header.count(",") + 1, 2)
+    path = tmp_path / "corr.csv"
+    path.write_text("\n".join([header, *(",".join(["1"] * n) for _ in range(n))]) + "\n")
+    path.with_suffix(".meta.json").write_text('{"n_observations": 9}\n')
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert str(err.value) == "line 1: empty asset name in matrix header"
 
 
 def test_load_reports_ragged_row(tmp_path):
