@@ -21,12 +21,12 @@ positive, assigned to random disjoint asset subsets of the same sizes. Each
 baseline trial is a uniform ordered draw of k = n+ + n- distinct assets; the
 first n+ take the plus weights and the next n- the minus weights.
 
-A trial needs only the k x k block of C on its assets. While k is small
-(k^2 <= _GATHER_RATIO * N^1.5) each trial's assets come from a partial
-Fisher-Yates shuffle over the first k positions, and the three quadratic
-forms from the blocks C[P, P], C[M, M] and C[P, M] gathered for chunks of
-trials of bounded size: O(k^2) work per trial. Nearer k = N (u_c = 0 gives
-k = N) a full shuffle per trial and two dense products with C cost less.
+A placement needs only the k x k block of C on its assets. One evaluator
+serves the observed split and every baseline trial, routed by (k, N) alone:
+while k^2 <= _GATHER_RATIO * N^1.5 it reduces the blocks C[P, P], C[M, M] and
+C[P, M] gathered for chunks of placements, O(k^2) work each, and trials come
+from a partial Fisher-Yates shuffle over the first k positions. Nearer k = N
+(u_c = 0 gives k = N) a full shuffle and two dense products with C cost less.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ import numpy as np
 
 from .corrmatrix import CorrelationMatrix, EigenSpectrum, _mean_offdiagonal
 from .exceptions import ConfigurationError
-from .sectors import SubsectorPartition, select_components
-from .timeseries import _write_table
+from .sectors import SubsectorPartition, _without_market_mode, select_components
+from .timeseries import _whole, _write_table
 
 MIN_REPORT_TRIALS = 100
-# Route rule of the baseline. A gathered trial costs ~k^2 and a dense one
-# ~N^1.5 (the BLAS runs faster as N grows); the gather is used while
-# k^2 <= _GATHER_RATIO * N^1.5. At 100 trials on one CPU the two routes broke
-# even at k^2 / N^1.5 of 0.34-0.60 for N from 66 to 1000 (see CHANGES.md);
+# Route rule of every evaluation (_gathers): a gathered placement costs ~k^2
+# and a dense one ~N^1.5 (the BLAS runs faster as N grows), so the gather is
+# used while k^2 <= _GATHER_RATIO * N^1.5. At 100 trials on one CPU the routes
+# broke even at k^2 / N^1.5 of 0.34-0.60 for N from 66 to 1000 (CHANGES.md);
 # the low end is taken, so the gather is not the slower route at those N.
 _GATHER_RATIO = 0.35
 # Cells (8 bytes each) in one chunk of gathered trials: of the (chunk, N)
@@ -75,49 +75,47 @@ def _pearson(raw: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return pearson
 
 
+def _gathers(k: int, n: int) -> bool:
+    """The route rule: True while k^2 <= _GATHER_RATIO * N^1.5, where the gathered blocks cost less."""
+    return k * k <= _GATHER_RATIO * n**1.5
+
+
 def _cross_correlation(
-    c: np.ndarray, plus, w_plus, minus, w_minus
+    c: np.ndarray, plus: np.ndarray, w_plus, minus: np.ndarray, w_minus
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw and Pearson co-movement of the two weighted combinations at each placement.
 
-    Row k of ``plus`` and of ``minus`` lists the disjoint assets that take
-    ``w_plus`` and ``w_minus``, in order. The Pearson value is NaN where
-    var_plus * var_minus <= 0; the raw value is always defined. Dense: each
-    placement costs two N x N matrix-vector products.
-    """
-    a = np.zeros((len(plus), len(c)))
-    b = np.zeros_like(a)
-    np.put_along_axis(a, np.asarray(plus), w_plus, axis=1)
-    np.put_along_axis(b, np.asarray(minus), w_minus, axis=1)
-    ac = a @ c
-    bc = b @ c
-    raw = np.einsum("ij,ij->i", ac, b)
-    denom = np.einsum("ij,ij->i", ac, a) * np.einsum("ij,ij->i", bc, b)
-    return raw, _pearson(raw, denom)
-
-
-def _gathered_cross_correlation(
-    c: np.ndarray, plus: np.ndarray, w_plus, minus: np.ndarray, w_minus
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_cross_correlation`` from the blocks of C on each placement's own assets.
-
-    Each quadratic form w_R^T C[R, S] w_S is one gather of every placement's
-    |R| x |S| block and one dot product per placement with the flattened
-    outer product of the weights: O(k^2) per placement. The dot products are
-    one stacked ``matmul``, not a matrix-vector product over all placements,
-    whose bits can depend on how many placements it is given; this way a
-    placement's values do not. A ``c`` that is not C-contiguous is copied on
-    each call.
+    Row k of the integer arrays ``plus`` and ``minus`` lists the disjoint
+    assets that take ``w_plus`` and ``w_minus``, in order. The Pearson value
+    is NaN where var_plus * var_minus <= 0; the raw value is always defined.
+    While ``_gathers(k, N)``, each quadratic form w_R^T C[R, S] w_S is one
+    gather of every placement's |R| x |S| block of the C-contiguous ``c`` and
+    one dot product per placement with the flattened outer product of the
+    weights: O(k^2) per placement. The dot products are one stacked
+    ``matmul``, not a matrix-vector product over all placements, whose bits
+    can depend on how many placements it is given; this way a placement's
+    values do not. Otherwise each placement costs two N x N matrix-vector
+    products.
     """
     n = len(c)
-    cells = c.ravel()
+    if _gathers(len(w_plus) + len(w_minus), n):
+        cells = c.ravel()
 
-    def form(rows, cols, w_rows, w_cols):
-        block = cells.take((rows * n)[:, :, None] + cols[:, None, :])
-        return (block.reshape(len(rows), 1, -1) @ np.outer(w_rows, w_cols).ravel())[:, 0]
+        def form(rows, cols, w_rows, w_cols):
+            block = cells.take((rows * n)[:, :, None] + cols[:, None, :])
+            return (block.reshape(len(rows), 1, -1) @ np.outer(w_rows, w_cols).ravel())[:, 0]
 
-    raw = form(plus, minus, w_plus, w_minus)
-    denom = form(plus, plus, w_plus, w_plus) * form(minus, minus, w_minus, w_minus)
+        raw = form(plus, minus, w_plus, w_minus)
+        denom = form(plus, plus, w_plus, w_plus) * form(minus, minus, w_minus, w_minus)
+    else:
+        a = np.zeros((len(plus), n))
+        b = np.zeros_like(a)
+        np.put_along_axis(a, plus, w_plus, axis=1)
+        np.put_along_axis(b, minus, w_minus, axis=1)
+        ac = a @ c
+        bc = b @ c
+        raw = np.einsum("ij,ij->i", ac, b)
+        denom = np.einsum("ij,ij->i", ac, a) * np.einsum("ij,ij->i", bc, b)
     return raw, _pearson(raw, denom)
 
 
@@ -179,7 +177,7 @@ def random_baseline(
     blocks of C, in chunks of about _CHUNK_CELLS cells; as the targets are
     drawn up front and each trial is evaluated on its own, the samples do not
     depend on the chunk size. Above that k, one ``Generator.permuted`` call
-    orders all N assets of every trial: one chunk for the dense evaluator.
+    orders all N assets of every trial, evaluated densely in one chunk.
     """
     w_plus = np.abs(np.asarray(weights[0], dtype=float))
     w_minus = np.abs(np.asarray(weights[1], dtype=float))
@@ -199,21 +197,20 @@ def random_baseline(
     except ValueError:
         raise MemoryError(f"{trials} baseline trials do not fit in memory") from None
     rng = np.random.default_rng(seed)
-    if k * k > _GATHER_RATIO * n**1.5:
-        drawn = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)[:, :k]
-        evaluate, step = _cross_correlation, trials
-    else:
+    if _gathers(k, n):
         targets = rng.integers(np.arange(k), n, size=(trials, k))
         step = max(1, _CHUNK_CELLS // n)
         drawn = np.concatenate(
             [_first_positions(targets[lo:lo + step], n) for lo in range(0, trials, step)]
         )
-        evaluate, step = _gathered_cross_correlation, max(1, _CHUNK_CELLS // (k * k))
-    values = np.ascontiguousarray(c.values)
+        step = max(1, _CHUNK_CELLS // (k * k))
+    else:
+        drawn = rng.permuted(np.broadcast_to(np.arange(n), (trials, n)), axis=1)[:, :k]
+        step = trials
     for lo in range(0, trials, step):
         chunk = drawn[lo:lo + step]
-        raw_samples[lo:lo + step], pearson_samples[lo:lo + step] = evaluate(
-            values, chunk[:, :n_plus], w_plus, chunk[:, n_plus:], w_minus
+        raw_samples[lo:lo + step], pearson_samples[lo:lo + step] = _cross_correlation(
+            c.values, chunk[:, :n_plus], w_plus, chunk[:, n_plus:], w_minus
         )
     return BaselineStats(
         pearson_mean=float(pearson_samples.mean()),
@@ -260,6 +257,14 @@ class AnticorrReport:
     skipped: list[SkippedMode]
 
 
+def _scan_seed(trials: int, seed) -> int:
+    """seed as an int; ConfigurationError unless it is a non-negative integer and trials >= MIN_REPORT_TRIALS."""
+    seed = _whole(seed, "seed", 0)
+    if trials < MIN_REPORT_TRIALS:
+        raise ConfigurationError(f"reports need >= {MIN_REPORT_TRIALS} baseline trials, got {trials}")
+    return seed
+
+
 def mode_scan(
     c: CorrelationMatrix,
     spec: EigenSpectrum,
@@ -273,23 +278,17 @@ def mode_scan(
     Rows come back ordered by mode index ascending. A mode with an empty side,
     or with an undefined observed or baseline Pearson value (a side whose
     variance rounds to <= 0), is listed under ``skipped`` with its reason.
-    The market mode (0) is excluded by default.
+    Mode 0 is left out (neither a row nor a skip) when single-signed, by the
+    rule sector_table applies, unless include_market_mode is set.
     Per-mode baseline streams derive deterministically from (seed, mode).
     """
     if spec.assets != c.assets:
         raise ConfigurationError("spectrum and correlation matrix refer to different assets")
-    if int(seed) != seed or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-    if trials < MIN_REPORT_TRIALS:
-        raise ConfigurationError(
-            f"reports need >= {MIN_REPORT_TRIALS} baseline trials, got {trials}"
-        )
-    seed = int(seed)
+    seed = _scan_seed(trials, seed)
     n = spec.n_assets
     rows: list[ModeScanRow] = []
     skipped: list[SkippedMode] = []
-    first = 0 if include_market_mode else 1
-    for alpha in range(first, n):
+    for alpha in _without_market_mode(spec, range(n), include_market_mode):
         part = select_components(spec, alpha, u_c)
         n_pos, n_neg = len(part.positive), len(part.negative)
         if n_pos == 0 or n_neg == 0:
@@ -302,9 +301,8 @@ def mode_scan(
                 SkippedMode(alpha, f"empty {' and '.join(empty)} side at u_c={u_c:g}")
             )
             continue
-        (c_raw,), (c_pearson,) = _cross_correlation(
-            c.values, [part.positive], part.positive_weights, [part.negative], part.negative_weights
-        )
+        pos, neg = np.array([part.positive]), np.array([part.negative])  # the one placement observed
+        (c_raw,), (c_pearson,) = _cross_correlation(c.values, pos, part.positive_weights, neg, part.negative_weights)
         baseline = random_baseline(
             c,
             weights=(part.positive_weights, part.negative_weights),

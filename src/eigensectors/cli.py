@@ -66,8 +66,9 @@ def _analysis_input(args) -> tuple[cm.CorrelationMatrix, cm.EigenSpectrum, list[
     elif not args.input:
         raise ConfigurationError(f"{args.command} needs --input or --matrix")
     else:
+        delta_t = ts._whole(args.delta_t, "delta_t", 1)  # before the file is read
         panel = ts.load_prices(_existing(args.input, "input file"), fmt=args.format)
-        rm = ts.log_returns(ts.trim_to_common_range(ts.forward_fill(panel)), delta_t=args.delta_t)
+        rm = ts.log_returns(ts.trim_to_common_range(ts.forward_fill(panel)), delta_t=delta_t)
         try:
             nr = ts.normalize_returns(rm)
         except ZeroVarianceError as exc:
@@ -86,6 +87,7 @@ def _analysis_input(args) -> tuple[cm.CorrelationMatrix, cm.EigenSpectrum, list[
 
 
 def cmd_analyze(args) -> int:
+    rmt._margin(args.margin)  # each option before the input is read, by the rule the library applies
     c, spec, dropped = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
     out = _out_dir(args)
@@ -129,6 +131,7 @@ def cmd_sectors(args) -> int:
     thresholds = args.u_c or list(sec.DEFAULT_STOCK_THRESHOLDS)
     checked = _thresholds(thresholds)  # before the input is read, with the order sector_table requires
     sec._threshold_ladder(thresholds)
+    rmt._margin(args.margin)
     _, spec, _ = _analysis_input(args)
     sig = rmt.significant_eigenvalues(spec, margin=args.margin)
     metadata = None
@@ -206,6 +209,7 @@ def cmd_anticorr(args) -> int:
     if args.u_c_zero_scan:
         thresholds = thresholds + [0.0]
     thresholds = _thresholds(thresholds)  # before the input is read; each distinct one is scanned once
+    ac._scan_seed(args.trials, args.seed)
     c, spec, _ = _analysis_input(args)
     out = _out_dir(args)
     for u_c in thresholds:
@@ -215,6 +219,7 @@ def cmd_anticorr(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    ts._whole(args.seed or 0, "seed", 0)  # --seed before the config is read, by generate's rule
     market, config_seed = synth.load_market_spec(_existing(args.config, "market config"))
     seed = args.seed if args.seed is not None else config_seed
     nr, truth = synth.generate(market, seed=seed)
@@ -292,9 +297,9 @@ def build_parser() -> _Parser:
             "--margin", type=float, default=1.0, help="significance margin on the noise edge"
         )
     sectors.add_argument("--metadata", help="asset,category delimited file")
-    for p in (sectors, anticorr):
+    for p, verb in ((sectors, "label"), (anticorr, "scan")):
         p.add_argument(
-            "--include-market-mode", action="store_true", help="keep mode 0 even when single-signed"
+            "--include-market-mode", action="store_true", help=f"{verb} mode 0 even when single-signed"
         )
     synth_.add_argument("--config", required=True, help="JSON market description")
     synth_.add_argument("--seed", type=int, default=None, help="overrides the config's seed")

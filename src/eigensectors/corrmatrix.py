@@ -43,7 +43,7 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         self.assets = tuple(self.assets)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         n = len(self.assets)
         if len(set(self.assets)) != n:
             raise ValidationError("duplicate asset names in correlation matrix")

@@ -88,12 +88,15 @@ class SignificantSet:
     law: WishartLaw
 
 
+def _margin(margin: float) -> None:
+    """ConfigurationError unless 0 < margin < inf."""
+    if not 0.0 < margin < np.inf:
+        raise ConfigurationError(f"margin must be {'finite' if margin > 0.0 else 'positive'}, got {margin!r}")
+
+
 def significant_eigenvalues(spec: EigenSpectrum, margin: float = 1.0) -> SignificantSet:
     """Select modes above the noise band, with Q = T/N from the spectrum's own T."""
-    if not margin > 0.0:
-        raise ConfigurationError(f"margin must be positive, got {margin!r}")
-    if not np.isfinite(margin):
-        raise ConfigurationError(f"margin must be finite, got {margin!r}")
+    _margin(margin)
     q = spec.n_observations / spec.n_assets
     law = mp_bounds(q)
     threshold = margin * law.lambda_max

@@ -159,6 +159,11 @@ def is_single_signed(spec: EigenSpectrum, alpha: int) -> bool:
     return bool(np.all(u >= 0.0) or np.all(u <= 0.0))
 
 
+def _without_market_mode(spec: EigenSpectrum, modes, include_market_mode: bool) -> list[int]:
+    """modes less mode 0 when all its components share one sign (the market mode), unless include_market_mode."""
+    return [alpha for alpha in modes if alpha or include_market_mode or not is_single_signed(spec, 0)]
+
+
 def sector_table(
     spec: EigenSpectrum,
     significant: SignificantSet,
@@ -174,9 +179,7 @@ def sector_table(
     include_market_mode is set.
     """
     thresholds = _threshold_ladder(thresholds)
-    modes = list(significant.indices)
-    if not include_market_mode and 0 in modes and is_single_signed(spec, 0):
-        modes.remove(0)
+    modes = _without_market_mode(spec, significant.indices, include_market_mode)
     rows: list[SectorRow] = []
     for u_c in thresholds:
         for alpha in modes:

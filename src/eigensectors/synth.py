@@ -34,7 +34,7 @@ import numpy as np
 from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
 from .timeseries import (
-    NormalizedReturns, PricePanel, ReturnMatrix, _integer, _json_number, _write_grid, normalize_returns,
+    NormalizedReturns, PricePanel, ReturnMatrix, _integer, _json_number, _whole, _write_grid, normalize_returns,
 )
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
@@ -136,8 +136,7 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
     market factor, 1 the idiosyncratic noise, 2+k the factor of block k in
     declaration order. The layout is a stable contract so factor series can
     be reconstructed independently from the same seed."""
-    if int(seed) != seed or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _whole(seed, "seed", 0)
     n, t = spec.n_assets, spec.n_observations
     streams = np.random.SeedSequence(seed).spawn(2 + len(spec.blocks))
     market_rng = np.random.default_rng(streams[0])
@@ -172,7 +171,7 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
         blocks=truth_blocks,
         market_strength=spec.market_strength,
         noise_std=spec.noise_std,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -186,6 +186,13 @@ def _integer(value) -> int:
     return whole
 
 
+def _whole(value, name: str, least: int) -> int:
+    """value as an int; ConfigurationError unless it is an integer >= least (0 or 1)."""
+    if int(value) != value or value < least:
+        raise ConfigurationError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+    return int(value)
+
+
 def _read_bytes(source) -> bytes:
     """The bytes of a path or file-like source, less a leading UTF-8 byte-order mark.
 
@@ -859,9 +866,7 @@ def trim_to_common_range(panel: PricePanel) -> PricePanel:
 
 def log_returns(panel: PricePanel, delta_t: int = 1) -> ReturnMatrix:
     """Log-returns over delta_t steps; yields exactly D - delta_t observations."""
-    if int(delta_t) != delta_t or delta_t < 1:
-        raise ConfigurationError(f"delta_t must be a positive integer, got {delta_t!r}")
-    delta_t = int(delta_t)
+    delta_t = _whole(delta_t, "delta_t", 1)
     if delta_t >= panel.n_dates:
         raise InsufficientDataError(
             f"delta_t={delta_t} needs more than {panel.n_dates} dates"

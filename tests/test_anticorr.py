@@ -1,5 +1,6 @@
 """Subsector cross-correlation, random baselines, and the mode scan."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,12 +20,15 @@ from eigensectors import (
     correlation_matrix,
     eigendecompose,
     generate,
+    is_single_signed,
     mean_offdiagonal,
     mode_scan,
     normalize_returns,
     random_baseline,
     report_to_dict,
+    sector_table,
     select_components,
+    significant_eigenvalues,
     write_scan_delimited,
 )
 from helpers import (
@@ -163,20 +167,58 @@ def test_baseline_matches_series_oracle(panel_name, u_c):
 
 
 @pytest.mark.parametrize("n, k", [(40, 2), (40, 9), (40, 10), (40, 40), (259, 2), (259, 38)])
-def test_gathered_and_dense_evaluators_agree(n, k):
+def test_gathered_and_dense_evaluators_agree(monkeypatch, n, k):
     # k = 9 and 38 are the largest k on the gather route at N = 40 and 259;
-    # the two evaluators sum in different orders, so they agree to rounding
+    # the two routes sum in different orders, so they agree to rounding
     c = correlation_matrix(noise_returns(n, 4 * n, n + k)).values
     rng = default_rng(k)
     n_plus = k // 2
     w_plus, w_minus = rng.uniform(-1.0, 1.0, n_plus), rng.uniform(-1.0, 1.0, k - n_plus)
     order = rng.permuted(np.tile(np.arange(n), (30, 1)), axis=1)
     plus, minus = order[:, :n_plus], order[:, n_plus:k]
-    dense = anticorr._cross_correlation(c, plus, w_plus, minus, w_minus)
-    gathered = anticorr._gathered_cross_correlation(c, plus, w_plus, minus, w_minus)
+    routes = {route: anticorr._cross_correlation(c, plus, w_plus, minus, w_minus) for route in each_route(monkeypatch)}
+    dense, gathered = routes["dense"], routes["gather"]
     scale = np.abs(w_plus).sum() * np.abs(w_minus).sum()
     assert np.abs(gathered[0] - dense[0]).max() <= 1e-12 * scale
     assert np.abs(gathered[1] - dense[1]).max() <= 1e-12
+
+
+def test_observed_split_takes_its_baselines_route(monkeypatch):
+    # one evaluator and one route rule for the observed value and its baseline:
+    # a gathered mode's values are the forced gather of its one placement, bit
+    # for bit, and a u_c = 0 mode's (k = N) the forced dense products
+    c, spec = matrix_and_spectrum(generate(TWO_BLOCK, seed=0)[0])
+    routes = []
+    for u_c in (0.15, 0.0):
+        for row in mode_scan(c, spec, u_c, trials=100, seed=0).rows:
+            part = row.partition
+            gathers = anticorr._gathers(row.n_positive + row.n_negative, c.n_assets)
+            routes.append((u_c, gathers))
+            with monkeypatch.context() as forced:
+                forced.setattr(anticorr, "_GATHER_RATIO", ROUTES["gather" if gathers else "dense"])
+                (raw,), (pearson,) = anticorr._cross_correlation(
+                    c.values, np.array([part.positive]), part.positive_weights,
+                    np.array([part.negative]), part.negative_weights,
+                )
+            assert (row.c_raw.hex(), row.c_pearson.hex()) == (raw.hex(), pearson.hex()), (u_c, row.mode_index)
+    assert (0.15, True) in routes
+    assert (0.0, True) not in routes and (0.0, False) in routes
+
+
+@pytest.mark.parametrize("include", [False, True])
+@pytest.mark.parametrize("market_strength", [1.0, 0.0])
+def test_scan_and_sector_table_share_the_market_mode_rule(market_strength, include):
+    # with no market factor mode 0 is the planted two-signed block mode, and
+    # both stages keep it; with one it is single-signed, and both drop it
+    nr = generate(dataclasses.replace(ONE_BLOCK, market_strength=market_strength), seed=0)[0]
+    c, spec = matrix_and_spectrum(nr)
+    kept = include or not is_single_signed(spec, 0)
+    assert kept == (include or market_strength == 0.0)
+    table = sector_table(spec, significant_eigenvalues(spec), [0.15], None, include_market_mode=include)
+    report = mode_scan(c, spec, 0.15, trials=100, seed=0, include_market_mode=include)
+    scanned = [r.mode_index for r in report.rows] + [s.mode_index for s in report.skipped]
+    assert (0 in {r.mode_index for r in table}) == (0 in scanned) == kept
+    assert sorted(scanned) == list(range(0 if kept else 1, c.n_assets))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -331,12 +373,12 @@ def drawn_placements(c, weights, samples):
     return placements, index
 
 
-# _GATHER_RATIO values that force each baseline route whatever k and N are
+# _GATHER_RATIO values that force each route of the evaluator whatever k and N are
 ROUTES = {"dense": 0.0, "gather": np.inf}
 
 
 def each_route(monkeypatch):
-    """Yield each route's name with the baseline forced onto that route."""
+    """Yield each route's name with the evaluator forced onto that route."""
     for name, ratio in ROUTES.items():
         monkeypatch.setattr(anticorr, "_GATHER_RATIO", ratio)
         yield name
@@ -414,7 +456,7 @@ def test_baseline_samples_do_not_depend_on_the_chunk_size(monkeypatch):
     # dot product, so chunks of 1, 4 or all 53 trials give the same bits
     c = correlation_matrix(noise_returns(40, 200, 5))
     weights = ([0.5, 0.3, 0.1], [0.4, 0.2])
-    assert 5 * 5 <= anticorr._GATHER_RATIO * 40**1.5  # the gather route
+    assert anticorr._gathers(5, 40)  # the gather route
     samples = []
     for cells in (7, 100, 1 << 17):
         monkeypatch.setattr(anticorr, "_CHUNK_CELLS", cells)
@@ -432,7 +474,7 @@ def test_dense_baseline_samples_are_one_evaluation_of_the_permuted_draw(trials):
     n = c.n_assets
     w_plus, w_minus = default_rng(3).normal(size=14), default_rng(4).normal(size=16)
     k = w_plus.size + w_minus.size
-    assert k * k > anticorr._GATHER_RATIO * n**1.5  # the dense route
+    assert not anticorr._gathers(k, n)  # the dense route
     assert (trials > anticorr._CHUNK_CELLS // n) == (trials == 4000)
     seed = SeedSequence([0, 7])
     bl = random_baseline(c, (w_plus, w_minus), trials=trials, seed=seed)
@@ -619,9 +661,11 @@ def test_scan_noise_panel_shows_no_strong_signal():
     # them a few baseline sigmas from zero even on pure noise; the medians
     # stay small and the correlations themselves stay tiny
     for panel_seed in range(3):
-        nr = noise_returns(10, 10_000, panel_seed)
-        report = mode_scan(*matrix_and_spectrum(nr), 0.0, trials=300, seed=0)
-        assert len(report.rows) == 9
+        c, spec = matrix_and_spectrum(noise_returns(10, 10_000, panel_seed))
+        report = mode_scan(c, spec, 0.0, trials=300, seed=0)
+        # mode 0 of pure noise has both signs, so every mode is scanned
+        assert not is_single_signed(spec, 0)
+        assert len(report.rows) == 10
         z = np.array(
             [
                 (r.c_pearson - r.baseline.pearson_mean) / r.baseline.pearson_std

@@ -142,6 +142,13 @@ def test_synth_malformed_config_exits_1(tmp_path, capsys, text, flags, message):
     assert err.count("\n") == 1
 
 
+def test_synth_checks_the_seed_flag_before_the_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(tmp_path / "missing.json"), "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {NEGATIVE_SEED}\n"
+    assert not out.exists()
+
+
 def test_synth_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(MARKET_CONFIG))
@@ -614,7 +621,59 @@ def test_sectors_checks_the_threshold_order_before_the_input(market_dir, tmp_pat
         assert not out.exists()
 
 
+@pytest.mark.parametrize("present", [True, False])
+@pytest.mark.parametrize(
+    ("stage", "flags", "message"),
+    [
+        ("anticorr", ["--trials", "50"], "reports need >= 100 baseline trials, got 50"),
+        ("anticorr", ["--seed", "-3"], "seed must be a non-negative integer, got -3"),
+        ("analyze", ["--margin", "0"], "margin must be positive, got 0.0"),
+        ("sectors", ["--margin", "inf"], "margin must be finite, got inf"),
+        ("analyze", ["--delta-t", "0"], "delta_t must be a positive integer, got 0"),
+        ("sectors", ["--delta-t", "-2"], "delta_t must be a positive integer, got -2"),
+        ("anticorr", ["--delta-t", "0"], "delta_t must be a positive integer, got 0"),
+    ],
+    ids=["trials", "seed", "margin_analyze", "margin_sectors", "delta_t_analyze", "delta_t_sectors",
+         "delta_t_anticorr"],
+)
+def test_stage_options_are_checked_before_the_input(
+    market_dir, tmp_path, capsys, monkeypatch, present, stage, flags, message
+):
+    # by the rule the library function applies, so the message is the library's
+    def unread(*args, **kwargs):
+        raise AssertionError("input read before the options were checked")
+
+    monkeypatch.setattr("eigensectors.timeseries.load_prices", unread)
+    source = market_dir / "panel.csv" if present else tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    rc = main([stage, "--input", str(source), "--format", "wide", *flags, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ anticorr
+
+
+def test_anticorr_scans_a_two_signed_mode_0(tmp_path, capsys):
+    # no market factor: mode 0 is the planted block's sign split, which
+    # sectors labels, so the scan measures it too
+    config = {
+        "n_assets": 60, "n_observations": 1500, "market_strength": 0.0, "noise_std": 1.0, "seed": 7,
+        "blocks": [{"assets": list(range(12)), "loading": 1.0, "sign_pattern": [1] * 6 + [-1] * 6}],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["synth", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path)]) == 0
+    panel = ["--input", str(tmp_path / "panel.csv"), "--format", "wide"]
+    assert main(["analyze", *panel, "--out-dir", str(tmp_path / "analysis")]) == 0
+    assert "significant=[0]" in capsys.readouterr().out
+    assert main(["sectors", *panel, "--u-c", "0.2", "--out-dir", str(tmp_path / "sectors")]) == 0
+    rows = json.loads((tmp_path / "sectors" / "sectors.json").read_text())["rows"]
+    assert {r["mode"] for r in rows} == {0}
+    assert main(["anticorr", *panel, "--u-c", "0.2", "--trials", "100", "--out-dir", str(tmp_path / "scan")]) == 0
+    report = json.loads((tmp_path / "scan" / "anticorr_uc0p2.json").read_text())
+    assert [m["mode"] for m in report["modes"]][:1] == [0]
+    assert report["modes"][0]["n_positive"] == report["modes"][0]["n_negative"] == 6
 
 
 def test_anticorr_artifacts(market_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from eigensectors import (
     normalize_returns,
     save_matrix,
 )
+from eigensectors.cli import main
 from helpers import (
     EDGE_FLOATS,
     FIXTURE_4X4,
@@ -221,6 +223,44 @@ def test_indefinite_matrix_rejected():
     c = CorrelationMatrix(assets=("X", "Y", "Z"), values=vals, n_observations=100)
     with pytest.raises(NumericalError):
         eigendecompose(c)
+
+
+def _failing_eigh(failure):
+    """np.linalg.eigh that raises, or returns a basis or eigenvalues that do not fit C."""
+    eigh = np.linalg.eigh
+
+    def fake(a):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        w, v = eigh(a)
+        if failure == "basis":
+            return w, 1.001 * v  # columns 0.1% too long
+        return w[::-1].copy(), v  # the eigenvalues on the wrong vectors: the trace holds, C is not rebuilt
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("raises", r"eigendecomposition failed: Eigenvalues did not converge \(N=4, max\|C\|=1\.000e\+00\)"),
+        ("basis", r"eigenvector orthonormality error 2\.00\de-03"),
+        ("values", r"spectral reconstruction error \d\.\d{3}e[-+]\d\d"),
+    ],
+    ids=["raises", "basis", "values"],
+)
+def test_eigendecompose_failures_are_numerical_errors(monkeypatch, tmp_path, capsys, failure, message):
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh(failure))
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        eigendecompose(fixture_matrix())
+    # the CLI reports it as a numerical error: exit 3, one line
+    prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(1).standard_normal((31, 4)), axis=0))
+    rows = (f"2015-01-{d + 1:02d}," + ",".join(f"{p:.6f}" for p in row) + "\n" for d, row in enumerate(prices))
+    (tmp_path / "prices.csv").write_text("date,AAA,BBB,CCC,DDD\n" + "".join(rows))
+    argv = ["analyze", "--input", str(tmp_path / "prices.csv"), "--format", "wide", "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {message}\n", err)
 
 
 # ----------------------------------------------------------------- persistence

@@ -196,3 +196,13 @@ def test_margin_scales_threshold():
     for margin in (float("inf"), float("nan")):
         with pytest.raises(ConfigurationError):
             significant_eigenvalues(spec, margin=margin)
+
+
+@pytest.mark.parametrize(
+    "margin, rule",
+    [(0.0, "positive"), (-1.0, "positive"), (-np.inf, "positive"), (np.nan, "positive"), (np.inf, "finite")],
+)
+def test_margin_messages(margin, rule):
+    spec = EigenSpectrum(assets=("X", "Y"), eigenvalues=np.array([3.0, 0.5]), eigenvectors=np.eye(2), n_observations=8)
+    with pytest.raises(ConfigurationError, match=f"^margin must be {rule}, got {margin!r}$"):
+        significant_eigenvalues(spec, margin=margin)
