@@ -29,8 +29,6 @@ from a partial Fisher-Yates shuffle over the first k positions. Nearer k = N
 (u_c = 0 gives k = N) a full shuffle and two dense products with C cost less.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "AnticorrReport",
     "BaselineStats",
@@ -190,8 +188,7 @@ def random_baseline(
         raise ConfigurationError(
             f"subset sizes {n_plus}+{n_minus} exceed the {n} available assets"
         )
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+    trials = _whole(trials, "trials", 1)
     try:  # before any draw: a count no array can hold fails at once
         raw_samples, pearson_samples = np.empty(trials), np.empty(trials)
     except ValueError:
@@ -217,7 +214,7 @@ def random_baseline(
         pearson_std=float(pearson_samples.std()),
         raw_mean=float(raw_samples.mean()),
         raw_std=float(raw_samples.std()),
-        n_trials=int(trials),
+        n_trials=trials,
         pearson_samples=pearson_samples,
         raw_samples=raw_samples,
     )
@@ -258,9 +255,9 @@ class AnticorrReport:
 
 
 def _scan_seed(trials: int, seed) -> int:
-    """seed as an int; ConfigurationError unless it is a non-negative integer and trials >= MIN_REPORT_TRIALS."""
+    """seed as an int; ConfigurationError unless it is a non-negative integer and trials an integer >= MIN_REPORT_TRIALS."""
     seed = _whole(seed, "seed", 0)
-    if trials < MIN_REPORT_TRIALS:
+    if _whole(trials, "trials", None) < MIN_REPORT_TRIALS:
         raise ConfigurationError(f"reports need >= {MIN_REPORT_TRIALS} baseline trials, got {trials}")
     return seed
 

@@ -7,8 +7,6 @@ configuration it ran with. Exit codes: 0 success, 1 usage or configuration
 error, 2 data error, 3 numerical error or out of memory.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 import warnings
@@ -273,20 +271,11 @@ def build_parser() -> _Parser:
             action="store_true",
             help="drop constant-return assets with a warning instead of failing",
         )
-    for p in (sectors, anticorr):
+    for p, what, default in ((sectors, "component", "0.08 0.10"), (anticorr, "scan", "0.10")):
         p.add_argument("--matrix", help="reuse a saved corr_matrix.csv artifact")
-    sectors.add_argument(
-        "--u-c",
-        type=float,
-        action="append",
-        help="component threshold; repeat for several (default: 0.08 0.10)",
-    )
-    anticorr.add_argument(
-        "--u-c",
-        type=float,
-        action="append",
-        help="scan threshold; repeat for several (default: 0.10)",
-    )
+        p.add_argument(
+            "--u-c", type=float, action="append", help=f"{what} threshold; repeat for several (default: {default})"
+        )
     anticorr.add_argument(
         "--u-c-zero-scan", action="store_true", help="also scan with u_c = 0 (pure sign split)"
     )

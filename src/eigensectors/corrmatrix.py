@@ -1,7 +1,5 @@
 """Equal-time correlation matrices and their eigenmode decomposition."""
 
-from __future__ import annotations
-
 __all__ = [
     "CorrelationMatrix",
     "EigenSpectrum",

@@ -10,8 +10,6 @@ supported on lam_minmax = (1 -+ 1/sqrt(Q))^2. Eigenvalues above lam_max
 carry genuine correlation structure.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "SignificantSet",
     "WishartLaw",

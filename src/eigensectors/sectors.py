@@ -6,8 +6,6 @@ components; thresholding |u_i| at u_c yields the two subsectors. Labels
 come from an asset -> category mapping and a majority rule.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "DEFAULT_STOCK_THRESHOLDS",
     "LabelReport",

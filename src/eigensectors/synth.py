@@ -10,8 +10,6 @@ hands back a NormalizedReturns panel plus the planted ground truth. The
 exact population correlation matrix is available analytically as an oracle.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "BlockSpec",
     "GroundTruth",
@@ -34,7 +32,7 @@ import numpy as np
 from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
 from .timeseries import (
-    NormalizedReturns, PricePanel, ReturnMatrix, _integer, _json_number, _whole, _write_grid, normalize_returns,
+    NormalizedReturns, PricePanel, ReturnMatrix, _integer, _json_kind, _whole, _write_grid, normalize_returns,
 )
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
@@ -71,6 +69,8 @@ class MarketSpec:
     blocks: tuple[BlockSpec, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_assets", _whole(self.n_assets, "n_assets", None))
+        object.__setattr__(self, "n_observations", _whole(self.n_observations, "n_observations", None))
         if self.n_assets < 2:
             raise ConfigurationError("need at least 2 assets")
         if not 3 <= self.n_observations <= MAX_OBSERVATIONS:
@@ -244,34 +244,27 @@ def metadata_from_truth(truth: GroundTruth, assets: tuple[str, ...]) -> dict[str
     return out
 
 
-def _json_string(value) -> str:
-    """value, if it is a JSON string; TypeError for a boolean, a number, null or any other."""
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
-
-
 def spec_from_dict(cfg: dict) -> MarketSpec:
     """Build a MarketSpec from a parsed configuration document."""
     try:
         blocks = tuple(
             BlockSpec(
                 assets=tuple(_integer(i) for i in b["assets"]),
-                loading=float(_json_number(b["loading"])),
+                loading=float(_json_kind(b["loading"], (int, float), "number")),
                 sign_pattern=(
                     tuple(_integer(s) for s in b["sign_pattern"])
                     if b.get("sign_pattern") is not None
                     else None
                 ),
-                name=_json_string(b.get("name", "")),
+                name=_json_kind(b.get("name", ""), str, "string"),
             )
             for b in cfg.get("blocks", ())
         )
         return MarketSpec(
             n_assets=_integer(cfg["n_assets"]),
             n_observations=_integer(cfg["n_observations"]),
-            market_strength=float(_json_number(cfg.get("market_strength", 0.0))),
-            noise_std=float(_json_number(cfg.get("noise_std", 1.0))),
+            market_strength=float(_json_kind(cfg.get("market_strength", 0.0), (int, float), "number")),
+            noise_std=float(_json_kind(cfg.get("noise_std", 1.0), (int, float), "number")),
             blocks=blocks,
         )
     except KeyError as exc:

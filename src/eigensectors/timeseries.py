@@ -6,8 +6,6 @@ normalized log-returns: load -> align_calendar (optional weekday shifts)
 All statistics are population statistics (1/T divisors).
 """
 
-from __future__ import annotations
-
 __all__ = [
     "NormalizedReturns",
     "PricePanel",
@@ -67,10 +65,9 @@ def weekday_number(value: int | str) -> int:
             return _WEEKDAY_NAMES[value.strip().lower()]
         except KeyError:
             raise ConfigurationError(f"unknown weekday name: {value!r}") from None
-    iv = int(value)
-    if not 0 <= iv <= 6:
+    if not 0 <= (day := _whole(value, "weekday", None)) <= 6:
         raise ConfigurationError(f"weekday out of range 0..6: {value!r}")
-    return iv
+    return day
 
 
 @dataclass
@@ -171,26 +168,30 @@ class ShiftRule:
             raise ConfigurationError("shift rule with source == target weekday")
 
 
-def _json_number(value):
-    """value, if it is a JSON number (an int or a float); TypeError for a bool, a string or any other."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
+def _json_kind(value, kind, name: str):
+    """value, if it is a JSON value of kind, named name in the message; TypeError for a bool or any other."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not a {name}")
     return value
 
 
 def _integer(value) -> int:
     """A JSON number as an int; ValueError for one with a fractional part."""
-    whole = int(_json_number(value))
+    whole = int(_json_kind(value, (int, float), "number"))
     if whole != value:
         raise ValueError(f"{value!r} is not an integer")
     return whole
 
 
-def _whole(value, name: str, least: int) -> int:
-    """value as an int; ConfigurationError unless it is an integer >= least (0 or 1)."""
-    if int(value) != value or value < least:
-        raise ConfigurationError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
-    return int(value)
+def _whole(value, name: str, least: int | None) -> int:
+    """value as an int; ConfigurationError unless it is an integer (not NaN, inf, None or text) >= least (0, 1 or None)."""
+    try:
+        if int(value) == value and (least is None or value >= least):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+    raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
 
 
 def _read_bytes(source) -> bytes:

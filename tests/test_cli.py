@@ -913,12 +913,19 @@ UNICODE_NAMES = ["Zürich", "Σ1", "Ωmega", "café, bar", "B", "C", "D", "E"]
 def _cli(argv, cwd, env, code=0):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys; from eigensectors.cli import main; sys.exit(main())", *argv],
+        [sys.executable, "-m", "eigensectors.cli", *argv],
         cwd=cwd, env={**env, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
     )
     assert done.returncode == code, done.stderr.decode(errors="replace")
     assert b"Traceback" not in done.stderr
     return done
+
+
+def test_module_entry_point_prints_help(tmp_path):
+    """python -m eigensectors.cli runs main through the module's __main__ guard."""
+    done = _cli(["--help"], tmp_path, dict(os.environ))
+    assert done.stdout.decode().startswith("usage: eigensectors ")
+    assert all(stage in done.stdout.decode() for stage in ("analyze", "sectors", "anticorr", "synth"))
 
 
 BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

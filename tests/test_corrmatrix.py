@@ -226,7 +226,7 @@ def test_indefinite_matrix_rejected():
 
 
 def _failing_eigh(failure):
-    """np.linalg.eigh that raises, or returns a basis or eigenvalues that do not fit C."""
+    """np.linalg.eigh that raises, or returns a basis, eigenvalues or a trace that do not fit C."""
     eigh = np.linalg.eigh
 
     def fake(a):
@@ -235,6 +235,10 @@ def _failing_eigh(failure):
         w, v = eigh(a)
         if failure == "basis":
             return w, 1.001 * v  # columns 0.1% too long
+        if failure == "trace":
+            # Gram residual ~0.99e-10 and reconstruction residual ~0.99e-9 stay within bounds;
+            # |sum(lambda) - N| ~ 1.089e-9 * N does not
+            return w * (1 + 1.089e-9), np.sqrt(1 - 0.99e-10) * v
         return w[::-1].copy(), v  # the eigenvalues on the wrong vectors: the trace holds, C is not rebuilt
 
     return fake
@@ -246,8 +250,9 @@ def _failing_eigh(failure):
         ("raises", r"eigendecomposition failed: Eigenvalues did not converge \(N=4, max\|C\|=1\.000e\+00\)"),
         ("basis", r"eigenvector orthonormality error 2\.00\de-03"),
         ("values", r"spectral reconstruction error \d\.\d{3}e[-+]\d\d"),
+        ("trace", r"trace not preserved: \|sum\(lambda\) - N\| = 4\.3\d\de-09"),
     ],
-    ids=["raises", "basis", "values"],
+    ids=["raises", "basis", "values", "trace"],
 )
 def test_eigendecompose_failures_are_numerical_errors(monkeypatch, tmp_path, capsys, failure, message):
     monkeypatch.setattr(np.linalg, "eigh", _failing_eigh(failure))

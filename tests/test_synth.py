@@ -94,6 +94,12 @@ def test_generate_is_deterministic():
     assert a.values.tobytes() == b.values.tobytes()
     assert truth_a == truth_b
     assert a.values.tobytes() != c.values.tobytes()
+    # a seed is judged by the library's integer rule: a numpy or integral float seed is that seed
+    assert generate(ONE_BLOCK, seed=np.int64(4))[0].values.tobytes() == a.values.tobytes()
+    assert generate(ONE_BLOCK, seed=4.0)[1] == truth_a
+    for bad in (float("nan"), float("inf"), None):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+            generate(ONE_BLOCK, seed=bad)
 
 
 def test_ground_truth_records_planting():
@@ -240,6 +246,10 @@ def test_spec_validation():
         dict(n_assets=5, n_observations=100, noise_std=1e-300),
         # the weekday dates of the returns would run past 9999-12-31
         dict(n_assets=5, n_observations=MAX_OBSERVATIONS + 1),
+        # the sizes are integers, refused at construction rather than inside the draw
+        dict(n_assets=3.5, n_observations=100),
+        dict(n_assets=None, n_observations=100),
+        dict(n_assets=5, n_observations=100.5),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
@@ -249,6 +259,8 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError, match=r"noise_std must be >= 1e-100 and <= 1e\+100"):
         MarketSpec(n_assets=5, n_observations=100, noise_std=1e-300)
     generate(MarketSpec(n_assets=5, n_observations=50, noise_std=1 / MAX_SCALE))  # the smallest noise runs
+    spec = MarketSpec(n_assets=12.0, n_observations=np.int64(50))  # whole sizes are stored as ints
+    assert (type(spec.n_assets), type(spec.n_observations)) == (int, int)
     bad_blocks = [
         BlockSpec(assets=(0, 1), loading=0.0),
         BlockSpec(assets=(0, 1), loading=float("nan")),

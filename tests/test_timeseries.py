@@ -1419,8 +1419,13 @@ def test_shift_rule_validation():
         ShiftRule(assets=("X",), source="sunday", target="sunday")
     with pytest.raises(ConfigurationError):
         ShiftRule(assets=("X",), source="noday", target="friday")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"weekday out of range 0\.\.6: 7"):
         ShiftRule(assets=("X",), source=7, target=4)
+    # a weekday number is an integer: 6.5 is not Sunday
+    for bad in (6.5, float("nan"), float("inf"), None):
+        with pytest.raises(ConfigurationError, match="weekday must be an integer"):
+            ShiftRule(assets=("X",), source=bad, target=4)
+    assert ShiftRule(assets=("X",), source=6.0, target=np.int64(4)) == ShiftRule(("X",), "sunday", "friday")
 
 
 # --- forward fill and trimming
@@ -1505,7 +1510,7 @@ def test_log_returns_delta_t_bounds():
     p = panel([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(InsufficientDataError):
         log_returns(p, delta_t=3)
-    for bad in (0, -1, 1.5):
+    for bad in (0, -1, 1.5, float("nan"), float("inf"), float("-inf"), None):
         with pytest.raises(ConfigurationError):
             log_returns(p, delta_t=bad)
 
