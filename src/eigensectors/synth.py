@@ -24,7 +24,7 @@ __all__ = [
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +85,10 @@ class MarketSpec:
                 raise ConfigurationError(f"block {k}: loading must be > 0 and <= {MAX_SCALE:g}")
             if not block.assets:
                 raise ConfigurationError(f"block {k}: empty asset set")
-            idx = set(block.assets)
+            idx = {_whole(i, f"block {k}: asset index", 0) for i in block.assets}
             if len(idx) != len(block.assets):
                 raise ConfigurationError(f"block {k}: repeated asset index")
-            if min(idx) < 0 or max(idx) >= self.n_assets:
+            if max(idx) >= self.n_assets:
                 raise ConfigurationError(f"block {k}: asset index out of range")
             if idx & seen:
                 raise ConfigurationError(
@@ -102,6 +102,7 @@ class MarketSpec:
                     )
                 if any(s not in (-1, 1) for s in block.sign_pattern):
                     raise ConfigurationError(f"block {k}: signs must be +-1")
+        object.__setattr__(self, "blocks", tuple(replace(b, assets=tuple(map(int, b.assets))) for b in self.blocks))
 
 
 @dataclass

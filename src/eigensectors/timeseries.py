@@ -333,7 +333,7 @@ def _grid_lines(values: np.ndarray, labels: Sequence[str]) -> bytes:
     lengths = np.empty(slots.shape[:2], np.intp)
     if lead:
         slots[:, 0, : names.itemsize] = names.view(np.uint8).reshape(n_rows, -1)
-        lengths[:, 0] = np.char.str_len(names)
+        lengths[:, 0] = [len(name) for name in names.tolist()]
     # every index is in range; mode="clip" lets take write into the slots unbuffered
     np.take(text.T, inv.reshape(n_rows, n_cols), axis=0, out=slots[:, lead:], mode="clip")
     lengths[:, lead:] = length[inv].reshape(n_rows, n_cols)
@@ -677,9 +677,14 @@ def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     ValueError for a cell that fills its field, which loadtxt may have cut. Only the first
     cell of each run is looked up: a long file lists each date, or each asset, in a run.
     The column is narrowed to its longest cell, and one of 1, 2, 4 or 8 bytes is compared
-    as one unsigned integer.
+    as one unsigned integer. Heads that rise strictly (a wide file's dates, a long file's
+    sorted by date) are the distinct cells; only others take np.unique, which loads numpy.ma
+    (numpy >= 2). The field is a multiple of 8 bytes wide: as a NUL only pads a cell, the OR
+    of its little-endian words, read as one integer, ends at the longest cell's last byte.
     """
-    longest = int(np.char.str_len(texts).max(initial=1))
+    words = texts.view(np.dtype(("<u8", (texts.itemsize // 8,))))
+    union = sum(int(np.bitwise_or.reduce(words[:, i])) << 64 * i for i in range(words.shape[1]))
+    longest = max((union.bit_length() + 7) // 8, 1)
     if longest == texts.itemsize:
         raise ValueError("text cell that may have been cut")
     narrow = f"S{longest if longest > 8 else 1 << (longest - 1).bit_length()}"
@@ -687,7 +692,7 @@ def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     cells = cells.view(f"u{cells.itemsize}") if cells.itemsize <= 8 else cells
     starts = np.flatnonzero(np.concatenate(([cells.size > 0], cells[1:] != cells[:-1])))
     heads = cells[starts]
-    distinct = np.unique(heads)  # sorted as cells, not as keys: _number orders the keys
+    distinct = heads if (heads[1:] > heads[:-1]).all() else np.unique(heads)  # cell order; _number orders keys
     keys, position = _number(list(map(key, distinct.view(narrow).tolist())))
     return keys, np.repeat(position[np.searchsorted(distinct, heads)], np.diff(np.append(starts, texts.size)))
 
@@ -830,12 +835,14 @@ def forward_fill(panel: PricePanel) -> PricePanel:
     """Fill each missing cell with the asset's most recent observed price.
 
     Leading gaps (before the first observation) remain missing; trim_to_common_range
-    cuts them. Idempotent.
+    cuts them. Idempotent: a panel with no missing cell is returned as it is.
 
     Raises InsufficientDataError for an asset with no observations at all.
     """
     _first_valid(panel)
-    last = np.where(np.isnan(panel.prices), 0, np.arange(panel.n_dates))
+    if not (missing := np.isnan(panel.prices)).any():
+        return panel
+    last = np.where(missing, 0, np.arange(panel.n_dates))
     np.maximum.accumulate(last, axis=1, out=last)  # index of the latest observation
     return PricePanel(
         assets=panel.assets,

@@ -928,6 +928,30 @@ def test_module_entry_point_prints_help(tmp_path):
     assert all(stage in done.stdout.decode() for stage in ("analyze", "sectors", "anticorr", "synth"))
 
 
+def test_clean_price_stages_and_synth_leave_numpy_ma_and_char_unloaded(market_dir, tmp_path):
+    """A fresh process that runs analyze and sectors on a clean wide panel, then synth,
+    loads neither numpy.ma (numpy >= 2 loads it inside np.unique) nor numpy.char."""
+    panel = ["--input", str(market_dir / "panel.csv"), "--format", "wide"]
+    stages = [
+        ["analyze", *panel, "--out-dir", "analyze"],
+        ["sectors", *panel, "--out-dir", "sectors"],
+        ["synth", "--config", str(market_dir / "config.json"), "--out-dir", "synth"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from eigensectors.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print('exit codes', *codes, 'loaded', *sorted({'numpy.ma', 'numpy.char'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(stages)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stdout.decode().splitlines()[-1] == "exit codes 0 0 0 loaded"
+
+
 BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 

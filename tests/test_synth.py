@@ -269,12 +269,20 @@ def test_spec_validation():
         BlockSpec(assets=(), loading=1.0),
         BlockSpec(assets=(0, 0), loading=1.0),
         BlockSpec(assets=(0, 9), loading=1.0),
+        # an index is an integer (0.5 below), refused at construction rather than inside the draw
+        BlockSpec(assets=(float("nan"), 1), loading=1.0),
+        BlockSpec(assets=(None, 1), loading=1.0),
         BlockSpec(assets=(0, 1), loading=1.0, sign_pattern=(1,)),
         BlockSpec(assets=(0, 1), loading=1.0, sign_pattern=(1, 0)),
     ]
     for block in bad_blocks:
         with pytest.raises(ConfigurationError):
             MarketSpec(n_assets=5, n_observations=100, blocks=(block,))
+    with pytest.raises(ConfigurationError, match=r"block 0: asset index must be a non-negative integer, got 0\.5"):
+        MarketSpec(n_assets=5, n_observations=100, blocks=(BlockSpec(assets=(0.5, 1), loading=1.0),))
+    spec = MarketSpec(n_assets=5, n_observations=50, blocks=(BlockSpec(assets=(0.0, np.int64(1)), loading=1.0),))
+    assert [type(i) for i in spec.blocks[0].assets] == [int, int]  # whole indices are stored as ints
+    assert generate(spec)[1].blocks[0].assets == (0, 1)
     with pytest.raises(ConfigurationError, match="overlap"):
         MarketSpec(
             n_assets=5,

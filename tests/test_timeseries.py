@@ -1123,15 +1123,21 @@ def assert_same_index(texts, key):
 
 
 @pytest.mark.parametrize("width", range(1, 10))
-def test_index_of_bytes_matches_a_sort(width):
+def test_index_of_bytes_matches_a_sort(width, monkeypatch):
     """Cells of 1 to width bytes in loadtxt's 16-byte field, scattered, in runs and sorted;
-    a cell of 16 bytes may have been cut, so it is a ValueError."""
+    a cell of 16 bytes may have been cut, so it is a ValueError. Runs whose heads rise
+    strictly in _index's order of cells (as little-endian integers up to 8 bytes wide, else
+    as bytes), and a single cell, take no np.unique; a last run that falls back takes it."""
     rng = np.random.default_rng(width)
     pool = ["".join(rng.choice(list("AZ09 ."), rng.integers(1, width + 1))) for _ in range(40)]
     pool += ["A", " A", "A "][: width]  # padded twins share a key
     scattered = rng.choice(pool, 500)
     runs = np.repeat(rng.choice(pool, 60), rng.integers(1, 6, 60))
-    for texts in (scattered, runs, np.sort(scattered)):
+    little = max(map(len, pool)) <= 8
+    rising = sorted(set(pool), key=(lambda t: int.from_bytes(t.encode(), "little")) if little else None)
+    rising_runs = np.repeat(rising, rng.integers(1, 4, len(rising)))
+    falling_last = np.append(rising_runs, rising[0])
+    for texts in (scattered, runs, np.sort(scattered), rising_runs, falling_last, pool[:1]):
         cells = np.array([t.encode() for t in texts], dtype="S16")
         assert_same_index(cells, ts._text)
         assert_same_index(cells[::3], ts._text)  # a strided column
@@ -1139,6 +1145,12 @@ def test_index_of_bytes_matches_a_sort(width):
         with pytest.raises(ValueError, match="may have been cut"):
             ts._index(cells, ts._text)
     assert_same_index(np.array([], dtype="S16"), ts._text)
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+    for texts, sorts in ((rising_runs, False), (pool[:1], False), (falling_last, True)):
+        calls.clear()
+        ts._index(np.array([t.encode() for t in texts], dtype="S16"), ts._text)
+        assert bool(calls) == sorts
 
 
 @pytest.mark.parametrize("order", ["date", "asset"])
@@ -1438,9 +1450,15 @@ def test_forward_fill_fills_gaps_with_last_price():
 
 
 def test_forward_fill_identity_when_complete():
-    p = panel([[10, 11, 12], [20, 21, 22]])
+    """A panel with no missing cell comes back as it is, its prices bit for bit; one gap still fills."""
+    p = panel([[10, 0.1 + 0.2, 12], [20, 21, 22]])
+    before = p.prices.copy()
     q = forward_fill(p)
-    assert np.array_equal(q.prices, p.prices)
+    assert q is p and q.prices.tobytes() == before.tobytes()
+    gap = panel([[10, 0.1 + 0.2, None], [20, 21, 22]])
+    filled = forward_fill(gap)
+    assert filled is not gap and math.isnan(gap.prices[0, 2])
+    assert filled.prices[0].tolist() == [10, 0.1 + 0.2, 0.1 + 0.2]
 
 
 def test_forward_fill_keeps_leading_gap():
