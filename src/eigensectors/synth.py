@@ -80,13 +80,15 @@ class MarketSpec:
         if not 1 / MAX_SCALE <= self.noise_std <= MAX_SCALE:
             raise ConfigurationError(f"noise_std must be >= {1 / MAX_SCALE:g} and <= {MAX_SCALE:g}")
         seen: set[int] = set()
+        blocks = []
         for k, block in enumerate(self.blocks):
             if not 0 < block.loading <= MAX_SCALE:
                 raise ConfigurationError(f"block {k}: loading must be > 0 and <= {MAX_SCALE:g}")
             if not block.assets:
                 raise ConfigurationError(f"block {k}: empty asset set")
-            idx = {_whole(i, f"block {k}: asset index", 0) for i in block.assets}
-            if len(idx) != len(block.assets):
+            assets = tuple(_whole(i, f"block {k}: asset index", 0) for i in block.assets)
+            idx = set(assets)
+            if len(idx) != len(assets):
                 raise ConfigurationError(f"block {k}: repeated asset index")
             if max(idx) >= self.n_assets:
                 raise ConfigurationError(f"block {k}: asset index out of range")
@@ -102,7 +104,8 @@ class MarketSpec:
                     )
                 if any(s not in (-1, 1) for s in block.sign_pattern):
                     raise ConfigurationError(f"block {k}: signs must be +-1")
-        object.__setattr__(self, "blocks", tuple(replace(b, assets=tuple(map(int, b.assets))) for b in self.blocks))
+            blocks.append(replace(block, assets=assets))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
 
 @dataclass

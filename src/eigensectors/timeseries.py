@@ -677,10 +677,8 @@ def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     ValueError for a cell that fills its field, which loadtxt may have cut. Only the first
     cell of each run is looked up: a long file lists each date, or each asset, in a run.
     The column is narrowed to its longest cell, and one of 1, 2, 4 or 8 bytes is compared
-    as one unsigned integer. Heads that rise strictly (a wide file's dates, a long file's
-    sorted by date) are the distinct cells; only others take np.unique, which loads numpy.ma
-    (numpy >= 2). The field is a multiple of 8 bytes wide: as a NUL only pads a cell, the OR
-    of its little-endian words, read as one integer, ends at the longest cell's last byte.
+    as one unsigned integer. Heads are deduplicated by a sort, not np.unique (it loads numpy.ma
+    under numpy 2). A NUL only pads a cell, so the OR of its little-endian 8-byte words spans the longest.
     """
     words = texts.view(np.dtype(("<u8", (texts.itemsize // 8,))))
     union = sum(int(np.bitwise_or.reduce(words[:, i])) << 64 * i for i in range(words.shape[1]))
@@ -692,7 +690,8 @@ def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
     cells = cells.view(f"u{cells.itemsize}") if cells.itemsize <= 8 else cells
     starts = np.flatnonzero(np.concatenate(([cells.size > 0], cells[1:] != cells[:-1])))
     heads = cells[starts]
-    distinct = heads if (heads[1:] > heads[:-1]).all() else np.unique(heads)  # cell order; _number orders keys
+    ordered = np.sort(heads)  # as cells, not as keys: _number orders the keys
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     keys, position = _number(list(map(key, distinct.view(narrow).tolist())))
     return keys, np.repeat(position[np.searchsorted(distinct, heads)], np.diff(np.append(starts, texts.size)))
 

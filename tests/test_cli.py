@@ -930,7 +930,8 @@ def test_module_entry_point_prints_help(tmp_path):
 
 def test_clean_price_stages_and_synth_leave_numpy_ma_and_char_unloaded(market_dir, tmp_path):
     """A fresh process that runs analyze and sectors on a clean wide panel, then synth,
-    loads neither numpy.ma (numpy >= 2 loads it inside np.unique) nor numpy.char."""
+    loads neither numpy.ma (numpy >= 2 loads it inside np.unique) nor numpy.char beyond
+    what `import numpy` loads itself (numpy 1.x loads both there)."""
     panel = ["--input", str(market_dir / "panel.csv"), "--format", "wide"]
     stages = [
         ["analyze", *panel, "--out-dir", "analyze"],
@@ -939,9 +940,11 @@ def test_clean_price_stages_and_synth_leave_numpy_ma_and_char_unloaded(market_di
     ]
     script = (
         "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
         "from eigensectors.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print('exit codes', *codes, 'loaded', *sorted({'numpy.ma', 'numpy.char'} & set(sys.modules)))\n"
+        "print('exit codes', *codes, 'loaded', *sorted({'numpy.ma', 'numpy.char'} & set(sys.modules) - before))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(

@@ -1123,11 +1123,11 @@ def assert_same_index(texts, key):
 
 
 @pytest.mark.parametrize("width", range(1, 10))
-def test_index_of_bytes_matches_a_sort(width, monkeypatch):
+def test_index_of_bytes_matches_a_sort(width):
     """Cells of 1 to width bytes in loadtxt's 16-byte field, scattered, in runs and sorted;
-    a cell of 16 bytes may have been cut, so it is a ValueError. Runs whose heads rise
-    strictly in _index's order of cells (as little-endian integers up to 8 bytes wide, else
-    as bytes), and a single cell, take no np.unique; a last run that falls back takes it."""
+    a cell of 16 bytes may have been cut, so it is a ValueError. Also runs whose heads
+    already rise strictly in _index's order of cells (as little-endian integers up to 8
+    bytes wide, else as bytes), the same with a last run that falls back, and one cell."""
     rng = np.random.default_rng(width)
     pool = ["".join(rng.choice(list("AZ09 ."), rng.integers(1, width + 1))) for _ in range(40)]
     pool += ["A", " A", "A "][: width]  # padded twins share a key
@@ -1145,12 +1145,6 @@ def test_index_of_bytes_matches_a_sort(width, monkeypatch):
         with pytest.raises(ValueError, match="may have been cut"):
             ts._index(cells, ts._text)
     assert_same_index(np.array([], dtype="S16"), ts._text)
-    calls, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
-    for texts, sorts in ((rising_runs, False), (pool[:1], False), (falling_last, True)):
-        calls.clear()
-        ts._index(np.array([t.encode() for t in texts], dtype="S16"), ts._text)
-        assert bool(calls) == sorts
 
 
 @pytest.mark.parametrize("order", ["date", "asset"])
@@ -1168,16 +1162,16 @@ def test_long_file_of_names_one_to_nine_bytes_wide_matches_oracle(order):
 
 
 def test_long_load_numbers_texts_without_an_inverse_sort(monkeypatch):
-    calls, real = [], np.unique
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", spy)
+    """Each text column's run heads are sorted and searched: no argsort, and no np.unique,
+    with or without its inverse."""
+    calls = []
+    for name in ("unique", "argsort", "sort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw))
     rows = [f"2015-01-{j:02d},{asset},{j}" for j in range(5, 25) for asset in ("AAA", "BBBBBBBBBB")]
-    load_prices(io.StringIO("date,asset,price\n" + "\n".join(rows) + "\n"))
-    assert calls and not any(kwargs.get("return_inverse") for kwargs in calls)
+    got = load_prices(io.StringIO("date,asset,price\n" + "\n".join(rows) + "\n"))
+    assert calls and set(calls) == {"sort"}
+    assert got.assets == ("AAA", "BBBBBBBBBB") and got.n_dates == 20
 
 
 def test_clean_wide_file_makes_no_signed_nan_search():
