@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import NumericalError, ParseError, ValidationError
-from .timeseries import NormalizedReturns, _integer, _read_bytes, _rows, _write_grid, _write_json
+from .exceptions import ConfigurationError, NumericalError, ParseError, ValidationError
+from .timeseries import NormalizedReturns, _read_bytes, _rows, _whole, _write_grid, _write_json
 
 SYMMETRY_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -222,15 +222,13 @@ def load_matrix(path) -> CorrelationMatrix:
         raise ValidationError(f"missing matrix sidecar {sidecar}")
     try:
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        n_observations = _integer(meta["n_observations"])
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        raise ValidationError(
-            f"matrix sidecar {sidecar} lacks a valid n_observations: {exc!r}"
-        ) from None
+        n_observations = _whole(meta["n_observations"], "n_observations", None)
+    except (ValueError, TypeError, KeyError, ConfigurationError) as exc:
+        raise ValidationError(f"matrix sidecar {sidecar} lacks a valid n_observations: {exc!r}") from None
     try:
-        if _integer(n_assets := meta.get("n_assets", n)) != n:
+        if _whole(n_assets := meta.get("n_assets", n), "n_assets", None) != n:
             raise ValueError
-    except (ValueError, TypeError, OverflowError):
+    except (ValueError, ConfigurationError):
         raise ValidationError(f"matrix sidecar {sidecar} has n_assets {n_assets!r}; the header names {n}") from None
     return CorrelationMatrix(
         assets=assets,

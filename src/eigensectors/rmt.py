@@ -25,6 +25,7 @@ import numpy as np
 
 from .corrmatrix import EigenSpectrum
 from .exceptions import ConfigurationError, DomainError
+from .timeseries import _real
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class WishartLaw:
 
 def mp_bounds(q: float) -> WishartLaw:
     """Noise band edges (1 -+ 1/sqrt(q))^2. Requires q >= 1."""
-    q = float(q)
+    q = _real(q, "aspect ratio q")
     if not q >= 1.0:
         raise DomainError(f"aspect ratio q must be >= 1, got {q!r}")
     root = 1.0 / np.sqrt(q)
@@ -86,15 +87,16 @@ class SignificantSet:
     law: WishartLaw
 
 
-def _margin(margin: float) -> None:
-    """ConfigurationError unless 0 < margin < inf."""
-    if not 0.0 < margin < np.inf:
+def _margin(margin: float) -> float:
+    """margin as a float; ConfigurationError unless it is a number with 0 < margin < inf."""
+    if not 0.0 < (margin := _real(margin, "margin")) < np.inf:
         raise ConfigurationError(f"margin must be {'finite' if margin > 0.0 else 'positive'}, got {margin!r}")
+    return margin
 
 
 def significant_eigenvalues(spec: EigenSpectrum, margin: float = 1.0) -> SignificantSet:
     """Select modes above the noise band, with Q = T/N from the spectrum's own T."""
-    _margin(margin)
+    margin = _margin(margin)
     q = spec.n_observations / spec.n_assets
     law = mp_bounds(q)
     threshold = margin * law.lambda_max

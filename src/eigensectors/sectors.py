@@ -27,6 +27,7 @@ import numpy as np
 from .corrmatrix import EigenSpectrum
 from .exceptions import ConfigurationError
 from .rmt import SignificantSet
+from .timeseries import _real
 
 DEFAULT_STOCK_THRESHOLDS = (0.08, 0.10)
 
@@ -81,7 +82,7 @@ class SectorRow:
 
 def _threshold(u_c: float) -> float:
     """u_c as a float, negative zero as 0; ConfigurationError unless 0 <= u_c < inf."""
-    u_c = float(u_c)
+    u_c = _real(u_c, "threshold u_c")
     if u_c < 0.0:
         raise ConfigurationError(f"threshold u_c must be >= 0, got {u_c!r}")
     if not np.isfinite(u_c):
@@ -91,7 +92,7 @@ def _threshold(u_c: float) -> float:
 
 def _threshold_ladder(thresholds: Sequence[float]) -> list[float]:
     """The thresholds as checked floats; ConfigurationError unless non-empty and strictly ascending."""
-    thresholds = [float(t) for t in thresholds]
+    thresholds = [_real(t, "threshold u_c") for t in thresholds]
     if not thresholds:
         raise ConfigurationError("need at least one threshold")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):

@@ -31,9 +31,7 @@ import numpy as np
 
 from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
-from .timeseries import (
-    NormalizedReturns, PricePanel, ReturnMatrix, _integer, _json_kind, _whole, _write_grid, normalize_returns,
-)
+from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _real, _whole, _write_grid, normalize_returns
 
 # generate() dates its returns on the weekdays after Monday 2000-01-03; the calendar ends in 9999
 MAX_OBSERVATIONS = int(np.busday_count("2000-01-04", "9999-12-31"))
@@ -71,6 +69,8 @@ class MarketSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_assets", _whole(self.n_assets, "n_assets", None))
         object.__setattr__(self, "n_observations", _whole(self.n_observations, "n_observations", None))
+        object.__setattr__(self, "market_strength", _real(self.market_strength, "market_strength"))
+        object.__setattr__(self, "noise_std", _real(self.noise_std, "noise_std"))
         if self.n_assets < 2:
             raise ConfigurationError("need at least 2 assets")
         if not 3 <= self.n_observations <= MAX_OBSERVATIONS:
@@ -82,7 +82,9 @@ class MarketSpec:
         seen: set[int] = set()
         blocks = []
         for k, block in enumerate(self.blocks):
-            if not 0 < block.loading <= MAX_SCALE:
+            if not isinstance(block.name, str):
+                raise ConfigurationError(f"block {k}: name must be a string, got {block.name!r}")
+            if not 0 < (loading := _real(block.loading, f"block {k}: loading")) <= MAX_SCALE:
                 raise ConfigurationError(f"block {k}: loading must be > 0 and <= {MAX_SCALE:g}")
             if not block.assets:
                 raise ConfigurationError(f"block {k}: empty asset set")
@@ -93,18 +95,16 @@ class MarketSpec:
             if max(idx) >= self.n_assets:
                 raise ConfigurationError(f"block {k}: asset index out of range")
             if idx & seen:
-                raise ConfigurationError(
-                    f"block {k} overlaps an earlier block: {sorted(idx & seen)}"
-                )
+                raise ConfigurationError(f"block {k} overlaps an earlier block: {sorted(idx & seen)}")
             seen |= idx
-            if block.sign_pattern is not None:
-                if len(block.sign_pattern) != len(block.assets):
-                    raise ConfigurationError(
-                        f"block {k}: sign pattern length != member count"
-                    )
-                if any(s not in (-1, 1) for s in block.sign_pattern):
+            signs = block.sign_pattern
+            if signs is not None:
+                signs = tuple(_whole(s, f"block {k}: sign", None) for s in signs)
+                if len(signs) != len(assets):
+                    raise ConfigurationError(f"block {k}: sign pattern length != member count")
+                if any(s not in (-1, 1) for s in signs):
                     raise ConfigurationError(f"block {k}: signs must be +-1")
-            blocks.append(replace(block, assets=assets))
+            blocks.append(replace(block, assets=assets, loading=loading, sign_pattern=signs))
         object.__setattr__(self, "blocks", tuple(blocks))
 
 
@@ -249,31 +249,17 @@ def metadata_from_truth(truth: GroundTruth, assets: tuple[str, ...]) -> dict[str
 
 
 def spec_from_dict(cfg: dict) -> MarketSpec:
-    """Build a MarketSpec from a parsed configuration document."""
+    """Build a MarketSpec from a parsed configuration document, whose values MarketSpec judges as it
+    judges a library call's; a missing key reads "market config missing key", a refused value
+    "bad market config value: " and the rule's message."""
     try:
-        blocks = tuple(
-            BlockSpec(
-                assets=tuple(_integer(i) for i in b["assets"]),
-                loading=float(_json_kind(b["loading"], (int, float), "number")),
-                sign_pattern=(
-                    tuple(_integer(s) for s in b["sign_pattern"])
-                    if b.get("sign_pattern") is not None
-                    else None
-                ),
-                name=_json_kind(b.get("name", ""), str, "string"),
-            )
-            for b in cfg.get("blocks", ())
-        )
-        return MarketSpec(
-            n_assets=_integer(cfg["n_assets"]),
-            n_observations=_integer(cfg["n_observations"]),
-            market_strength=float(_json_kind(cfg.get("market_strength", 0.0), (int, float), "number")),
-            noise_std=float(_json_kind(cfg.get("noise_std", 1.0), (int, float), "number")),
-            blocks=blocks,
-        )
+        blocks = [BlockSpec(b["assets"], b["loading"], b.get("sign_pattern"), b.get("name", ""))
+                  for b in cfg.get("blocks", ())]
+        return MarketSpec(n_assets=cfg["n_assets"], n_observations=cfg["n_observations"], blocks=blocks,
+                          market_strength=cfg.get("market_strength", 0.0), noise_std=cfg.get("noise_std", 1.0))
     except KeyError as exc:
         raise ConfigurationError(f"market config missing key: {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"bad market config value: {exc}") from None
 
 
@@ -294,7 +280,7 @@ def load_market_spec(path) -> tuple[MarketSpec, int]:
     if not isinstance(cfg, dict):
         raise ConfigurationError("market config must be a JSON object")
     try:
-        seed = _integer(cfg.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+        seed = _whole(cfg.get("seed", 0), "seed", None)  # any integer: a negative one may yet give way to --seed
+    except ConfigurationError as exc:
         raise ConfigurationError(f"bad market config value: {exc}") from None
     return spec_from_dict(cfg), seed

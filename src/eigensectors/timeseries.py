@@ -27,6 +27,7 @@ import datetime as dt
 import io
 import json
 import math
+import numbers
 import os
 import re
 import stat
@@ -168,30 +169,27 @@ class ShiftRule:
             raise ConfigurationError("shift rule with source == target weekday")
 
 
-def _json_kind(value, kind, name: str):
-    """value, if it is a JSON value of kind, named name in the message; TypeError for a bool or any other."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{value!r} is not a {name}")
-    return value
-
-
-def _integer(value) -> int:
-    """A JSON number as an int; ValueError for one with a fractional part."""
-    whole = int(_json_kind(value, (int, float), "number"))
-    if whole != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return whole
-
-
 def _whole(value, name: str, least: int | None) -> int:
-    """value as an int; ConfigurationError unless it is an integer (not NaN, inf, None or text) >= least (0, 1 or None)."""
+    """value as an int; ConfigurationError unless it is an integer (not a bool, NaN, inf, None or text) >= least
+    (0, 1 or None). The one integer rule of every count, index, seed and sign, from a config, a sidecar or a call."""
     try:
-        if int(value) == value and (least is None or value >= least):
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value and (least is None or value >= least):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
     raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """value as a float; ConfigurationError unless it is a real number (not a bool, None or text).
+    The one number rule of every scale, loading, threshold, margin and aspect ratio."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an int beyond every double
+        pass
+    raise ConfigurationError(f"{name} must be a number, got {value!r}")
 
 
 def _read_bytes(source) -> bytes:
@@ -891,8 +889,10 @@ def log_returns(panel: PricePanel, delta_t: int = 1) -> ReturnMatrix:
 
 
 def drop_assets(rm: ReturnMatrix, assets: Iterable[str]) -> ReturnMatrix:
-    """Remove the given assets from a return matrix."""
+    """Remove the given assets from a return matrix; ConfigurationError for a name it does not hold."""
     drop = set(assets)
+    if unknown := drop.difference(rm.assets):
+        raise ConfigurationError(f"cannot drop unknown assets: {sorted(unknown)}")
     keep = [i for i, a in enumerate(rm.assets) if a not in drop]
     if len(keep) < 2:
         raise InsufficientDataError("fewer than 2 assets left after dropping")

@@ -573,7 +573,7 @@ def test_baseline_validation():
         random_baseline(c, ([], [0.4]), trials=10)
     with pytest.raises(ConfigurationError):
         random_baseline(c, ([0.1] * 3, [0.1] * 3), trials=10)
-    for bad in (0, 1.5, float("nan"), float("inf"), None):
+    for bad in (0, 1.5, float("nan"), float("inf"), None, True):
         with pytest.raises(ConfigurationError, match="trials must be a positive integer"):
             random_baseline(c, ([0.1], [0.4]), trials=bad)
     assert random_baseline(c, ([0.1], [0.4]), trials=3.0, seed=0).n_trials == 3
@@ -685,10 +685,10 @@ def test_scan_seed_validation():
         mode_scan(c, spec, 0.0, trials=150, seed=-1)
     with pytest.raises(ConfigurationError):
         mode_scan(c, spec, 0.0, trials=150, seed=0.5)
-    for bad in (float("nan"), float("inf"), None):
+    for bad in (float("nan"), float("inf"), None, True):
         with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
             mode_scan(c, spec, 0.0, trials=150, seed=bad)
-    for bad in (100.5, float("nan"), float("inf"), None):
+    for bad in (100.5, float("nan"), float("inf"), None, True):
         with pytest.raises(ConfigurationError, match="trials must be an integer"):
             mode_scan(c, spec, 0.0, trials=bad, seed=0)
     a = mode_scan(c, spec, 0.0, trials=np.int64(150), seed=np.int64(1))

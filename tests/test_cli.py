@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from eigensectors import (
-    ParseError, PricePanel, eigendecompose, load_matrix, load_prices, mode_scan, mp_bounds, report_to_dict,
+    ParseError, PricePanel, ValidationError, eigendecompose, load_matrix, load_prices, mode_scan, mp_bounds,
+    report_to_dict,
 )
 from eigensectors.cli import build_parser, main
 from eigensectors.synth import write_panel_wide
@@ -115,6 +116,15 @@ def test_synth_seed_flag_overrides_config(market_dir, tmp_path):
     assert (out / "panel.csv").read_bytes() != (market_dir / "panel.csv").read_bytes()
 
 
+def test_synth_writes_integer_scales_of_the_config_as_floats(tmp_path):
+    cfg = tmp_path / "config.json"
+    blocks = [{**MARKET_CONFIG["blocks"][0], "loading": 2}]
+    cfg.write_text(json.dumps({**MARKET_CONFIG, "market_strength": 1, "noise_std": 1, "blocks": blocks}))
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "ground_truth.json").read_text()
+    assert '"market_strength": 1.0,' in text and '"noise_std": 1.0,' in text and '"loading": 2.0' in text
+
+
 NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
 
 
@@ -128,7 +138,7 @@ NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
         (json.dumps({**MARKET_CONFIG, "noise_std": 1e-160}), [], "noise_std must be >= 1e-100"),
         (json.dumps({**MARKET_CONFIG, "noise_std": 1e-300}), [], "noise_std must be >= 1e-100"),
         (json.dumps({**MARKET_CONFIG, "blocks": [{"assets": [0], "loading": 1.0, "name": True}]}), [],
-         "bad market config value: True is not a string"),
+         "bad market config value: block 0: name must be a string, got True"),
     ],
     ids=["invalid_json", "bad_seed", "negative_config_seed", "negative_seed_flag", "tiny_noise", "tinier_noise",
          "boolean_block_name"],
@@ -252,6 +262,19 @@ def test_non_utf8_price_file_is_a_data_error(tmp_path, capsys, fmt, text):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: not UTF-8") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", ["date,A, A", 'date,"A",A'], ids=["spaced", "quoted"])
+def test_duplicate_wide_columns_are_a_data_error(tmp_path, capsys, header):
+    # the name is read as csv reads it and stripped, so each header names A twice
+    text = f"{header}\n2015-01-05,100,50\n2015-01-06,101,49\n2015-01-07,103,48\n"
+    with pytest.raises(ValidationError, match="^duplicate asset columns in wide header$"):
+        load_prices(io.StringIO(text), fmt="wide")
+    panel = tmp_path / "p.csv"
+    panel.write_text(text)
+    rc = main(["analyze", "--input", str(panel), "--format", "wide", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: duplicate asset columns in wide header\n"
 
 
 @pytest.mark.parametrize(

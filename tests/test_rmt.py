@@ -59,6 +59,9 @@ def test_bounds_reject_q_below_one():
         mp_bounds(0.99)
     with pytest.raises(DomainError):
         mp_bounds(-3.0)
+    for q in ("4", True, None):  # the number rule, not float()
+        with pytest.raises(ConfigurationError, match="^aspect ratio q must be a number"):
+            mp_bounds(q)
 
 
 def test_bounds_narrow_toward_unity():
@@ -200,7 +203,8 @@ def test_margin_scales_threshold():
 
 @pytest.mark.parametrize(
     "margin, rule",
-    [(0.0, "positive"), (-1.0, "positive"), (-np.inf, "positive"), (np.nan, "positive"), (np.inf, "finite")],
+    [(0.0, "positive"), (-1.0, "positive"), (-np.inf, "positive"), (np.nan, "positive"), (np.inf, "finite"),
+     ("1", "a number"), (True, "a number"), (None, "a number")],
 )
 def test_margin_messages(margin, rule):
     spec = EigenSpectrum(assets=("X", "Y"), eigenvalues=np.array([3.0, 0.5]), eigenvectors=np.eye(2), n_observations=8)

@@ -87,8 +87,8 @@ def test_select_rejects_negative_threshold():
         select_components(spec, 0, -0.1)
 
 
-@pytest.mark.parametrize("u_c", [float("nan"), float("inf"), float("-inf")])
-def test_select_rejects_non_finite_threshold(u_c):
+@pytest.mark.parametrize("u_c", [float("nan"), float("inf"), float("-inf"), "0.1", None, True])
+def test_select_rejects_non_finite_threshold(u_c):  # or one that is no number
     spec = padded_mode([0.2, -0.15])
     with pytest.raises(ConfigurationError, match="threshold u_c must be"):
         select_components(spec, 0, u_c)
@@ -304,7 +304,7 @@ def test_table_threshold_validation():
         sector_table(spec, sig, [0.10, 0.10], None)
 
 
-@pytest.mark.parametrize("thresholds", [[float("nan")], [0.1, float("inf")], [-0.1]])
+@pytest.mark.parametrize("thresholds", [[float("nan")], [0.1, float("inf")], [-0.1], ["0.1"], [0.05, "0.1"]])
 @pytest.mark.parametrize("indices", [(0,), ()], ids=["significant", "none_significant"])
 def test_table_rejects_bad_threshold_without_rows(thresholds, indices):
     # checked up front, so a table with no significant mode rejects it too

@@ -97,7 +97,7 @@ def test_generate_is_deterministic():
     # a seed is judged by the library's integer rule: a numpy or integral float seed is that seed
     assert generate(ONE_BLOCK, seed=np.int64(4))[0].values.tobytes() == a.values.tobytes()
     assert generate(ONE_BLOCK, seed=4.0)[1] == truth_a
-    for bad in (float("nan"), float("inf"), None):
+    for bad in (float("nan"), float("inf"), None, True, np.bool_(False)):
         with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
             generate(ONE_BLOCK, seed=bad)
 
@@ -292,6 +292,24 @@ def test_spec_validation():
                 BlockSpec(assets=(1, 2), loading=1.0),
             ),
         )
+    # each scalar by the one rule of its kind: text, None and bools are refused by a message that names the field
+    named = [
+        *[(dict(market_strength=v), "market_strength") for v in ("1", None, True)],
+        *[(dict(noise_std=v), "noise_std") for v in ("1", None, True)],
+        *[(dict(blocks=(BlockSpec(assets=(0, 1), loading=v),)), "block 0: loading") for v in ("2", None, True)],
+        (dict(blocks=(BlockSpec(assets=(0, 1), loading=1.0, sign_pattern=(1, True)),)), "block 0: sign"),
+        (dict(blocks=(BlockSpec(assets=(0, True), loading=1.0),)), "block 0: asset index"),
+        (dict(blocks=(BlockSpec(assets=(0, np.bool_(True)), loading=1.0),)), "block 0: asset index"),
+        (dict(blocks=(BlockSpec(assets=(0, 1), loading=1.0, name=5),)), "block 0: name"),
+    ]
+    for kwargs, field in named:
+        with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            MarketSpec(n_assets=5, n_observations=100, **kwargs)
+    # the scales are stored as floats and the signs as a tuple of ints, as the sizes are stored as ints
+    spec = MarketSpec(n_assets=5, n_observations=50, market_strength=1, noise_std=np.float32(2),
+                      blocks=(BlockSpec(assets=(0, 1), loading=2, sign_pattern=[1, -1.0]),))
+    assert [type(v) for v in (spec.market_strength, spec.noise_std, spec.blocks[0].loading)] == [float] * 3
+    assert spec.blocks[0].sign_pattern == (1, -1) and type(spec.blocks[0].sign_pattern[1]) is int
 
 
 def test_spec_from_dict_round_trip():
@@ -317,6 +335,14 @@ def test_spec_from_dict_round_trip():
         ),
     )
     assert spec_from_dict({"n_assets": 3, "n_observations": 10}) == MarketSpec(3, 10)
+    # a rule's message follows the prefix; an integer scale is stored, and written, as a float
+    with pytest.raises(ConfigurationError, match="^bad market config value: block 0: loading must be a number, got '2'"):
+        spec_from_dict({"n_assets": 3, "n_observations": 10, "blocks": [{"assets": [0], "loading": "2"}]})
+    spec = spec_from_dict({"n_assets": 3, "n_observations": 10, "market_strength": 1, "noise_std": 1,
+                           "blocks": [{"assets": [0, 1], "loading": 2, "sign_pattern": [1, -1]}]})
+    truth = truth_to_dict(generate(spec)[1], asset_names(3))
+    scales = [truth["market_strength"], truth["noise_std"], truth["blocks"][0]["loading"]]
+    assert json.dumps(scales) == "[1.0, 1.0, 2.0]"
 
 
 def test_spec_from_dict_errors():
@@ -347,10 +373,16 @@ def test_spec_from_dict_errors():
         {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0], "loading": 1.0, "name": True}]},
         {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0], "loading": 1.0, "name": 5}]},
         {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0], "loading": 1.0, "name": None}]},
+        {"n_assets": 5, "n_observations": 100,
+         "blocks": [{"assets": [0, 1], "loading": 1.0, "sign_pattern": [1, False]}]},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, 1], "loading": "2"}]},
+        {"n_assets": 5, "n_observations": 100, "noise_std": None},
+        {"n_assets": 5, "n_observations": 100, "blocks": [{"assets": [0, 1], "loading": 10**400}]},  # no double
     ],
     ids=["infinite_count", "fractional_assets", "fractional_observations", "fractional_index",
          "fractional_sign", "boolean_assets", "string_assets", "boolean_index", "boolean_loading",
-         "string_market_strength", "boolean_noise_std", "boolean_name", "number_name", "null_name"],
+         "string_market_strength", "boolean_noise_std", "boolean_name", "number_name", "null_name",
+         "boolean_sign", "string_loading", "null_noise_std", "huge_integer_loading"],
 )
 def test_spec_from_dict_wants_whole_numbers(cfg):
     with pytest.raises(ConfigurationError, match="bad market config value"):

@@ -1427,8 +1427,8 @@ def test_shift_rule_validation():
         ShiftRule(assets=("X",), source="noday", target="friday")
     with pytest.raises(ConfigurationError, match=r"weekday out of range 0\.\.6: 7"):
         ShiftRule(assets=("X",), source=7, target=4)
-    # a weekday number is an integer: 6.5 is not Sunday
-    for bad in (6.5, float("nan"), float("inf"), None):
+    # a weekday number is an integer: 6.5 is not Sunday, nor is True Tuesday
+    for bad in (6.5, float("nan"), float("inf"), None, True, np.bool_(True)):
         with pytest.raises(ConfigurationError, match="weekday must be an integer"):
             ShiftRule(assets=("X",), source=bad, target=4)
     assert ShiftRule(assets=("X",), source=6.0, target=np.int64(4)) == ShiftRule(("X",), "sunday", "friday")
@@ -1522,8 +1522,8 @@ def test_log_returns_delta_t_bounds():
     p = panel([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(InsufficientDataError):
         log_returns(p, delta_t=3)
-    for bad in (0, -1, 1.5, float("nan"), float("inf"), float("-inf"), None):
-        with pytest.raises(ConfigurationError):
+    for bad in (0, -1, 1.5, float("nan"), float("inf"), float("-inf"), None, True, np.bool_(True)):
+        with pytest.raises(ConfigurationError, match="delta_t must be a positive integer"):
             log_returns(p, delta_t=bad)
 
 
@@ -1613,3 +1613,9 @@ def test_zero_variance_listing_and_drop():
     assert kept.assets == ("Q", "R")
     with pytest.raises(InsufficientDataError):
         drop_assets(rm, ["P", "Q"])
+    # a name the matrix does not hold is refused, as align_calendar refuses a rule's unknown asset;
+    # a bare string is no list of names
+    with pytest.raises(ConfigurationError, match=r"^cannot drop unknown assets: \['ZZZ'\]$"):
+        drop_assets(rm, ["ZZZ"])
+    with pytest.raises(ConfigurationError, match="unknown assets"):
+        drop_assets(returns([[1, 2, 3], [1, 3, 2], [2, 1, 3]], assets=("A001", "B", "C")), "A001")
