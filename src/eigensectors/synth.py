@@ -6,8 +6,7 @@ Raw returns are built as
 
 with independent standard-normal factors, planted signs s_i = +-1, and
 iid noise of scale noise_std; rows are then standardized, so generate()
-hands back a NormalizedReturns panel plus the planted ground truth. The
-exact population correlation matrix is available analytically as an oracle.
+hands back a NormalizedReturns panel plus the planted ground truth.
 """
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "generate",
     "load_market_spec",
     "metadata_from_truth",
-    "population_correlation",
     "prices_from_returns",
     "write_panel_wide",
 ]
@@ -29,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmatrix import CorrelationMatrix, _correlation
 from .exceptions import ConfigurationError
 from .timeseries import NormalizedReturns, PricePanel, ReturnMatrix, _real, _whole, _write_grid, normalize_returns
 
@@ -177,25 +174,6 @@ def generate(spec: MarketSpec, seed: int = 0) -> tuple[NormalizedReturns, Ground
         noise_std=spec.noise_std,
         seed=seed,
     )
-
-
-def population_correlation(spec: MarketSpec) -> CorrelationMatrix:
-    """Exact analytic correlation of the model (infinite-T limit).
-
-    cov_ij = m^2 + s_i s_j g_b^2 [same block] + noise_std^2 delta_ij,
-    scaled to unit diagonal. Returned as a CorrelationMatrix carrying the
-    spec's nominal T so it can flow through the spectral pipeline.
-    """
-    n = spec.n_assets
-    m2 = spec.market_strength**2
-    cov = np.full((n, n), m2)
-    for block in spec.blocks:
-        signed = np.zeros(n)
-        signed[list(block.assets)] = block.signs() * block.loading
-        cov += np.outer(signed, signed)
-    cov[np.diag_indices(n)] += spec.noise_std**2
-    d = np.sqrt(np.diag(cov))
-    return _correlation(asset_names(n), cov / np.outer(d, d), spec.n_observations)
 
 
 def prices_from_returns(nr: NormalizedReturns) -> PricePanel:

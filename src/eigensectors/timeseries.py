@@ -263,7 +263,8 @@ def _split(v):
 
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # each an exact double: 5**22 < 2**53
-_POW5 = np.array([5**k for k in range(23)], np.int64)
+_POW5 = np.array([5**k for k in range(23)], np.uint64)
+_HALVES = np.ldexp(1.0, -np.arange(23))  # 2**-k
 _POW10_HI, _POW10_LO = _split(_POW10)
 _CELL = 25  # the longest '%.17g' text, '-2.2250738585072014e-308', and its separator
 _GRID_CHUNK = 1 << 14  # cells per chunk; larger chunks spend their time in fresh pages
@@ -366,26 +367,8 @@ def _delimiter(data: bytes) -> str:
 
 
 _FIELD_LIMIT = csv.field_size_limit()
-_SIGNED_NAN = (re.compile(rb"\+[Nn][Aa][Nn]"), re.compile(rb"-[Nn][Aa][Nn]"))
 # the suffixes that numpy's datasource decompresses when np.loadtxt opens a path
 _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _with_nan(body: bytes, delim: str) -> bytes:
-    """body with each empty or bare NA cell that a delimiter leads written as nan.
-
-    These are the missing cells that pandas, Excel and R write. A date cell
-    leads its row, so it stays as it is; a quoted cell that is rewritten still
-    holds a delimiter, so it stays a cell that no float or date reads.
-    """
-    d = delim.encode()
-    body += b"\n"  # the last cell ends at a line end, like every other
-    ends = (d, d, b"\r", b"\n") if b"\r" in body else (d, d, b"\n")
-    for cell in (b"", b"NA") if b"NA" in body else (b"",):
-        # one pass rewrites every other cell of a run, as neighbours share a delimiter
-        for end in ends:
-            body = body.replace(d + cell + end, d + b"nan" + end)
-    return body
 
 
 def _over_field_limit(body: bytes, start: int, delim: str) -> bool:
@@ -450,98 +433,124 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
 
 
 _BLOCK = 1 << 18  # bytes of whole lines per block of the decimal route
+_MARKS = [int.from_bytes(m, "big") for m in (b"NA", b"NaN", b"nan", b"NAN")]  # missing cells that R and numpy write
 _EXPONENT = 0x7FF << 52  # the exponent field of a double's bits
 _TWO52 = (1023 + 52) << 52  # the exponent field of 2**52
 
 
 def _scaled(digits: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The double nearest each digits * 10**-k, bit for bit what float() reads in the
-    decimal, for |digits| < 10**18 and 0 <= k <= 22.
+    """The double nearest each uint64 digits * 10**-k, bit for bit what float() reads in the decimal.
 
-    Where |digits| < 2**53, digits and 10**k are exact doubles, and one division rounds
-    their quotient once. Otherwise, with digits = q 5**k + r (0 <= r < 5**k), the value
-    is (q + r/5**k) 2**-k, and the scaling by 2**-k is exact. f = RN(r/5**k) is within
-    2**-54 of r/5**k, as f < 1, and with q exact, Fast2Sum gives q + f = t + e exactly for
-    t = RN(q + f). So t is the double nearest q + r/5**k unless e lies within 2**-54 of
-    half of t's gap on its side. A cell where that is not ruled out with half of the
-    lower gap, the gap below the double before t (at a power of two it is half the gap
-    above), or where |t| > 2**52 (q may not be exact), takes float() of its own digits.
+    Where digits < 2**53 and 0 <= k <= 22, digits and 10**k are exact doubles, and one
+    division rounds their quotient once. Otherwise, with digits = q 5**k + r (0 <= r < 5**k),
+    the value is (q + r/5**k) 2**-k, and the scaling by 2**-k is exact. f = RN(r/5**k) is
+    within 2**-54 of r/5**k, as f < 1, and with q exact, Fast2Sum gives q + f = t + e exactly
+    for t = RN(q + f). So t is the double nearest q + r/5**k unless e lies within 2**-54 of
+    half of t's gap on its side. A cell where that is not ruled out with half of the lower
+    gap, the gap below the double before t (at a power of two it is half the gap above),
+    where |t| > 2**52 (q may not be exact), or where k is outside 0..22, takes float() of
+    its own digits.
     """
-    k = k.astype(np.intp)
-    big = np.abs(digits) >= 2**53
-    if not big.any():
-        return digits / _POW10[k]
-    five = _POW5[k]
-    q, r = np.divmod(digits, five)
-    f = r / five
-    t = q + f
-    e = f - (t - q)
-    lower = (t.view(np.int64) - 1) & _EXPONENT  # the power of two at or below the double before t
-    unsure = (np.abs(e) >= lower.view(float) * 2.0**-53 - 2.0**-54) | (lower >= _TWO52)
-    scaled = np.ldexp(t, -k)
-    if not big.all():
-        scaled = np.where(big, scaled, digits / _POW10[k])
-        unsure &= big
+    j = np.clip(k, 0, 22)
+    unsure = j != k
+    scaled = digits / _POW10[j]
+    big = digits >= 2**53
+    if big.any():
+        five = _POW5[j]
+        q, r = np.divmod(digits, five)
+        q, f = q.astype(float), r / five
+        t = q + f
+        e = f - (t - q)
+        lower = (t.view(np.int64) - 1) & _EXPONENT  # the power of two at or below the double before t
+        unsure |= big & ((np.abs(e) >= lower.view(float) * 2.0**-53 - 2.0**-54) | (lower >= _TWO52))
+        scaled = np.where(big, t * _HALVES[j], scaled)  # exact, and faster than np.ldexp
     if unsure.any():
-        scaled[unsure] = [float(f"{d}e-{j}") for d, j in zip(digits[unsure].tolist(), k[unsure].tolist())]
+        scaled[unsure] = [float(f"{d}e{-i}") for d, i in zip(digits[unsure].tolist(), k[unsure].tolist())]
     return scaled
 
 
-def _lines(data: bytes, start: int, end: int) -> bytes:
-    """data[start:end], ended by LF."""
-    text = data[start:end]
-    return text if text.endswith(b"\n") else text + b"\n"
-
-
 def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | None:
-    """The wide table, of a date and n prices a row, of a plain body data[start:], read
-    as decimal digits and scaled exactly (empty if it has no lines); None for any other.
+    """The wide table, of a date and n prices a row, of the body data[start:], read as
+    decimal digits and scaled exactly (empty if it has no lines); None if a block of it
+    is not of the grammar below.
 
-    Plain is decided for the whole body before any loadtxt pass: after the header, only
-    digits, '.', '+', '-', the delimiter and LF; n + 1 cells a line, each of 1 to 18
-    digits or of 19 led by a 0 (a '%.17g' price below 0.1), so every value is below
-    10**18; at most one dot a cell, after its last sign, and none in the date column,
-    where 2015.01.05 would read as the date 20150105. Each block of whole lines, of
-    about _BLOCK bytes, is then read with its dots taken out by one np.loadtxt pass of
-    S16 dates and int64 digits, and a cell with k digits after its dot is
-    _scaled(digits, k): what loadtxt's float pass reads in it. ValueError for a row that
-    loadtxt rejects, which a float pass rejects too.
+    Each block of whole lines, of about _BLOCK bytes, is judged and read in turn, its
+    CRLF line ends read as LF. It may hold only digits, '.', '+', '-', 'e', 'E', the
+    letters of _MARKS, the delimiter and LF, in lines of n + 1 cells. A price cell is
+    empty, or one of _MARKS (both missing), or a mantissa of digits with at most one dot,
+    after its last sign, then at most one exponent: 'e' or 'E', an optional sign and 1
+    to 3 digits. A date has no dot and no exponent (2015.01.05 would read as the date
+    20150105). With its dots taken out, its marks and exponents written as spaces, which
+    loadtxt reads after digits, and a 0 put before each price cell if one is missing, the
+    block is one np.loadtxt pass of S16 dates and uint64 digits. A cell with d digits
+    after its dot and exponent x is then _scaled(digits, d - x): what float() reads in it.
+    ValueError for a row that loadtxt rejects (a sign that uint64 does not take, which
+    is any sign of a block with a missing cell, or a mantissa of 2**64 or more).
     """
-    codes = np.full(256, 4, np.uint8)  # of each byte that is not a digit: 0 delimiter, 1 LF, 2 dot, 3 sign
-    codes[[ord(delim), ord("\n"), ord("."), ord("+"), ord("-")]] = [0, 1, 2, 3, 3]
-    blocks = []
+    d = delim.encode()
+    codes = np.full(256, 6, np.uint8)  # of each byte that is not a digit: 0 delimiter, 1 LF, 2 dot, 3 sign,
+    codes[list(d + b"\n.+-eENAan")] = [0, 1, 2, 3, 3, 4, 4, 5, 5, 5, 5]  # 4 exponent, 5 a mark's letter, 6 other
+    whole = np.frombuffer(data, np.uint8)  # its lines are counted a block at a time, as bytes.count is slower
+    lines = sum(np.count_nonzero(whole[i : i + _BLOCK] == 10) for i in range(start, len(data), _BLOCK))
+    table = np.empty(lines + 1, [("date", "S16"), ("price", (float, (n,)))])  # the last line may have no end
+    fields = [("date", "S16"), ("price", (np.uint64, (n,)))]
+    row = 0
     while start < len(data):
-        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        text = np.frombuffer(_lines(data, start, end), np.uint8)
-        special = np.flatnonzero(text - np.uint8(ord("0")) > 9)  # each byte that is not a digit
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        block = data[start:stop]
+        block += b"" if block.endswith(b"\n") else b"\n"
+        block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
+        text = np.frombuffer(block, np.uint8)
+        special = np.flatnonzero(text < 48 if text.max() < 58 else text - np.uint8(48) > 9)  # '0' is 48, '9' 57
         code = codes.take(text.take(special))
         sep = np.flatnonzero(code <= 1)  # each cell's end
         rows = np.count_nonzero(code == 1)
-        if code.max() > 3 or sep.size != rows * (n + 1) or not (code[sep[n :: n + 1]] == 1).all():
+        if code.max(initial=0) > 5 or sep.size != rows * (n + 1) or not (code[sep[n :: n + 1]] == 1).all():
             return None
         before = special - np.arange(special.size)  # the digits before each byte that is not one
-        ends = before[sep]
-        dot = code[sep - 1] == 2  # the cell's last byte that is not a digit is a dot
-        decimals = (ends - before[sep - 1]) * dot
-        digits = np.diff(ends, prepend=0)
-        first = (ends - digits)[digits > 18]  # the first digit of each cell of 19, among the digits
+        digits = np.diff(before[sep], prepend=0)  # each cell's digits
+        mantissa = sep  # where each cell's mantissa ends: at its exponent's mark, if it has one
+        if marks := np.count_nonzero(code == 4):
+            pre, ends = code[sep - 1], special[sep]
+            signed = (pre == 3) & (code[sep - 2] == 4) & (special[sep - 1] == special[sep - 2] + 1)  # a sign after a mark
+            marked = (pre == 4) | signed
+            mantissa = sep - marked - signed
+            places = before[sep] - before[mantissa]  # the exponent's digits
+            digits -= places
+            if marked.sum() != marks or np.count_nonzero(places) != marks or places.max() > 3 or marked[:: n + 1].any():
+                return None
+        dot = code[mantissa - 1] == 2  # the mantissa's last byte that is not a digit is a dot
+        missing = digits == 0
+        size = key = missing[:0]
+        if gaps := missing.any():  # the bytes of each cell of no digit, and its last four as an integer
+            size = np.diff(special[sep], prepend=-1)[missing] - 1
+            key = sum((text[special[sep[missing]] - i].astype(np.int64) << 8 * i - 8) * (size >= i) for i in range(1, 5))
         if (
-            digits.min() < 1 or digits.max() > 19
-            or (text[first + np.searchsorted(before, first, "right")] != ord("0")).any()
-            or np.count_nonzero(dot) != np.count_nonzero(code == 2) or dot[:: n + 1].any()
+            np.count_nonzero(dot) != np.count_nonzero(code == 2) or dot[:: n + 1].any()
+            or size.sum() != (letters := np.count_nonzero(code == 5)) or gaps and not np.isin(key[size > 0], _MARKS).all()
         ):
             return None
-        blocks.append((start, end, decimals.reshape(rows, n + 1)[:, 1:].astype(np.int8)))
-        start = end
-    table = np.empty(sum(len(k) for *_, k in blocks), [("date", "S16"), ("price", (float, (n,)))])
-    fields = [("date", "S16"), ("price", (np.int64, (n,)))]
-    row = 0
-    for start, end, k in blocks:
-        read = _table(_lines(data, start, end).replace(b".", b""), 0, delim, fields)
-        table["date"][row : row + len(k)] = read["date"]
-        table["price"][row : row + len(k)] = _scaled(read["price"], k)
-        row += len(k)
-    return table
+        k = (before[mantissa] - before[mantissa - 1]) * dot
+        if marks or letters:
+            text = text.copy()
+            text[special[code == 5]] = ord(" ")
+        if marks:
+            x = sum((text[ends - i].astype(np.intp) - 48) * 10 ** (i - 1) * (places >= i) for i in (1, 2, 3))
+            k += np.where(signed & (text[special[sep - 1]] == ord("-")), x, -x)
+            first, last = special[mantissa[marked]], ends[marked] - 1
+            for i in range(5):
+                text[np.minimum(first + i, last)] = ord(" ")
+        block = (text.tobytes() if marks or letters else block).replace(b".", b"")
+        block = block.replace(d, d + b"0") if gaps else block  # a leading 0 keeps a price and fills an empty cell
+        read = _table(block, 0, delim, fields)
+        table["date"][row : row + rows] = read["date"]
+        prices = table["price"][row : row + rows]
+        prices[:] = _scaled(read["price"], k.reshape(rows, n + 1)[:, 1:])
+        if gaps:
+            prices[missing.reshape(rows, n + 1)[:, 1:]] = np.nan
+        row += rows
+        start = stop
+    return table[:row]
 
 
 def load_prices(source, fmt: str = "long") -> PricePanel:
@@ -549,20 +558,18 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
 
     fmt="long": one observation per row with date, asset and price columns.
     fmt="wide": first column is the date, remaining headers are asset names;
-    empty or NA cells mark missing observations, and a column with no price is
-    left out with a warning that names it. np.loadtxt's table, transposed, is
-    the grid; a file that prices one date on two rows is read by the csv reference
-    reader, which accepts rows whose cells complement each other. The delimiter
+    empty, NA or NaN cells (any case) mark missing observations, and a column with no
+    price is left out with a warning that names it. The decimal route's table,
+    transposed, is the grid; a file that prices one date on two rows is read by the csv
+    reference reader, which accepts rows whose cells complement each other. The delimiter
     is sniffed from the header (comma vs tab). Price cells are ASCII decimal floats.
 
-    A wide file is read once, from memory. A plain body (_decimal_table: digits, dots,
-    signs, the delimiter and LF alone, every cell present and of at most 18 digits, or
-    19 led by a 0) is read as int64 digits that _scaled turns exactly into the doubles
-    float() reads; any other takes loadtxt's float pass. Only the path of a regular
-    long-layout file is read twice: whole, for the header, the checks and the csv
-    reference reader, then by np.loadtxt from disk in large chunks. Any other long
-    source (a file object or a pipe, a file holding a CR, or one whose suffix numpy
-    decompresses: .gz, .bz2, .xz, .lzma) is read by np.loadtxt from memory, a line at a time.
+    A wide file is read once, from memory, by _decimal_table, or by the csv reference
+    reader if that declines it. Only the path of a regular long-layout file is read
+    twice: whole, for the header, the checks and the csv reference reader, then by
+    np.loadtxt from disk in large chunks. Any other long source (a file object or a pipe,
+    a file holding a CR, or one whose suffix numpy decompresses: .gz, .bz2, .xz, .lzma)
+    is read by np.loadtxt from memory, a line at a time.
 
     Raises ParseError (with a 1-based line number) for malformed rows, and without
     one for a long file that changed between its two reads; ValidationError for
@@ -596,7 +603,7 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         line_ends = re.finditer(rb"\r\n|\r|\n", data)
         header_end = next(islice(line_ends, reader.line_num - 1, None), None)
         start = header_end.end() if header_end else len(data)
-        if _over_field_limit(data, start, delim):  # once: _with_nan lengthens no cell a float or date reads
+        if _over_field_limit(data, start, delim):
             raise ValueError("cell over the field size limit")
         if fmt == "long":
             # loadtxt is handed a regular file's path where numpy reads the file as _read_bytes did:
@@ -613,14 +620,7 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
         else:
             table = _decimal_table(data, start, delim, len(header) - 1)
             if table is None:
-                fields = [("date", "S16"), ("price", (float, (len(header) - 1,)))]
-                try:
-                    table = _table(data, start, delim, fields)
-                except ValueError:  # a rewrite would cost every clean file a pass, so it waits for a rejection
-                    table = _table(_with_nan(data[start:], delim), 0, delim, fields)
-                # loadtxt reads a signed NaN as NaN, and csv's reading rejects it: only a NaN can hide one
-                if np.isnan(table["price"]).any() and any(p.search(data, start) for p in _SIGNED_NAN):
-                    raise ValueError("signed NaN")
+                raise ValueError("not of the decimal grammar")
             assets, a = _number(header[1:])
             a, values = a[:, None], table["price"].T  # the table is the grid, transposed
         dates, d = _index(table["date"], _date)

@@ -22,6 +22,8 @@ from eigensectors import (
     eigendecompose,
     normalize_returns,
 )
+from eigensectors.corrmatrix import CorrelationMatrix, _correlation
+from eigensectors.synth import asset_names
 
 # 4-asset correlation fixture: one tightly coupled pair (assets 2, 3 at 0.95),
 # one moderate pair (assets 0, 1 at 0.55), weak cross links.
@@ -351,3 +353,22 @@ def save_matrix_oracle(c, path):
     for row in c.values:
         lines.append(",".join("" if np.isnan(x) else f"{x:.17g}" for x in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def population_correlation(spec: MarketSpec) -> CorrelationMatrix:
+    """Exact analytic correlation of the model (infinite-T limit).
+
+    cov_ij = m^2 + s_i s_j g_b^2 [same block] + noise_std^2 delta_ij,
+    scaled to unit diagonal. Returned as a CorrelationMatrix carrying the
+    spec's nominal T so it can flow through the spectral pipeline.
+    """
+    n = spec.n_assets
+    m2 = spec.market_strength**2
+    cov = np.full((n, n), m2)
+    for block in spec.blocks:
+        signed = np.zeros(n)
+        signed[list(block.assets)] = block.signs() * block.loading
+        cov += np.outer(signed, signed)
+    cov[np.diag_indices(n)] += spec.noise_std**2
+    d = np.sqrt(np.diag(cov))
+    return _correlation(asset_names(n), cov / np.outer(d, d), spec.n_observations)

@@ -19,7 +19,7 @@ PUBLIC = {
     "generate", "is_single_signed", "label_subsector", "load_market_spec", "load_matrix",
     "load_metadata", "load_prices", "log_returns", "mean_offdiagonal", "metadata_from_truth",
     "mode_scan", "mp_bounds", "mp_cdf", "mp_density", "normalize_returns",
-    "population_correlation", "prices_from_returns", "random_baseline", "report_to_dict", "save_matrix",
+    "prices_from_returns", "random_baseline", "report_to_dict", "save_matrix",
     "sector_table", "select_components", "significant_eigenvalues", "trim_to_common_range", "write_panel_wide",
     "write_scan_delimited",
 }

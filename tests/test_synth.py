@@ -27,13 +27,12 @@ from eigensectors import (
     metadata_from_truth,
     mp_bounds,
     normalize_returns,
-    population_correlation,
     prices_from_returns,
     select_components,
     write_panel_wide,
 )
 from eigensectors.synth import MAX_OBSERVATIONS, MAX_SCALE, asset_names, spec_from_dict, truth_to_dict
-from helpers import EDGE_FLOATS, days, spectrum_of, write_panel_wide_oracle
+from helpers import EDGE_FLOATS, days, population_correlation, spectrum_of, write_panel_wide_oracle
 
 ONE_BLOCK = MarketSpec(
     n_assets=50,

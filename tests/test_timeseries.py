@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import json
 import math
 import os
 import re
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import eigensectors.timeseries as ts
 from eigensectors import (
+    BlockSpec,
     ConfigurationError,
     EigensectorsError,
     InsufficientDataError,
@@ -39,10 +41,12 @@ from eigensectors import (
     load_metadata,
     load_prices,
     log_returns,
+    MarketSpec,
     normalize_returns,
     prices_from_returns,
     trim_to_common_range,
 )
+from eigensectors.cli import main
 
 from helpers import (
     EDGE_FLOATS,
@@ -689,6 +693,27 @@ def test_loadtxt_trap_matches_oracle(fmt, text):
     assert_same_outcome(outcome(load_prices, io.BytesIO(text.encode()), fmt), want)
 
 
+# cells of the decimal route's grammar, and cells just outside it, which csv reads
+GRAMMAR_CELLS = ["", "NA", "NaN", "nan", "NAN", "na", "Na", "nAn", "aNaN", "NANA", "N", "1e2", "1E+02", "1.5e-3",
+                 ".5e1", "5.E1", "+1e5", "1e-400", "1e400", "1e1234", "1e", "1e+", "e5", "1e5e5", "1e5+", "1e+-5",
+                 "1.5e2.5", "18446744073709551615", "18446744073709551616", "1" + "0" * 25, "0." + "0" * 30 + "7",
+                 "-NA", "+NaN", "NA5", "5NA", " NA"]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("cell", GRAMMAR_CELLS)
+def test_grammar_cell_in_every_position_matches_oracle(cell, end):
+    """The cell in each price position of a small file, with and without a sign cell beside
+    it (a missing cell sends a signed one to csv) and with no line end after the last row."""
+    for signed in ("1", "+1"):
+        for row, col in itertools.product(range(1, 4), range(1, 4)):
+            rows = [["date", "A", "B", "C"]] + [[f"2015-01-0{5 + j}", signed, "2.5", "3"] for j in range(3)]
+            rows[row][col] = cell
+            text = end.join(",".join(r) for r in rows) + (end if row < 3 else "")
+            want = outcome(load_prices_oracle, text.replace("\r\n", "\n"), "wide")
+            assert_same_outcome(outcome(load_prices, io.BytesIO(text.encode()), "wide"), want)
+
+
 @pytest.fixture
 def loadtxt_dtypes(monkeypatch):
     """The dtype of each np.loadtxt call made while the test runs."""
@@ -699,19 +724,6 @@ def loadtxt_dtypes(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", spy)
-    return calls
-
-
-@pytest.fixture
-def rewrites(monkeypatch):
-    """The body handed to each _with_nan call made while the test runs."""
-    calls, real = [], ts._with_nan
-
-    def spy(body, delim):
-        calls.append(body)
-        return real(body, delim)
-
-    monkeypatch.setattr(ts, "_with_nan", spy)
     return calls
 
 
@@ -727,13 +739,12 @@ def no_row_pass(monkeypatch):
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 @pytest.mark.parametrize("delim", [",", "\t"])
-def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, rewrites, no_row_pass, delim, end):
+def test_wide_empty_and_na_cells_are_read_by_loadtxt_alone(loadtxt_dtypes, no_row_pass, delim, end):
     rows = [["date", "AAA", "BBB", "CCC"], ["2015-01-05", "1", "", ""], ["2015-01-06", "NA", "2", "NA"],
             ["2015-01-07", "", "NA", ""], ["2015-01-08", "2", "3", "4"], ["2015-01-09", "NA", "NA", ""]]
     text = end.join(delim.join(r) for r in rows)  # the last cell is empty, with no line end after it
     got = load_prices(io.StringIO(text), fmt="wide")
-    assert len(loadtxt_dtypes) == 2  # the file as written, then with its missing cells as nan
-    assert len(rewrites) == 1
+    assert [dtype["price"].base for dtype in loadtxt_dtypes] == [np.uint64]  # one pass of digits
     assert_same_outcome(got, load_prices_oracle(text.replace("\r", ""), "wide"))
 
 
@@ -747,24 +758,23 @@ def plain_wide_text(rows=1100, assets=25, low=0.1, high=1000):
     return text, prices
 
 
-def test_plain_wide_file_is_read_by_int64_passes_alone(tmp_path, loadtxt_dtypes, rewrites, no_row_pass):
+def test_plain_wide_file_is_read_by_int64_passes_alone(tmp_path, loadtxt_dtypes, no_row_pass):
     text, prices = plain_wide_text()
     path = tmp_path / "prices.csv"
     path.write_text(text)
     got = load_prices(path, "wide")
     assert len(loadtxt_dtypes) >= 3  # one pass a block
-    assert all(dtype["price"].base == np.int64 for dtype in loadtxt_dtypes)
-    assert rewrites == []
+    assert all(dtype["price"].base == np.uint64 for dtype in loadtxt_dtypes)
     assert got.prices.tobytes() == prices.T.tobytes()
     assert_same_outcome(got, load_prices_oracle(text, "wide"))
 
 
 def test_plain_wide_file_of_prices_below_a_tenth_is_read_by_int64_passes_alone(loadtxt_dtypes, no_row_pass):
-    """'%.17g' writes such a price with 19 digits, the first of them 0, which int64 holds."""
+    """'%.17g' writes such a price with 19 digits, the first of them 0, which uint64 holds."""
     text, prices = plain_wide_text(low=0.01, high=0.1)
     assert max(len(f"{x:.17g}") for x in prices.ravel().tolist()) == 20  # '0.0' and 17 digits
     got = load_prices(io.StringIO(text), "wide")
-    assert loadtxt_dtypes and all(dtype["price"].base == np.int64 for dtype in loadtxt_dtypes)
+    assert loadtxt_dtypes and all(dtype["price"].base == np.uint64 for dtype in loadtxt_dtypes)
     assert got.prices.tobytes() == prices.T.tobytes()
     assert got.prices.tobytes() == load_prices_oracle(text, "wide").prices.tobytes()
 
@@ -774,12 +784,15 @@ def test_plain_wide_file_of_prices_below_a_tenth_is_read_by_int64_passes_alone(l
     [",", ",NA", ",1e2", ",1.5E+2", ",1234567890123456789", ",0.00000000000000000000001", "\n7"],
     ids=["gap", "NA", "exponent", "signed_exponent", "19_digits", "23_decimals", "split_row"],
 )
-def test_wide_file_that_is_not_plain_makes_no_int64_pass(loadtxt_dtypes, last):
-    """The body is judged whole before any pass, so its last cell keeps the file off the decimal route."""
+def test_wide_file_that_is_not_plain_makes_no_int64_pass(loadtxt_dtypes, csv_reads, last):
+    """Last cells that once kept a file off the decimal route, which now reads all but a split
+    row with passes of uint64 digits and no float pass. Each block is judged before its pass,
+    so a split row in the last block sends the file to csv after the passes of the blocks before."""
     text, _ = plain_wide_text()
     text = text[: text.rindex(",")] + last + "\n"
     assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
-    assert loadtxt_dtypes and all(dtype["price"].base == float for dtype in loadtxt_dtypes)
+    assert loadtxt_dtypes and all(dtype["price"].base == np.uint64 for dtype in loadtxt_dtypes)
+    assert len(csv_reads) == (last == "\n7")
 
 
 def regex_calls(fn, *args):
@@ -848,30 +861,33 @@ def text_file(fmt, name, rows, date_width=10):
 @pytest.mark.parametrize("length", [15, 16, 17, 300])
 @pytest.mark.parametrize("fmt", ["long", "wide"])
 def test_text_cells_of_any_length_match_oracle(loadtxt_dtypes, csv_reads, fmt, length):
-    """A text cell of 16 bytes or more, an asset in the long layout and a padded date in the
-    wide one, may be cut by its 16-byte field, so csv reads the file."""
+    """A text cell of 16 bytes or more, an asset in the long layout, may be cut by its 16-byte
+    field, so csv reads the file. A padded date in the wide layout is not of the decimal
+    grammar, so csv reads that file with no loadtxt pass."""
     text = text_file(fmt, "N" * length, 12, date_width=length if fmt == "wide" else 10)
     assert_same_outcome(load_prices(io.StringIO(text), fmt), load_prices_oracle(text, fmt))
-    assert bool(csv_reads) == (length >= 16)
+    assert bool(csv_reads) == (length >= 16 or fmt == "wide")
     check_against_oracle(text, fmt)  # from a file too, and with each line end
-    assert {dtype[k].itemsize for dtype in loadtxt_dtypes for k in dtype.names if dtype[k].kind == "S"} == {16}
+    widths = {dtype[k].itemsize for dtype in loadtxt_dtypes for k in dtype.names if dtype[k].kind == "S"}
+    assert widths == ({16} if fmt == "long" else set())
 
 
-def test_wide_file_with_a_cut_date_goes_to_csv_after_one_pass(loadtxt_dtypes, rewrites, csv_reads):
-    """A padded date fills its field; loadtxt rejects no row, so no missing cell is rewritten."""
-    text = text_file("wide", "A", 12, date_width=16)
+def test_wide_file_with_a_cut_date_goes_to_csv_after_one_pass(loadtxt_dtypes, csv_reads):
+    """A date of 16 digits and signs is of the decimal grammar and fills its field; loadtxt
+    rejects no row, and _index sends the file to csv."""
+    text = text_file("wide", "A", 12, date_width=16).replace(" ", "0")
     assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
-    assert (len(loadtxt_dtypes), len(rewrites), len(csv_reads)) == (1, 0, 1)
+    assert (len(loadtxt_dtypes), len(csv_reads)) == (1, 1)
 
 
-def test_wide_file_with_a_cell_over_the_field_limit_is_not_read_by_loadtxt(loadtxt_dtypes, rewrites):
+def test_wide_file_with_a_cell_over_the_field_limit_is_not_read_by_loadtxt(loadtxt_dtypes):
     text = f"date,AAA,BBB\n2015-01-05,1,\n2015-01-06,1,2\n2015-01-07,{BIG},3\n"
     with pytest.raises(csv.Error, match=r"field larger than field limit \(131072\)"):
         load_prices_oracle(text, "wide")
     with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)") as err:
         load_prices(io.StringIO(text), "wide")
     assert err.value.line_number == 4
-    assert (len(loadtxt_dtypes), len(rewrites)) == (0, 0)
+    assert loadtxt_dtypes == []
 
 
 @pytest.mark.parametrize("route", ["load_prices", "_read_rows"])
@@ -963,8 +979,7 @@ def test_plain_text_file_with_a_compressed_suffix_is_read_from_memory(tmp_path, 
     ("fmt", "text", "header_lines"),
     [
         ("long", 'date,asset,price,"note\nspanning\nlines"\n' + LONG_ROWS.replace("\n", ",x\n"), 3),
-        # an exponent keeps the wide file off the decimal route; a wide file is read from memory alone,
-        # from the end of its header
+        # a wide file is read from memory alone, from the end of its header
         ("wide", 'date,"AA\nA",BBB\n' + "".join(f"2015-01-{j:02d},{j},15e-1\n" for j in range(5, 25)), 0),
     ],
     ids=["long", "wide"],
@@ -1051,7 +1066,7 @@ def test_file_that_changes_before_loadtxt_reads_it_is_a_parse_error(tmp_path, mo
     assert "\n" not in str(err.value)
 
 
-WIDE_BODIES = {  # one for each wide route: the decimal route, the float pass, and the float pass after a rewrite
+WIDE_BODIES = {  # the decimal route's plain cells, exponent cells and empty cells
     "plain": "".join(f"2015-01-{j:02d},{j},1.5\n" for j in range(5, 25)),
     "exponent": "".join(f"2015-01-{j:02d},{j},15e-1\n" for j in range(5, 25)),
     "empty_cells": "".join(f"2015-01-{j:02d},{j},{'' if j % 3 else 2}\n" for j in range(5, 25)),
@@ -1064,8 +1079,7 @@ def test_regular_wide_file_is_read_once(tmp_path, loadtxt_sources, no_row_pass, 
     path = tmp_path / "prices.csv"
     path.write_text("date,AAA,BBB\n" + WIDE_BODIES[body])
     got = load_prices(path, "wide")
-    passes = 1 if body == "exponent" else 2  # the file as written, then with its missing cells as nan
-    assert [(type(source), skip) for source, skip in loadtxt_sources] == [(io.BytesIO, 0)] * passes
+    assert [(type(source), skip) for source, skip in loadtxt_sources] == [(io.BytesIO, 0)]
     assert_same_outcome(got, load_prices_oracle(path.read_text(), "wide"))
 
 
@@ -1190,26 +1204,20 @@ def test_signed_nan_is_the_csv_readers_fault(cell):
     assert_same_outcome(outcome(load_prices, io.StringIO(text), "wide"), outcome(load_prices_oracle, text, "wide"))
 
 
-def with_nan_in_every_pass(body, delim):
-    """_with_nan with no pass skipped."""
-    d = delim.encode()
-    body += b"\n"
-    for cell in (b"", b"NA"):
-        for end in (d, d, b"\r", b"\n"):
-            body = body.replace(d + cell + end, d + b"nan" + end)
-    return body
-
-
 @pytest.mark.parametrize("delim", [",", "\t"])
-def test_with_nan_skips_only_passes_that_change_nothing(delim):
-    rows = [["2015-01-05", "1", "", ""], ["2015-01-06", "NA", "2", "NA"], ["2015-01-07", "", "NA", ""],
-            ["2015-01-08", "2", "3", "4"], ["2015-01-09", "NA", "NA", ""]]
-    for kept in (rows, [[c.replace("NA", "") for c in r] for r in rows]):  # with and without NA cells
-        lf = "\n".join(delim.join(r) for r in kept).encode()
-        crlf = lf.replace(b"\n", b"\r\n")
-        assert ts._with_nan(lf, delim) == with_nan_in_every_pass(lf, delim)
-        assert ts._with_nan(crlf, delim) == with_nan_in_every_pass(crlf, delim)
-        assert ts._with_nan(crlf, delim).replace(b"\r", b"") == ts._with_nan(lf, delim)
+def test_missing_marks_in_every_position_are_read_by_one_digit_pass(loadtxt_dtypes, no_row_pass, delim):
+    """Runs of each mark the decimal route rewrites, and of empty cells, lead, end and fill
+    rows, with LF and CRLF line ends and no line end after the last."""
+    cells = ["", "NA", "NaN", "nan", "NAN"]
+    rows = [["2015-01-05", "1", "2", "3", "4"]]
+    rows += [[f"2015-01-{6 + j:02d}", *(cells[(j + i) % 5] if (j >> i) & 1 else f"{i + 1}.5" for i in range(4))]
+             for j in range(16)]
+    lf = "\n".join(delim.join(r) for r in [["date", "A", "B", "C", "D"], *rows])
+    for text in (lf, lf.replace("\n", "\r\n")):
+        loadtxt_dtypes.clear()
+        got = load_prices(io.StringIO(text), fmt="wide")
+        assert [dtype["price"].base for dtype in loadtxt_dtypes] == [np.uint64]
+        assert_same_outcome(got, load_prices_oracle(lf, "wide"))
 
 
 @pytest.mark.parametrize("fmt", ["long", "wide"])
@@ -1228,7 +1236,7 @@ def test_17_digit_prices_read_back_bit_identical(fmt, values):
 
 def assert_scaled_as_float_reads(digits, decimals):
     """_scaled gives each digits * 10**-decimals bit for bit as float() reads the decimal."""
-    got = ts._scaled(np.array(digits, np.int64), np.array(decimals, np.int8))
+    got = ts._scaled(np.array(digits, np.uint64), np.array(decimals, np.int8))
     want = np.array([float(f"{d}e-{k}") for d, k in zip(digits, decimals)])
     assert got.tobytes() == want.tobytes(), [(d, k) for d, k, x, y in zip(digits, decimals, got, want) if x != y]
 
@@ -1243,7 +1251,7 @@ DECIMALS = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(cells=st.lists(DECIMALS, min_size=1, max_size=40))
 def test_scaled_decimals_are_what_float_reads(cells):
-    assert_scaled_as_float_reads([sign * d for d, _, sign in cells], [k for _, k, _ in cells])
+    assert_scaled_as_float_reads([d for d, _, _ in cells], [k for _, k, _ in cells])  # uint64 digits have no sign
 
 
 def test_scaled_halfway_points_are_what_float_reads():
@@ -1619,3 +1627,89 @@ def test_zero_variance_listing_and_drop():
         drop_assets(rm, ["ZZZ"])
     with pytest.raises(ConfigurationError, match="unknown assets"):
         drop_assets(returns([[1, 2, 3], [1, 3, 2], [2, 1, 3]], assets=("A001", "B", "C")), "A001")
+
+
+
+# --- pipeline invariants: one panel, any layout the loader reads
+
+
+def planted_panel(n, t, size, seed, gap_frac):
+    """A planted market of n assets through synth.generate, as prices over t + 1 dates:
+    about gap_frac of its cells missing (never on the first date, nor for the first asset)
+    and about a third of its assets scaled by 1e-6, so that '%.17g' writes exponent cells."""
+    rng = np.random.default_rng(seed)
+    signs = tuple(int(x) for x in rng.choice([1, -1], size))
+    spec = MarketSpec(n_assets=n, n_observations=t, blocks=(BlockSpec(tuple(range(size)), 1.0, signs),))
+    p = prices_from_returns(generate(spec, seed)[0])
+    gaps = rng.random(p.prices.shape) < gap_frac
+    gaps[:, 0] = gaps[0] = False
+    scale = np.where(rng.random(n) < 1 / 3, 1e-6, 1.0)[:, None]
+    return PricePanel(p.assets, p.dates, np.where(gaps, np.nan, p.prices * scale))
+
+
+def wide_text(p, cell="{:.17g}", gap="", end="\n"):
+    lines = [",".join(("date", *p.assets))]
+    lines += [f"{t}," + ",".join(gap if x != x else cell.format(x) for x in row) for t, row in zip(p.dates, p.prices.T.tolist())]
+    return end.join(lines) + end
+
+
+def long_text(p):
+    return "date,asset,price\n" + "".join(
+        f"{t},{a},{x:.17g}\n" for a, row in zip(p.assets, p.prices.tolist()) for t, x in zip(p.dates, row) if x == x
+    )
+
+
+def layouts(p):
+    """p's text in each layout and form the loader reads: name -> (text, fmt)."""
+    return {
+        "empty": (wide_text(p), "wide"),
+        "NA": (wide_text(p, gap="NA"), "wide"),
+        "NaN": (wide_text(p, gap="NaN"), "wide"),
+        "crlf": (wide_text(p, end="\r\n"), "wide"),
+        "e18": (wide_text(p, cell="{:.18e}"), "wide"),
+        "long": (long_text(p), "long"),
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(20, 60), t=st.integers(10, 40), seed=st.integers(0, 2**32 - 1),
+       gap_frac=st.sampled_from([0.0, 0.05, 0.3]))
+def test_every_layout_of_a_planted_panel_loads_to_its_bits(n, t, seed, gap_frac):
+    """The wide forms take the decimal route, with no csv pass, and every form loads to the
+    oracle's panel: the same assets, dates and price bits, which are the panel's own."""
+    p = planted_panel(n, t, n // 3, seed, gap_frac)
+    full = planted_panel(n, t, n // 3, seed, 0.0)
+    for want, (text, fmt) in [(full, (wide_text(full), "wide")), *((p, form) for form in layouts(p).values())]:
+        with pytest.MonkeyPatch.context() as patch:
+            if fmt == "wide":
+                patch.setattr(ts, "_read_rows", lambda *args: pytest.fail("the file was read one csv row at a time"))
+            got = load_prices(io.BytesIO(text.encode()), fmt)
+        assert_same_outcome(got, load_prices_oracle(text.replace("\r\n", "\n"), fmt))
+        assert (got.assets, got.dates) == (want.assets, want.dates)
+        assert got.prices.tobytes() == want.prices.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(20, 60), t=st.integers(10, 40), seed=st.integers(0, 2**32 - 1),
+       gap_frac=st.sampled_from([0.0, 0.05, 0.3]))
+def test_align_calendar_with_no_rules_is_the_panel(n, t, seed, gap_frac):
+    p = planted_panel(n, t, n // 3, seed, gap_frac)
+    q = align_calendar(p, [])
+    assert (q.assets, q.dates) == (p.assets, p.dates)
+    assert q.prices.tobytes() == p.prices.tobytes()
+
+
+def test_analyze_writes_the_same_artifacts_from_the_wide_and_the_long_file(tmp_path):
+    p = planted_panel(40, 300, 12, 7, 0.05)
+    reports = []
+    for name, (text, fmt) in layouts(p).items():
+        (tmp_path / f"{name}.csv").write_text(text, newline="")
+        out = tmp_path / name
+        assert main(["analyze", "--input", str(tmp_path / f"{name}.csv"), "--format", fmt, "--out-dir", str(out)]) == 0
+        report = json.loads((out / "analysis_report.json").read_text())
+        config = report.pop("config")
+        assert (config["input"], config["format"], config["out_dir"]) == (str(tmp_path / f"{name}.csv"), fmt, str(out))
+        reports.append((report, {k: v for k, v in config.items() if k not in ("input", "format", "out_dir")},
+                        (out / "corr_matrix.csv").read_bytes(), (out / "corr_matrix.meta.json").read_bytes()))
+    assert all(r == reports[0] for r in reports)
+
