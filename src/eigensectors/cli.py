@@ -4,8 +4,9 @@ Each stage writes deterministic JSON and delimited artifacts into --out-dir
 (byte-identical for identical configuration and seed at a fixed BLAS thread
 count and OpenBLAS kernel: under OPENBLAS_CORETYPE=Haswell, 46 842 of
 paper_scan's 67 081 C cells differ from the SkylakeX kernel's; the benchmark
-pins OPENBLAS_NUM_THREADS=1) and embeds the exact configuration it ran with. Exit codes: 0 success, 1 usage or configuration
-error, 2 data error, 3 numerical error or out of memory.
+pins OPENBLAS_NUM_THREADS=1) and embeds the exact configuration it ran
+with. Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+3 numerical error or out of memory.
 """
 
 import argparse

@@ -407,7 +407,8 @@ def _over_field_limit(body: bytes, start: int, delim: str) -> bool:
 def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols=None, file=None) -> np.ndarray:
     """np.loadtxt's reading of body[start:] with csv's quoting, a row per line, as a
     structured array of fields, which are (name, dtype) pairs. ValueError for any row
-    that loadtxt rejects.
+    that loadtxt rejects, and for an integer cell that some numpy releases read as a float
+    under a DeprecationWarning: they would cast '-15' to the uint64 2**64 - 15.
 
     file, when given, is (path, lines, state): the regular file of the long layout
     whose text past its first lines physical lines is body[start:], and its _file_state
@@ -423,6 +424,7 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning)
             return np.loadtxt(
                 rows, dtype=fields, delimiter=delim, comments=None, skiprows=skip,
                 quotechar='"', usecols=usecols, ndmin=1, encoding="latin1",
@@ -433,7 +435,8 @@ def _table(body: bytes, start: int, delim: str, fields: Sequence[tuple], usecols
 
 
 _BLOCK = 1 << 18  # bytes of whole lines per block of the decimal route
-_MARKS = [int.from_bytes(m, "big") for m in (b"NA", b"NaN", b"nan", b"NAN")]  # missing cells that R and numpy write
+# the missing cells that R and numpy write, each as an integer
+_MARKS = [int.from_bytes(m, "big") for m in (b"NA", b"NaN", b"nan", b"NAN")]
 _EXPONENT = 0x7FF << 52  # the exponent field of a double's bits
 _TWO52 = (1023 + 52) << 52  # the exponent field of 2**52
 
@@ -469,10 +472,10 @@ def _scaled(digits: np.ndarray, k: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | None:
+def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray:
     """The wide table, of a date and n prices a row, of the body data[start:], read as
-    decimal digits and scaled exactly (empty if it has no lines); None if a block of it
-    is not of the grammar below.
+    decimal digits and scaled exactly (empty if it has no lines). ValueError if a block
+    of it is not of the grammar below.
 
     Each block of whole lines, of about _BLOCK bytes, is judged and read in turn, its
     CRLF line ends read as LF. It may hold only digits, '.', '+', '-', 'e', 'E', the
@@ -480,16 +483,16 @@ def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | 
     empty, or one of _MARKS (both missing), or a mantissa of digits with at most one dot,
     after its last sign, then at most one exponent: 'e' or 'E', an optional sign and 1
     to 3 digits. A date has no dot and no exponent (2015.01.05 would read as the date
-    20150105). With its dots taken out, its marks and exponents written as spaces, which
-    loadtxt reads after digits, and a 0 put before each price cell if one is missing, the
-    block is one np.loadtxt pass of S16 dates and uint64 digits. A cell with d digits
-    after its dot and exponent x is then _scaled(digits, d - x): what float() reads in it.
-    ValueError for a row that loadtxt rejects (a sign that uint64 does not take, which
-    is any sign of a block with a missing cell, or a mantissa of 2**64 or more).
+    20150105). With its dots and its marks' letters taken out, its exponents written as
+    spaces, which loadtxt reads after digits, and a 0 put before each price cell if one is
+    missing, the block is one np.loadtxt pass of S16 dates and uint64 digits. A cell with
+    d digits after its dot and exponent x is then _scaled(digits, d - x): what float()
+    reads in it. ValueError too for a row that loadtxt rejects (a sign that uint64 does
+    not take, which is any sign of a block with a missing cell, or a mantissa of 2**64 or more).
     """
     d = delim.encode()
-    codes = np.full(256, 6, np.uint8)  # of each byte that is not a digit: 0 delimiter, 1 LF, 2 dot, 3 sign,
-    codes[list(d + b"\n.+-eENAan")] = [0, 1, 2, 3, 3, 4, 4, 5, 5, 5, 5]  # 4 exponent, 5 a mark's letter, 6 other
+    codes = np.full(256, 6, np.uint8)  # of each byte that is not a digit: 0 delimiter, 1 LF, 2 dot,
+    codes[list(d + b"\n.+-eENAan")] = [0, 1, 2, 3, 3, 4, 4, 5, 5, 5, 5]  # 3 sign, 4 exponent, 5 mark, 6 other
     whole = np.frombuffer(data, np.uint8)  # its lines are counted a block at a time, as bytes.count is slower
     lines = sum(np.count_nonzero(whole[i : i + _BLOCK] == 10) for i in range(start, len(data), _BLOCK))
     table = np.empty(lines + 1, [("date", "S16"), ("price", (float, (n,)))])  # the last line may have no end
@@ -501,47 +504,56 @@ def _decimal_table(data: bytes, start: int, delim: str, n: int) -> np.ndarray | 
         block += b"" if block.endswith(b"\n") else b"\n"
         block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
         text = np.frombuffer(block, np.uint8)
-        special = np.flatnonzero(text < 48 if text.max() < 58 else text - np.uint8(48) > 9)  # '0' is 48, '9' 57
+        special = np.flatnonzero(text - np.uint8(48) > 9)  # each byte that is not a digit ('0' is 48)
         code = codes.take(text.take(special))
         sep = np.flatnonzero(code <= 1)  # each cell's end
         rows = np.count_nonzero(code == 1)
-        if code.max(initial=0) > 5 or sep.size != rows * (n + 1) or not (code[sep[n :: n + 1]] == 1).all():
-            return None
+        if (
+            code.max(initial=0) > 5
+            or sep.size != rows * (n + 1)
+            or not (code[sep[n :: n + 1]] == 1).all()
+        ):
+            raise ValueError("not of the decimal grammar")
         before = special - np.arange(special.size)  # the digits before each byte that is not one
         digits = np.diff(before[sep], prepend=0)  # each cell's digits
+        ends = special[sep]
         mantissa = sep  # where each cell's mantissa ends: at its exponent's mark, if it has one
         if marks := np.count_nonzero(code == 4):
-            pre, ends = code[sep - 1], special[sep]
-            signed = (pre == 3) & (code[sep - 2] == 4) & (special[sep - 1] == special[sep - 2] + 1)  # a sign after a mark
-            marked = (pre == 4) | signed
+            signed = (code[sep - 1] == 3) & (code[sep - 2] == 4)
+            signed &= special[sep - 1] == special[sep - 2] + 1  # the sign is just after the mark
+            marked = (code[sep - 1] == 4) | signed
             mantissa = sep - marked - signed
             places = before[sep] - before[mantissa]  # the exponent's digits
             digits -= places
-            if marked.sum() != marks or np.count_nonzero(places) != marks or places.max() > 3 or marked[:: n + 1].any():
-                return None
+            exponents = (places > 0) & (places <= 3)  # of 1 to 3 digits; one per mark, all in prices
+            if np.count_nonzero(exponents.reshape(rows, n + 1)[:, 1:]) != marks:
+                raise ValueError("not of the decimal grammar")
         dot = code[mantissa - 1] == 2  # the mantissa's last byte that is not a digit is a dot
         missing = digits == 0
-        size = key = missing[:0]
         if gaps := missing.any():  # the bytes of each cell of no digit, and its last four as an integer
-            size = np.diff(special[sep], prepend=-1)[missing] - 1
-            key = sum((text[special[sep[missing]] - i].astype(np.int64) << 8 * i - 8) * (size >= i) for i in range(1, 5))
+            size = np.diff(ends, prepend=-1)[missing] - 1
+            tail = [text[ends[missing] - i].astype(np.int64) * (size >= i) for i in range(1, 5)]
+            key = sum(byte << 8 * i for i, byte in enumerate(tail))
+            if not np.isin(key[size > 0], _MARKS).all():
+                raise ValueError("not of the decimal grammar")
+        letters = np.count_nonzero(code == 5)
         if (
-            np.count_nonzero(dot) != np.count_nonzero(code == 2) or dot[:: n + 1].any()
-            or size.sum() != (letters := np.count_nonzero(code == 5)) or gaps and not np.isin(key[size > 0], _MARKS).all()
+            np.count_nonzero(dot.reshape(rows, n + 1)[:, 1:]) != np.count_nonzero(code == 2)
+            or letters != (size.sum() if gaps else 0)  # each in a mark
         ):
-            return None
+            raise ValueError("not of the decimal grammar")
         k = (before[mantissa] - before[mantissa - 1]) * dot
-        if marks or letters:
-            text = text.copy()
-            text[special[code == 5]] = ord(" ")
         if marks:
+            text = text.copy()
             x = sum((text[ends - i].astype(np.intp) - 48) * 10 ** (i - 1) * (places >= i) for i in (1, 2, 3))
             k += np.where(signed & (text[special[sep - 1]] == ord("-")), x, -x)
             first, last = special[mantissa[marked]], ends[marked] - 1
-            for i in range(5):
+            for i in range(5):  # the mark, its sign and its digits
                 text[np.minimum(first + i, last)] = ord(" ")
-        block = (text.tobytes() if marks or letters else block).replace(b".", b"")
-        block = block.replace(d, d + b"0") if gaps else block  # a leading 0 keeps a price and fills an empty cell
+            block = text.tobytes()
+        block = block.translate(None, b".NAan") if letters else block.replace(b".", b"")
+        # a leading 0 keeps a price and fills an empty cell
+        block = block.replace(d, d + b"0") if gaps else block
         read = _table(block, 0, delim, fields)
         table["date"][row : row + rows] = read["date"]
         prices = table["price"][row : row + rows]
@@ -619,8 +631,6 @@ def load_prices(source, fmt: str = "long") -> PricePanel:
             values = table["price"]
         else:
             table = _decimal_table(data, start, delim, len(header) - 1)
-            if table is None:
-                raise ValueError("not of the decimal grammar")
             assets, a = _number(header[1:])
             a, values = a[:, None], table["price"].T  # the table is the grid, transposed
         dates, d = _index(table["date"], _date)

@@ -714,6 +714,34 @@ def test_grammar_cell_in_every_position_matches_oracle(cell, end):
             assert_same_outcome(outcome(load_prices, io.BytesIO(text.encode()), "wide"), want)
 
 
+@pytest.mark.filterwarnings("default::DeprecationWarning")
+@pytest.mark.parametrize("cell", ["-1.5", "-15", "-1e2", "-0", "-0.0", "18446744073709551616"])
+def test_wide_cell_that_uint64_rejects_matches_oracle_whatever_the_warning_filters(cell):
+    """A gap-free block, so that the decimal route's digit pass meets the cell itself."""
+    text = f"date,AAA,BBB\n2015-01-05,1,2\n2015-01-06,{cell},2\n2015-01-07,1,3\n"
+    want = outcome(load_prices_oracle, text, "wide")
+    assert_same_outcome(outcome(load_prices, io.BytesIO(text.encode()), "wide"), want)
+
+
+@pytest.mark.filterwarnings("default::DeprecationWarning")
+def test_integer_read_via_a_float_is_a_rejection_whatever_the_warning_filters(monkeypatch):
+    """Some numpy releases read an integer cell that uint64 rejects, such as '-15', as a
+    float cast to uint64, under a DeprecationWarning that numpy turns into ValueError when
+    it is an error. The stand-in below does the same, so the digit pass never sees 2**64 - 15."""
+
+    def via_float(*args, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '-15' to uint64") from exc
+        return np.array([(b"2015-01-06", [2**64 - 15])], kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", via_float)
+    text = "date,AAA\n2015-01-06,-1.5\n"
+    want = outcome(load_prices_oracle, text, "wide")  # non-positive price
+    assert_same_outcome(outcome(load_prices, io.BytesIO(text.encode()), "wide"), want)
+
+
 @pytest.fixture
 def loadtxt_dtypes(monkeypatch):
     """The dtype of each np.loadtxt call made while the test runs."""
